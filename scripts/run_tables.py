@@ -11,7 +11,7 @@ import argparse
 
 from garside_census.cli import main as cli_main
 from garside_census.matrices import build_Mbar
-from garside_census.spectral import charpoly, poly_str, spectral_radius_table
+from garside_census.spectral import cached_charpoly, poly_str, spectral_radius_table
 
 
 def run(nmax: int, dmax: int) -> None:
@@ -19,7 +19,7 @@ def run(nmax: int, dmax: int) -> None:
     print()
     print("characteristic polynomials of the partition matrices:")
     for n in range(1, min(nmax, 8) + 1):
-        print(f"  n={n}: {poly_str(charpoly(build_Mbar(n)))}")
+        print(f"  n={n}: {poly_str(cached_charpoly(build_Mbar(n)))}")
     print()
     print("dominant eigenvalues:")
     for row in spectral_radius_table(min(nmax, 8)):

@@ -22,6 +22,7 @@ from .matrices import (
     build_M,
     build_Mbar,
     build_Mprime,
+    count_series,
     structural_check_M,
 )
 from .oracle import brute_count, dp_count

@@ -22,11 +22,15 @@ from . import formulas, matrices, oracle, permutations, reference, spectral, wor
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
 
 
 def _emit_json(obj, out: str | None) -> None:
@@ -79,10 +83,8 @@ def _cmd_count(args) -> int:
 
 
 def _build_matrix(kind: str, n: int, cap: int | None):
-    if kind == "M":
-        return matrices.build_M(n, cap=cap if cap is not None else matrices.DEFAULT_FACTORIAL_CAP)
-    builder = matrices.build_Mprime if kind == "Mprime" else matrices.build_Mbar
-    return builder(n, cap=cap if cap is not None else matrices.DEFAULT_SUBSET_CAP)
+    builder = {"M": matrices.build_M, "Mprime": matrices.build_Mprime, "Mbar": matrices.build_Mbar}[kind]
+    return builder(n) if cap is None else builder(n, cap=cap)
 
 
 def _cmd_matrix(args) -> int:
@@ -110,21 +112,19 @@ def _cmd_charpoly(args) -> int:
             "beyond n=5; its nonzero spectrum equals that of kind Mbar"
         )
     m = _build_matrix(args.kind, args.n, None)
-    poly = spectral.charpoly(m)
+    poly = (spectral.cached_charpoly if args.kind == "Mbar" else spectral.charpoly)(m)
     factors = None
     if args.kind == "Mbar" and not args.raw:
         parts = []
         prev: tuple[int, ...] = (1,)
-        ok = True
         for k in range(1, args.n + 1):
-            cur = spectral.charpoly(matrices.build_Mbar(k))
+            cur = spectral.cached_charpoly(matrices.build_Mbar(k))
             q = spectral.exact_quotient(prev, cur)
             if q is None:
-                ok = False
                 break
             parts.append(q)
             prev = cur
-        if ok:
+        else:
             factors = parts
     if args.format == "json":
         obj = {
@@ -137,7 +137,7 @@ def _cmd_charpoly(args) -> int:
         _emit_json(obj, args.out)
     else:
         lines = [f"coefficients (constant first): {' '.join(str(c) for c in poly)}"]
-        if factors is not None and not args.raw:
+        if factors is not None:
             lines.append(
                 "factored: " + " * ".join(f"({spectral.poly_str(f)})" for f in factors)
             )
@@ -156,7 +156,7 @@ def _cmd_normalize(args) -> int:
         }
         for x in seq.factors
     ]
-    if args.json or args.format == "json":
+    if args.format == "json":
         obj = {
             "n": str(args.n),
             "word": args.word,
@@ -202,19 +202,17 @@ def _cmd_oracle(args) -> int:
 
 def _table_rows(nmax: int, dmax: int):
     rows = []
-    for n in range(2, nmax + 1):
-        for rho in range(1, n):
-            values = tuple(matrices.b_delta(n, d, n - rho) for d in range(1, dmax + 1))
-            flags = []
-            for d in range(1, dmax + 1):
-                note = reference.TABLE1_FLAGGED_CELLS.get((n, rho, d))
-                if note is not None:
-                    flags.append({"d": str(d), "flag": reference.PAPER_DISCREPANCY, "note": note})
-            row_note = reference.TABLE1_ROW_NOTES.get((n, rho))
-            if row_note is not None:
-                flags.append({"flag": reference.PAPER_DISCREPANCY, "note": row_note})
-            label = "b_{%d,d}(1)" % n if rho == 1 else "b_{%d,d}(Delta_%d)" % (n, rho)
-            rows.append({"n": n, "rho": rho, "label": label, "values": values, "flags": flags})
+    for (n, rho), values in matrices.computed_table(nmax, dmax).items():
+        flags = [
+            {"d": str(d), "flag": reference.PAPER_DISCREPANCY, "note": note}
+            for (fn, frho, d), note in sorted(reference.TABLE1_FLAGGED_CELLS.items())
+            if (fn, frho) == (n, rho) and d <= dmax
+        ]
+        row_note = reference.TABLE1_ROW_NOTES.get((n, rho))
+        if row_note is not None:
+            flags.append({"flag": reference.PAPER_DISCREPANCY, "note": row_note})
+        label = "b_{%d,d}(1)" % n if rho == 1 else "b_{%d,d}(Delta_%d)" % (n, rho)
+        rows.append({"n": n, "rho": rho, "label": label, "values": values, "flags": flags})
     return rows
 
 
@@ -343,6 +341,15 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -383,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="normal form of a positive braid word")
     p.add_argument("-n", dest="n", type=int, required=True)
     p.add_argument("word")
-    p.add_argument("--json", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_normalize)
 
@@ -397,14 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("table", help="grid of counts by last half twist")
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--dmax", type=int, default=6)
+    p.add_argument("--nmax", type=_at_least(2), default=6)
+    p.add_argument("--dmax", type=_at_least(1), default=6)
     p.add_argument("--cap", type=int, default=8, help="refuse nmax beyond this")
     _add_common(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("conjecture", help="nested-spectrum check for consecutive n")
-    p.add_argument("--nmax", type=int, default=10)
+    p.add_argument("--nmax", type=_at_least(2), default=10)
     _add_common(p)
     p.set_defaults(func=_cmd_conjecture)
 

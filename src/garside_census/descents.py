@@ -25,6 +25,8 @@ import functools
 import itertools
 from typing import Iterable, Sequence
 
+from .permutations import d_left, d_right
+
 Composition = tuple[int, ...]
 PartitionN = tuple[int, ...]
 
@@ -77,10 +79,7 @@ def set_of_composition(parts: Sequence[int]) -> frozenset[int]:
 
 def subsets_in_binary_order(n: int) -> list[frozenset[int]]:
     """Subsets of {1, ..., n-1} ordered by their binary value, bit i-1 for element i."""
-    return [
-        frozenset(i + 1 for i in range(n - 1) if value >> i & 1)
-        for value in range(1 << (n - 1))
-    ]
+    return [set_of_mask(value) for value in range(1 << (n - 1))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -262,17 +261,7 @@ def left_right_descent_census(n: int) -> dict[tuple[int, int], int]:
     """
     counts: dict[tuple[int, int], int] = {}
     for perm in itertools.permutations(range(1, n + 1)):
-        inv = [0] * n
-        for pos, v in enumerate(perm):
-            inv[v - 1] = pos + 1
-        left = 0
-        right = 0
-        for i in range(n - 1):
-            if perm[i] > perm[i + 1]:
-                right |= 1 << i
-            if inv[i] > inv[i + 1]:
-                left |= 1 << i
-        key = (left, right)
+        key = (mask_of(d_left(perm)), mask_of(d_right(perm)))
         counts[key] = counts.get(key, 0) + 1
     return counts
 

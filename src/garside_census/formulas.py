@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from . import matrices
 from .descents import PartitionN, compositions
-
-PAPER_DISCREPANCY = "paper-discrepancy"
+from .reference import PAPER_DISCREPANCY
 
 
 @dataclasses.dataclass(frozen=True)

@@ -15,12 +15,17 @@ and the exact big-integer counting pipeline built on them.
 b(n, d) counts the positive n-braids of degree at most d; b(n, d, x) those
 whose d-th normal factor equals the square-free braid x.  All three
 matrices compute these numbers through row-vector iteration; the reduced
-matrix is the default path, the larger ones exist for cross-validation.
+matrix is the counting path, the larger ones exist for cross-validation.
 Arithmetic is exact arbitrary-precision integer throughout.
+
+Every b(...) function and computed_table read count_series(n, dmax), the
+vectors 1 Mbar(n)^(d-1) for d = 1..dmax; Mbar(n) and its characteristic
+polynomial (spectral.cached_charpoly) are computed once per process.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Sequence
 
@@ -168,20 +173,14 @@ def structural_check_M(n: int, cap: int = DEFAULT_FACTORIAL_CAP) -> MStructureRe
     )
 
 
-def _ahat_by_masks(comps: list[tuple[int, ...]], i_mask: int, j_mask: int) -> int:
-    rows = tuple(sorted(comps[i_mask], reverse=True))
-    cols = tuple(sorted(comps[j_mask], reverse=True))
-    return descents._count_by_sorted_margins(rows, cols)
-
-
-def _a_column(n: int, comps: list[tuple[int, ...]], j_mask: int) -> list[int]:
+def _a_column(n: int, parts: list[PartitionN], j_mask: int) -> list[int]:
     """
     Exact-left counts a(n, I, J) for all subset masks I at the fixed
     column J: start from the contained-descents counts and apply the
-    signed superset transform.
+    signed superset transform.  parts[mask] is the partition of the subset.
     """
     size = 1 << (n - 1)
-    arr = [_ahat_by_masks(comps, i_mask, j_mask) for i_mask in range(size)]
+    arr = [descents._count_by_sorted_margins(lam, parts[j_mask]) for lam in parts]
     for b in range(n - 1):
         bit = 1 << b
         for i_mask in range(size):
@@ -190,11 +189,8 @@ def _a_column(n: int, comps: list[tuple[int, ...]], j_mask: int) -> list[int]:
     return arr
 
 
-def _compositions_by_mask(n: int) -> list[tuple[int, ...]]:
-    return [
-        descents.composition_of(descents.set_of_mask(mask), n)
-        for mask in range(1 << (n - 1))
-    ]
+def _partitions_by_mask(n: int) -> list[PartitionN]:
+    return [descents.partition_of(descents.set_of_mask(mask), n) for mask in range(1 << (n - 1))]
 
 
 def build_Mprime(n: int, cap: int = DEFAULT_SUBSET_CAP) -> CountMatrix:
@@ -206,53 +202,36 @@ def build_Mprime(n: int, cap: int = DEFAULT_SUBSET_CAP) -> CountMatrix:
         raise ValueError("n must be at least 1")
     if n > cap:
         raise ValueError(f"n={n} exceeds the subset-size cap {cap}")
-    comps = _compositions_by_mask(n)
+    parts = _partitions_by_mask(n)
     size = 1 << (n - 1)
-    columns = [_a_column(n, comps, j_mask) for j_mask in range(size)]
+    columns = [_a_column(n, parts, j_mask) for j_mask in range(size)]
     rows = tuple(tuple(columns[j][i] for j in range(size)) for i in range(size))
     labels = tuple(descents.subsets_in_binary_order(n))
     return CountMatrix(kind="Mprime", n=n, labels=labels, rows=rows)
 
 
-def build_Mbar(n: int, cap: int = DEFAULT_SUBSET_CAP, method: str = "counts") -> CountMatrix:
+def build_Mbar(n: int, cap: int = DEFAULT_SUBSET_CAP) -> CountMatrix:
     """
-    The p(n) square partition-level matrix.  The default path computes the
-    entries from the margin-count formulas; method="sweep" tallies all n!
-    permutations instead and is kept as an independent cross-check.
+    The p(n) square partition-level matrix from the margin-count formulas;
+    the cap is checked on every call, the shared matrix built once per n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > cap:
         raise ValueError(f"n={n} exceeds the subset-size cap {cap}")
+    return _cached_Mbar(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_Mbar(n: int) -> CountMatrix:
     labels = descents.partitions_in_order(n)
     index = {lam: i for i, lam in enumerate(labels)}
-    size = 1 << (n - 1)
-
-    if method == "counts":
-        comps = _compositions_by_mask(n)
-        class_of = [index[tuple(sorted(comps[mask], reverse=True))] for mask in range(size)]
-        rows_acc = [[0] * len(labels) for _ in labels]
-        for mu_idx, mu in enumerate(labels):
-            j_mask = descents.mask_of(descents.set_of_composition(mu))
-            col = _a_column(n, comps, j_mask)
-            for i_mask in range(size):
-                rows_acc[class_of[i_mask]][mu_idx] += col[i_mask]
-    elif method == "sweep":
-        census = descents.left_right_descent_census(n)
-        class_of = [
-            index[descents.partition_of(descents.set_of_mask(mask), n)]
-            for mask in range(size)
-        ]
-        mu_masks = [descents.mask_of(descents.set_of_composition(mu)) for mu in labels]
-        rows_acc = [[0] * len(labels) for _ in labels]
-        for (left, right), count in census.items():
-            lam_idx = class_of[left]
-            for mu_idx, mu_mask in enumerate(mu_masks):
-                if mu_mask & ~right == 0:
-                    rows_acc[lam_idx][mu_idx] += count
-    else:
-        raise ValueError(f"unknown build method {method!r}")
-
+    parts = _partitions_by_mask(n)
+    rows_acc = [[0] * len(labels) for _ in labels]
+    for mu_idx, mu in enumerate(labels):
+        col = _a_column(n, parts, descents.mask_of(descents.set_of_composition(mu)))
+        for lam, count in zip(parts, col):
+            rows_acc[index[lam]][mu_idx] += count
     rows = tuple(tuple(r) for r in rows_acc)
     return CountMatrix(kind="Mbar", n=n, labels=labels, rows=rows)
 
@@ -265,33 +244,42 @@ def vec_times_matrix(v: Sequence[int], m: CountMatrix) -> tuple[int, ...]:
     return tuple(sum(v[i] * m.rows[i][j] for i in range(m.size)) for j in cols)
 
 
-def _iterate_ones(m: CountMatrix, steps: int) -> tuple[int, ...]:
-    v: tuple[int, ...] = (1,) * m.size
+def _iterate(v: tuple[int, ...], m: CountMatrix, steps: int) -> tuple[int, ...]:
     for _ in range(steps):
         v = vec_times_matrix(v, m)
     return v
 
 
-def b_of_partition(n: int, d: int, lam: PartitionN, cap: int = DEFAULT_SUBSET_CAP) -> int:
+# n -> [v_1, v_2, ...], extended on demand by count_series.
+_SERIES: dict[int, list[tuple[int, ...]]] = {}
+
+
+def count_series(n: int, dmax: int) -> list[tuple[int, ...]]:
+    """
+    The vectors v_1 = (1, ..., 1), v_d = v_(d-1) Mbar(n) for d <= dmax;
+    entry lam of v_d is b(n, d, lam), in the order of build_Mbar(n).labels.
+    """
+    if dmax < 0:
+        raise ValueError("dmax must be non-negative")
+    m = build_Mbar(n)
+    series = _SERIES.setdefault(n, [(1,) * m.size])
+    while len(series) < dmax:
+        series.append(vec_times_matrix(series[-1], m))
+    return series[:dmax]
+
+
+def b_of_partition(n: int, d: int, lam: PartitionN) -> int:
     """
     The count of degree-at-most-d positive n-braids whose d-th normal
     factor has left-descent partition lam.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    m = build_Mbar(n, cap=cap)
-    idx = m.label_index(tuple(lam))
-    return _iterate_ones(m, d - 1)[idx]
+    idx = build_Mbar(n).label_index(tuple(lam))
+    return count_series(n, d)[d - 1][idx]
 
 
-def b_of_simple(
-    n: int,
-    d: int,
-    x: Perm,
-    via: str = "Mbar",
-    factorial_cap: int = DEFAULT_FACTORIAL_CAP,
-    cap: int = DEFAULT_SUBSET_CAP,
-) -> int:
+def b_of_simple(n: int, d: int, x: Perm, via: str = "Mbar") -> int:
     """
     The count of degree-at-most-d positive n-braids whose d-th normal
     factor is exactly x, computed through the matrix chosen by ``via``:
@@ -303,27 +291,21 @@ def b_of_simple(
     if d < 1:
         raise ValueError("d must be at least 1")
     if via == "Mbar":
-        lam = descents.partition_of(permutations.d_left(x), n)
-        return b_of_partition(n, d, lam, cap=cap)
+        return b_of_partition(n, d, descents.partition_of(permutations.d_left(x), n))
     if via == "Mprime":
-        m = build_Mprime(n, cap=cap)
-        idx = m.label_index(permutations.d_left(x))
-        return _iterate_ones(m, d - 1)[idx]
-    if via in ("M22", "M23"):
-        m = build_M(n, cap=factorial_cap)
-        idx = permutations.enumeration_index(x)
-        if via == "M22":
-            return _iterate_ones(m, d - 1)[idx]
-        v = [0] * m.size
-        v[m.size - 1] = 1
-        w: tuple[int, ...] = tuple(v)
-        for _ in range(d):
-            w = vec_times_matrix(w, m)
-        return w[idx]
-    raise ValueError(f"unknown path {via!r}")
+        m = build_Mprime(n)
+        return _iterate((1,) * m.size, m, d - 1)[m.label_index(permutations.d_left(x))]
+    if via not in ("M22", "M23"):
+        raise ValueError(f"unknown path {via!r}")
+    m = build_M(n)
+    if via == "M22":
+        v = _iterate((1,) * m.size, m, d - 1)
+    else:
+        v = _iterate((0,) * (m.size - 1) + (1,), m, d)
+    return v[permutations.enumeration_index(x)]
 
 
-def b_total(n: int, d: int, cap: int = DEFAULT_SUBSET_CAP) -> int:
+def b_total(n: int, d: int) -> int:
     """
     The number of positive n-braids of degree at most d (d = 0 gives 1,
     counting only the trivial braid).
@@ -332,19 +314,19 @@ def b_total(n: int, d: int, cap: int = DEFAULT_SUBSET_CAP) -> int:
         raise ValueError("d must be non-negative")
     if d == 0:
         return 1
-    return b_of_partition(n, d + 1, (1,) * n, cap=cap)
+    return b_of_partition(n, d + 1, (1,) * n)
 
 
-def b_delta(n: int, d: int, r: int, cap: int = DEFAULT_SUBSET_CAP) -> int:
+def b_delta(n: int, d: int, r: int) -> int:
     """
     The count with d-th factor the half twist on the first n-r strands.
     """
     if not 1 <= r <= n:
         raise ValueError(f"r={r} out of range 1..{n}")
-    return b_of_partition(n, d, descents.delta_partition(n, r), cap=cap)
+    return b_of_partition(n, d, descents.delta_partition(n, r))
 
 
-def computed_table(nmax: int, dmax: int, cap: int = DEFAULT_SUBSET_CAP) -> dict[tuple[int, int], tuple[int, ...]]:
+def computed_table(nmax: int, dmax: int) -> dict[tuple[int, int], tuple[int, ...]]:
     """
     Grid of b(n, d, half twist on rho strands) values: keys (n, rho) with
     1 <= rho < n, values indexed by d = 1..dmax.  rho = 1 is the trivial
@@ -352,8 +334,9 @@ def computed_table(nmax: int, dmax: int, cap: int = DEFAULT_SUBSET_CAP) -> dict[
     """
     out: dict[tuple[int, int], tuple[int, ...]] = {}
     for n in range(2, nmax + 1):
+        series = count_series(n, dmax)
+        labels = build_Mbar(n).labels
         for rho in range(1, n):
-            out[(n, rho)] = tuple(
-                b_delta(n, d, n - rho, cap=cap) for d in range(1, dmax + 1)
-            )
+            idx = labels.index(descents.delta_partition(n, n - rho))
+            out[(n, rho)] = tuple(v[idx] for v in series)
     return out

@@ -6,7 +6,8 @@ adjacent pair in isolation; it deliberately shares nothing with the
 matrix machinery beyond the pairwise normality predicate.  dp_count runs
 a dynamic program whose state is the exact last factor, one slot per
 permutation, so it exercises the transfer recurrence without any of the
-descent-class or partition reductions.
+descent-class or partition reductions.  sweep_Mbar tallies all n!
+permutations into the partition matrix that build_Mbar gets from formulas.
 """
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ import itertools
 import math
 from multiprocessing import Pool
 
+from . import descents
+from .matrices import CountMatrix
 from .permutations import Perm, d_left, d_right, is_normal_pair, simple_enumeration
 
 DEFAULT_BUDGET = 10**8
@@ -83,13 +86,8 @@ def brute_count(
 def _predecessors(n: int) -> tuple[tuple[int, ...], ...]:
     enum = simple_enumeration(n)
     size = len(enum)
-    dr = [0] * size
-    dl = [0] * size
-    for k, x in enumerate(enum):
-        for i in d_right(x):
-            dr[k] |= 1 << (i - 1)
-        for i in d_left(x):
-            dl[k] |= 1 << (i - 1)
+    dr = [descents.mask_of(d_right(x)) for x in enum]
+    dl = [descents.mask_of(d_left(x)) for x in enum]
     return tuple(
         tuple(x for x in range(size) if dl[y] & ~dr[x] == 0) for y in range(size)
     )
@@ -117,3 +115,19 @@ def dp_count(n: int, d: int, last: Perm | None = None, cap: int = DP_CAP) -> int
     if last is None:
         return sum(v)
     return v[enum.index(last)]
+
+
+def sweep_Mbar(n: int) -> CountMatrix:
+    """
+    Mbar(n) by sweep: entry (lam, mu) counts the permutations whose left
+    descents have partition lam and whose right descents contain mu's subset.
+    """
+    labels = descents.partitions_in_order(n)
+    mu_masks = [descents.mask_of(descents.set_of_composition(mu)) for mu in labels]
+    rows = [[0] * len(labels) for _ in labels]
+    for (left, right), count in descents.left_right_descent_census(n).items():
+        row = rows[labels.index(descents.partition_of(descents.set_of_mask(left), n))]
+        for mu_idx, mu_mask in enumerate(mu_masks):
+            if mu_mask & ~right == 0:
+                row[mu_idx] += count
+    return CountMatrix(kind="Mbar", n=n, labels=labels, rows=tuple(tuple(r) for r in rows))

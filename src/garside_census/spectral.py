@@ -11,6 +11,7 @@ the independent oracle at tiny sizes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -134,6 +135,12 @@ def charpoly(m: CountMatrix | Sequence[Sequence[int]]) -> IntPoly:
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
     return tuple(reversed(_berkowitz(rows)))
+
+
+@functools.lru_cache(maxsize=None)
+def cached_charpoly(m: CountMatrix) -> IntPoly:
+    """charpoly memoized per matrix; on build_Mbar(n), Berkowitz runs once per n."""
+    return charpoly(m)
 
 
 def naive_charpoly(rows: Sequence[Sequence[int]]) -> IntPoly:
@@ -268,8 +275,8 @@ def new_factor_simple_roots(n: int, cap: int = matrices.DEFAULT_SUBSET_CAP) -> N
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    prev = charpoly(matrices.build_Mbar(n - 1, cap=cap))
-    cur = charpoly(matrices.build_Mbar(n, cap=cap))
+    prev = cached_charpoly(matrices.build_Mbar(n - 1, cap=cap))
+    cur = cached_charpoly(matrices.build_Mbar(n, cap=cap))
     quotient = exact_quotient(prev, cur)
     expected = len(descents.partitions_in_order(n)) - len(descents.partitions_in_order(n - 1))
     if quotient is None:

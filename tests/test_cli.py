@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from garside_census import matrices, spectral
 from garside_census.cli import main
 
 
@@ -82,7 +83,7 @@ def test_normalize(capsys):
     assert lines[0] == "degree 1"
     assert lines[1] == "factor 1: [3,2,1]  d_left={1,2}  d_right={1,2}"
 
-    code, out, _ = run(capsys, "normalize", "-n", "3", "s1 s2 s1", "--json")
+    code, out, _ = run(capsys, "normalize", "-n", "3", "s1 s2 s1", "--format", "json")
     assert code == 0
     obj = json.loads(out)
     assert obj["degree"] == "1"
@@ -161,3 +162,45 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["count"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "--nmax", "1"], "--nmax: must be at least 2"),
+        (["table", "--dmax", "0"], "--dmax: must be at least 1"),
+        (["conjecture", "--nmax", "1"], "--nmax: must be at least 2"),
+        (["count", "3", "1", "--out", "{missing_dir}/x"], "No such file or directory"),
+    ],
+)
+def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):
+    argv = [arg.format(missing_dir=tmp_path / "missing") for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert message in out.err
+
+
+def test_each_Mbar_and_charpoly_built_once(capsys, monkeypatch):
+    matrices._cached_Mbar.cache_clear()
+    matrices._SERIES.clear()
+    assert run(capsys, "table", "--nmax", "8", "--dmax", "20")[0] == 0
+    assert run(capsys, "verify")[0] == 0
+    info = matrices._cached_Mbar.cache_info()
+    assert info.misses == info.currsize == 8  # n = 1..8, each built once
+
+    berkowitz_runs = []
+    charpoly = spectral.charpoly
+
+    def counting_charpoly(m):
+        berkowitz_runs.append(m.n)
+        return charpoly(m)
+
+    monkeypatch.setattr(spectral, "charpoly", counting_charpoly)
+    spectral.cached_charpoly.cache_clear()
+    assert run(capsys, "conjecture", "--nmax", "12")[0] == 0
+    assert sorted(berkowitz_runs) == list(range(1, 13))

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from garside_census import reference
 from garside_census.descents import partition_of, partitions_in_order, subsets_in_binary_order
@@ -14,9 +15,11 @@ from garside_census.matrices import (
     build_Mbar,
     build_Mprime,
     computed_table,
+    count_series,
     structural_check_M,
     vec_times_matrix,
 )
+from garside_census.oracle import sweep_Mbar
 from garside_census.permutations import (
     d_left,
     identity,
@@ -85,12 +88,15 @@ def test_build_Mbar_small():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_Mbar_methods_agree(n):
-    assert build_Mbar(n, method="counts").rows == build_Mbar(n, method="sweep").rows
+    # the margin-count build against the oracle's sweep over all n! permutations
+    assert build_Mbar(n) == sweep_Mbar(n)
 
 
-def test_Mbar_bad_method():
-    with pytest.raises(ValueError):
-        build_Mbar(3, method="guess")
+def test_Mbar_cap_checked_on_cached_calls():
+    m = build_Mbar(9)
+    assert build_Mbar(9) is m
+    with pytest.raises(ValueError, match="cap"):
+        build_Mbar(9, cap=8)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -116,6 +122,30 @@ def test_Mprime_collapses_to_Mbar(n):
 
 
 # --- counting pipeline -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_count_series_empty(n):
+    assert count_series(n, 0) == []
+
+
+def test_count_series_lengths():
+    assert count_series(3, 1) == [(1, 1, 1)]
+    assert [len(count_series(4, d)) for d in (5, 2, 7)] == [5, 2, 7]
+    assert count_series(4, 7)[:2] == count_series(4, 2)
+    with pytest.raises(ValueError):
+        count_series(3, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.integers(1, 10), st.permutations(range(1, n + 1)))))
+def test_count_series_matches_Mprime(case):
+    d, x = case
+    x = tuple(x)
+    n = len(x)
+    lam = partition_of(d_left(x), n)
+    value = count_series(n, d)[d - 1][build_Mbar(n).label_index(lam)]
+    assert value == b_of_simple(n, d, x, via="Mprime")
 
 
 def test_b_of_partition_examples():
