@@ -8,7 +8,6 @@ from .descents import (
     a_hat,
     composition_of,
     contingency_count,
-    count_functions,
     partition_of,
     partitions_in_order,
     set_of_composition,
@@ -25,7 +24,7 @@ from .matrices import (
     count_series,
     structural_check_M,
 )
-from .oracle import brute_count, dp_count
+from .oracle import brute_count, count_functions, dp_count
 from .permutations import (
     compose,
     d_left,

@@ -1,13 +1,14 @@
 """
 Command-line front end.
 
-    garside-census <command> [args] [--format plain|csv|json] [--out FILE]
+    garside-census <command> [args] [--format plain|json] [--out FILE]
 
 Commands: count, matrix, charpoly, normalize, oracle, table, conjecture,
-verify.  All integers are emitted as decimal strings in JSON output, and
-identical invocations produce byte-identical output.  Exit status is 0 on
-success, 1 on a verification mismatch, 2 on usage errors.  The GC_THREADS
-environment variable sets the worker count for the brute-force oracle.
+verify; only count, matrix, table and verify offer --format csv.  JSON
+renders integers as decimal strings, and identical invocations produce
+byte-identical output.  Exit status is 0 on success, 1 on a verification
+mismatch, 2 on usage errors.  GC_THREADS sets the worker count for the
+brute-force oracle; count --via Mprime|M22|M23 uses the oracle paths.
 """
 from __future__ import annotations
 
@@ -65,7 +66,10 @@ def _cmd_count(args) -> int:
         value = matrices.b_delta(args.n, args.d, r)
         label = f"delta {r}"
     elif last_perm is not None:
-        value = matrices.b_of_simple(args.n, args.d, last_perm, via=args.via)
+        if args.via == "Mbar":
+            value = matrices.b_of_simple(args.n, args.d, last_perm)
+        else:
+            value = oracle.b_of_simple_via(args.n, args.d, last_perm, args.via)
         label = permutations.format_permutation(last_perm)
     else:
         value = matrices.b_total(args.n, args.d)
@@ -82,13 +86,12 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _build_matrix(kind: str, n: int, cap: int | None):
-    builder = {"M": matrices.build_M, "Mprime": matrices.build_Mprime, "Mbar": matrices.build_Mbar}[kind]
-    return builder(n) if cap is None else builder(n, cap=cap)
+def _build_matrix(kind: str, n: int):
+    return {"M": matrices.build_M, "Mprime": matrices.build_Mprime, "Mbar": matrices.build_Mbar}[kind](n)
 
 
 def _cmd_matrix(args) -> int:
-    m = _build_matrix(args.kind, args.n, args.cap_factorial)
+    m = _build_matrix(args.kind, args.n)
     if args.format == "json":
         _emit_json(m.to_json_obj(), args.out)
     elif args.format == "csv":
@@ -111,7 +114,7 @@ def _cmd_charpoly(args) -> int:
             "the full matrix is too large for an exact characteristic polynomial "
             "beyond n=5; its nonzero spectrum equals that of kind Mbar"
         )
-    m = _build_matrix(args.kind, args.n, None)
+    m = _build_matrix(args.kind, args.n)
     poly = (spectral.cached_charpoly if args.kind == "Mbar" else spectral.charpoly)(m)
     factors = None
     if args.kind == "Mbar" and not args.raw:
@@ -217,8 +220,6 @@ def _table_rows(nmax: int, dmax: int):
 
 
 def _cmd_table(args) -> int:
-    if args.nmax > args.cap:
-        raise ValueError(f"nmax={args.nmax} exceeds the table cap {args.cap}")
     rows = _table_rows(args.nmax, args.dmax)
     if args.format == "json":
         obj = [
@@ -350,8 +351,9 @@ def _at_least(low: int):
     return integer
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
+def _add_common(p: argparse.ArgumentParser, with_csv: bool = False) -> None:
+    formats = ["plain", "csv", "json"] if with_csv else ["plain", "json"]
+    p.add_argument("--format", choices=formats, default="plain")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
@@ -368,14 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--last", nargs="+", default=None, metavar="PERM|delta R",
                    help="pin the last factor: a permutation like [3,1,2], or 'delta R' for the half twist on the first n-R strands")
     p.add_argument("--via", choices=["Mbar", "Mprime", "M22", "M23"], default="Mbar")
-    _add_common(p)
+    _add_common(p, with_csv=True)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("matrix", help="emit an incidence matrix")
     p.add_argument("kind", choices=["M", "Mprime", "Mbar"])
     p.add_argument("n", type=int)
-    p.add_argument("--cap-factorial", type=int, default=None, help="override the size cap")
-    _add_common(p)
+    _add_common(p, with_csv=True)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of a counting matrix")
@@ -405,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="grid of counts by last half twist")
     p.add_argument("--nmax", type=_at_least(2), default=6)
     p.add_argument("--dmax", type=_at_least(1), default=6)
-    p.add_argument("--cap", type=int, default=8, help="refuse nmax beyond this")
-    _add_common(p)
+    _add_common(p, with_csv=True)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("conjecture", help="nested-spectrum check for consecutive n")
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", default=None)
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--dmax", type=int, default=20)
-    _add_common(p)
+    _add_common(p, with_csv=True)
     p.set_defaults(func=_cmd_verify)
 
     return parser

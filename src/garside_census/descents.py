@@ -15,17 +15,15 @@ The two counting numbers implemented here are, for subsets I and J:
 
 a_hat is computed as the number of non-negative integer matrices with row
 margins the composition of I and column margins the composition of J; a
-follows by inclusion-exclusion over supersets of I.  Both admit
-independent brute-force oracles (count_functions below and the direct
-sweep over all n! permutations in tests).
+follows by inclusion-exclusion over supersets of I.  Their brute-force
+oracles, oracle.count_functions and the census of all n! permutations
+(oracle.left_right_descent_census), live with the other oracles.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from typing import Iterable, Sequence
-
-from .permutations import d_left, d_right
 
 Composition = tuple[int, ...]
 PartitionN = tuple[int, ...]
@@ -204,66 +202,6 @@ def a(n: int, I: Iterable[int], J: Iterable[int]) -> int:
             rows = tuple(sorted(composition_of(I | set(extra), n), reverse=True))
             total += sign * _count_by_sorted_margins(rows, cols)
     return total
-
-
-def _multiset_sequences(fibre_sizes: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    """All arrangements of the multiset {j with multiplicity fibre_sizes[j-1]}."""
-    n = sum(fibre_sizes)
-    counts = list(fibre_sizes)
-    seq: list[int] = []
-
-    def extend() -> Iterable[tuple[int, ...]]:
-        if len(seq) == n:
-            yield tuple(seq)
-            return
-        for j, c in enumerate(counts):
-            if c:
-                counts[j] -= 1
-                seq.append(j + 1)
-                yield from extend()
-                seq.pop()
-                counts[j] += 1
-
-    yield from extend()
-
-
-def count_functions(n: int, I: Iterable[int], J: Iterable[int], exact: bool) -> int:
-    """
-    Brute-force oracle for a / a_hat: count functions f from {1, ..., n}
-    onto blocks 1..len(composition_of(J, n)) with prescribed fibre sizes,
-    subject to the descent pattern of I (exact: i in I iff f(i) >= f(i+1);
-    relaxed: implication only).
-    """
-    I = _check_subset(I, n)
-    fibres = composition_of(J, n)
-    total = 0
-    for f in _multiset_sequences(fibres):
-        ok = True
-        for i in range(1, n):
-            weak = f[i - 1] >= f[i]
-            if i in I:
-                if not weak:
-                    ok = False
-                    break
-            elif exact and weak:
-                ok = False
-                break
-        if ok:
-            total += 1
-    return total
-
-
-def left_right_descent_census(n: int) -> dict[tuple[int, int], int]:
-    """
-    Sweep all n! permutations and tally (left-descent mask, right-descent
-    mask) pairs; bit i-1 encodes element i.  Independent of the counting
-    formulas above, so it serves as their cross-check.
-    """
-    counts: dict[tuple[int, int], int] = {}
-    for perm in itertools.permutations(range(1, n + 1)):
-        key = (mask_of(d_left(perm)), mask_of(d_right(perm)))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 def mask_of(members: Iterable[int]) -> int:

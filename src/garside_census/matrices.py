@@ -15,8 +15,9 @@ and the exact big-integer counting pipeline built on them.
 b(n, d) counts the positive n-braids of degree at most d; b(n, d, x) those
 whose d-th normal factor equals the square-free braid x.  All three
 matrices compute these numbers through row-vector iteration; the reduced
-matrix is the counting path, the larger ones exist for cross-validation.
-Arithmetic is exact arbitrary-precision integer throughout.
+matrix is the counting path, and the counts through the larger ones are
+cross-checks that live in oracle.b_of_simple_via.  Arithmetic is exact
+arbitrary-precision integer throughout.
 
 Every b(...) function and computed_table read count_series(n, dmax), the
 vectors 1 Mbar(n)^(d-1) for d = 1..dmax; Mbar(n) and its characteristic
@@ -33,7 +34,7 @@ from . import descents, permutations
 from .descents import PartitionN
 from .permutations import Perm
 
-DEFAULT_FACTORIAL_CAP = 8
+FACTORIAL_CAP = 7
 DEFAULT_SUBSET_CAP = 12
 
 
@@ -94,21 +95,30 @@ class CountMatrix:
         return out
 
 
-def build_M(n: int, cap: int = DEFAULT_FACTORIAL_CAP) -> CountMatrix:
+@functools.lru_cache(maxsize=None)
+def descent_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """
+    (left, right) descent bitmasks of simple_enumeration(n), in its order;
+    build_M, structural_check_M and the oracles all read this one table.
+    """
+    return tuple(
+        (descents.mask_of(permutations.d_left(x)), descents.mask_of(permutations.d_right(x)))
+        for x in permutations.simple_enumeration(n)
+    )
+
+
+def build_M(n: int) -> CountMatrix:
     """
     The full n! x n! 0/1 normality matrix over the canonical enumeration.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the factorial-size cap {cap}")
-    enum = permutations.simple_enumeration(n)
-    dr = [descents.mask_of(permutations.d_right(x)) for x in enum]
-    dl = [descents.mask_of(permutations.d_left(x)) for x in enum]
-    rows = tuple(
-        tuple(1 if dl_y & ~dr_x == 0 else 0 for dl_y in dl) for dr_x in dr
-    )
-    return CountMatrix(kind="M", n=n, labels=enum, rows=rows)
+    if n > FACTORIAL_CAP:
+        raise ValueError(f"n={n} exceeds the factorial-size cap {FACTORIAL_CAP}")
+    masks = descent_masks(n)
+    lefts = [left for left, _ in masks]
+    rows = tuple(tuple(1 if left_y & ~right_x == 0 else 0 for left_y in lefts) for _, right_x in masks)
+    return CountMatrix(kind="M", n=n, labels=permutations.simple_enumeration(n), rows=rows)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,8 +135,8 @@ class MStructureReport:
         return self.boundary_ok and self.stacked_blocks_ok and self.class_collapse_ok
 
 
-def structural_check_M(n: int, cap: int = DEFAULT_FACTORIAL_CAP) -> MStructureReport:
-    m = build_M(n, cap=cap)
+def structural_check_M(n: int) -> MStructureReport:
+    m = build_M(n)
     size = m.size
     rows = m.rows
 
@@ -140,7 +150,7 @@ def structural_check_M(n: int, cap: int = DEFAULT_FACTORIAL_CAP) -> MStructureRe
     if n == 1:
         stacked = True
     else:
-        prev = build_M(n - 1, cap=cap)
+        prev = build_M(n - 1)
         block = math.factorial(n - 1)
         stacked = all(
             rows[copy * block + i][j] == prev.rows[i][j]
@@ -149,21 +159,15 @@ def structural_check_M(n: int, cap: int = DEFAULT_FACTORIAL_CAP) -> MStructureRe
             for j in range(block)
         )
 
-    enum = m.labels
-    dr = [permutations.d_right(x) for x in enum]
-    dl = [permutations.d_left(x) for x in enum]
-    by_dr: dict[frozenset, int] = {}
-    by_dl: dict[frozenset, int] = {}
-    collapse = True
-    for k in range(size):
-        ref = by_dr.setdefault(dr[k], k)
-        if rows[ref] != rows[k]:
-            collapse = False
+    # each row equals the first row with its right-descent mask, each
+    # column the first column with its left-descent mask
     cols = tuple(zip(*rows))
-    for k in range(size):
-        ref = by_dl.setdefault(dl[k], k)
-        if cols[ref] != cols[k]:
-            collapse = False
+    first_by_dr: dict[int, int] = {}
+    first_by_dl: dict[int, int] = {}
+    collapse = all(
+        rows[first_by_dr.setdefault(right, k)] == rows[k] and cols[first_by_dl.setdefault(left, k)] == cols[k]
+        for k, (left, right) in enumerate(descent_masks(n))
+    )
 
     return MStructureReport(
         n=n,
@@ -193,15 +197,15 @@ def _partitions_by_mask(n: int) -> list[PartitionN]:
     return [descents.partition_of(descents.set_of_mask(mask), n) for mask in range(1 << (n - 1))]
 
 
-def build_Mprime(n: int, cap: int = DEFAULT_SUBSET_CAP) -> CountMatrix:
+def build_Mprime(n: int) -> CountMatrix:
     """
     The 2^(n-1) square matrix of exact-left / contained-right descent
     counts over subsets in binary order.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the subset-size cap {cap}")
+    if n > DEFAULT_SUBSET_CAP:
+        raise ValueError(f"n={n} exceeds the subset-size cap {DEFAULT_SUBSET_CAP}")
     parts = _partitions_by_mask(n)
     size = 1 << (n - 1)
     columns = [_a_column(n, parts, j_mask) for j_mask in range(size)]
@@ -244,12 +248,6 @@ def vec_times_matrix(v: Sequence[int], m: CountMatrix) -> tuple[int, ...]:
     return tuple(sum(v[i] * m.rows[i][j] for i in range(m.size)) for j in cols)
 
 
-def _iterate(v: tuple[int, ...], m: CountMatrix, steps: int) -> tuple[int, ...]:
-    for _ in range(steps):
-        v = vec_times_matrix(v, m)
-    return v
-
-
 # n -> [v_1, v_2, ...], extended on demand by count_series.
 _SERIES: dict[int, list[tuple[int, ...]]] = {}
 
@@ -279,30 +277,17 @@ def b_of_partition(n: int, d: int, lam: PartitionN) -> int:
     return count_series(n, d)[d - 1][idx]
 
 
-def b_of_simple(n: int, d: int, x: Perm, via: str = "Mbar") -> int:
+def b_of_simple(n: int, d: int, x: Perm) -> int:
     """
     The count of degree-at-most-d positive n-braids whose d-th normal
-    factor is exactly x, computed through the matrix chosen by ``via``:
-    "Mbar" (default), "M22" and "M23" (row- and corner-vector forms over
-    the full matrix), or "Mprime".  All four must agree.
+    factor is exactly x; it depends only on the left-descent partition of
+    x.  oracle.b_of_simple_via computes it through the larger matrices.
     """
     if len(x) != n:
         raise ValueError(f"permutation {x} does not live on {n} strands")
     if d < 1:
         raise ValueError("d must be at least 1")
-    if via == "Mbar":
-        return b_of_partition(n, d, descents.partition_of(permutations.d_left(x), n))
-    if via == "Mprime":
-        m = build_Mprime(n)
-        return _iterate((1,) * m.size, m, d - 1)[m.label_index(permutations.d_left(x))]
-    if via not in ("M22", "M23"):
-        raise ValueError(f"unknown path {via!r}")
-    m = build_M(n)
-    if via == "M22":
-        v = _iterate((1,) * m.size, m, d - 1)
-    else:
-        v = _iterate((0,) * (m.size - 1) + (1,), m, d)
-    return v[permutations.enumeration_index(x)]
+    return b_of_partition(n, d, descents.partition_of(permutations.d_left(x), n))
 
 
 def b_total(n: int, d: int) -> int:

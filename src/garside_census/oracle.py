@@ -1,24 +1,30 @@
 """
-Independent brute-force ground truth for the counting pipeline.
+Independent ground truth for the counting pipeline; every cross-check
+lives here, so the library modules keep one code path each.
 
 brute_count enumerates whole tuples of permutations and tests every
-adjacent pair in isolation; it deliberately shares nothing with the
-matrix machinery beyond the pairwise normality predicate.  dp_count runs
-a dynamic program whose state is the exact last factor, one slot per
-permutation, so it exercises the transfer recurrence without any of the
-descent-class or partition reductions.  sweep_Mbar tallies all n!
-permutations into the partition matrix that build_Mbar gets from formulas.
+adjacent pair in isolation.  dp_count runs a dynamic program whose state
+is the exact last factor, without descent-class or partition reductions.
+left_right_descent_census tallies the descent masks of all n! braids, and
+sweep_Mbar builds Mbar(n) from it.  count_functions checks a / a_hat,
+b_of_simple_via counts through Mprime(n) or M(n) instead of Mbar(n),
+naive_charpoly checks Berkowitz by cofactors, and m_charpoly_nonzero
+gives the nonzero spectrum of M(n) without building it.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import os
 from multiprocessing import Pool
+from typing import Iterable, Sequence
 
 from . import descents
-from .matrices import CountMatrix
-from .permutations import Perm, d_left, d_right, is_normal_pair, simple_enumeration
+from .matrices import CountMatrix, build_M, build_Mprime, descent_masks, vec_times_matrix
+from .permutations import Perm, d_left, enumeration_index, is_normal_pair
+from .spectral import IntPoly, charpoly, poly_add, poly_mul, poly_sub, poly_trim, strip_x_power
 
 DEFAULT_BUDGET = 10**8
 DP_CAP = 7
@@ -28,17 +34,15 @@ def _tuple_is_normal(tup: tuple[Perm, ...]) -> bool:
     return all(is_normal_pair(tup[k], tup[k + 1]) for k in range(len(tup) - 1))
 
 
-def _count_chunk(args: tuple[int, int, Perm | None, tuple[Perm, ...]]) -> int:
-    n, d, last, firsts = args
+def _count_chunk(args: tuple[int, int, tuple[Perm, ...], tuple[Perm, ...]]) -> int:
+    """Count the normal tuples (first, free - 1 more factors, *tail) with first in firsts."""
+    n, free, tail, firsts = args
     perms = list(itertools.permutations(range(1, n + 1)))
-    total = 0
-    free = d - 1 if last is not None else d
-    for first in firsts:
-        for rest in itertools.product(perms, repeat=free - 1):
-            tup = (first,) + rest + ((last,) if last is not None else ())
-            if _tuple_is_normal(tup):
-                total += 1
-    return total
+    return sum(
+        _tuple_is_normal((first,) + rest + tail)
+        for first in firsts
+        for rest in itertools.product(perms, repeat=free - 1)
+    )
 
 
 def brute_count(
@@ -52,12 +56,15 @@ def brute_count(
     Count length-d normal sequences of square-free n-braids by exhaustive
     tuple enumeration, optionally with the final factor pinned.  Refuses
     to start when the worst-case number of pair checks exceeds the budget.
+    The first factors are split among at most min(workers, n!, CPU count)
+    processes.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
     if last is not None and len(last) != n:
         raise ValueError(f"constraint permutation {last} does not live on {n} strands")
-    free = d - 1 if last is not None else d
+    tail = () if last is None else (last,)
+    free = d - len(tail)
     if free == 0:
         return 1
     checks = math.factorial(n) ** free * max(d - 1, 1)
@@ -65,56 +72,50 @@ def brute_count(
         raise ValueError(
             f"budget exceeded: {checks} pair checks needed, budget is {budget}"
         )
-    perms = list(itertools.permutations(range(1, n + 1)))
-    if workers > 1 and len(perms) > 1:
-        chunk = max(1, len(perms) // workers)
-        jobs = [
-            (n, d, last, tuple(perms[i : i + chunk]))
-            for i in range(0, len(perms), chunk)
-        ]
-        with Pool(processes=workers) as pool:
-            return sum(pool.map(_count_chunk, jobs))
-    total = 0
-    for tup in itertools.product(perms, repeat=free):
-        full = tup + ((last,) if last is not None else ())
-        if _tuple_is_normal(full):
-            total += 1
-    return total
+    firsts = list(itertools.permutations(range(1, n + 1)))
+    workers = min(workers, len(firsts), os.cpu_count() or 1)
+    if workers <= 1:
+        return _count_chunk((n, free, tail, tuple(firsts)))
+    jobs = [(n, free, tail, tuple(firsts[i::workers])) for i in range(workers)]
+    with Pool(processes=workers) as pool:
+        return sum(pool.map(_count_chunk, jobs))
 
 
 @functools.lru_cache(maxsize=None)
 def _predecessors(n: int) -> tuple[tuple[int, ...], ...]:
-    enum = simple_enumeration(n)
-    size = len(enum)
-    dr = [descents.mask_of(d_right(x)) for x in enum]
-    dl = [descents.mask_of(d_left(x)) for x in enum]
+    masks = descent_masks(n)
+    rights = [right for _, right in masks]
     return tuple(
-        tuple(x for x in range(size) if dl[y] & ~dr[x] == 0) for y in range(size)
+        tuple(x for x in range(len(rights)) if left & ~rights[x] == 0) for left, _ in masks
     )
 
 
-def dp_count(n: int, d: int, last: Perm | None = None, cap: int = DP_CAP) -> int:
+def dp_count(n: int, d: int, last: Perm | None = None) -> int:
     """
     Count the same sequences by a transfer dynamic program over the exact
     last factor, one state per square-free braid (no descent-class
-    grouping).
+    grouping).  Refuses n beyond DP_CAP.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the dp cap {cap}")
+    if n > DP_CAP:
+        raise ValueError(f"n={n} exceeds the dp cap {DP_CAP}")
     if last is not None and len(last) != n:
         raise ValueError(f"constraint permutation {last} does not live on {n} strands")
-    enum = simple_enumeration(n)
-    size = len(enum)
     predecessors = _predecessors(n)
-
-    v = [1] * size
+    v = [1] * len(predecessors)
     for _ in range(d - 1):
-        v = [sum(v[x] for x in predecessors[y]) for y in range(size)]
-    if last is None:
-        return sum(v)
-    return v[enum.index(last)]
+        v = [sum(v[x] for x in pred) for pred in predecessors]
+    return sum(v) if last is None else v[enumeration_index(last)]
+
+
+def left_right_descent_census(n: int) -> dict[tuple[int, int], int]:
+    """
+    Tally the (left-descent mask, right-descent mask) pairs of all n!
+    permutations; bit i-1 encodes element i.  Independent of the counting
+    formulas in descents, so it serves as their cross-check.
+    """
+    return dict(collections.Counter(descent_masks(n)))
 
 
 def sweep_Mbar(n: int) -> CountMatrix:
@@ -125,9 +126,121 @@ def sweep_Mbar(n: int) -> CountMatrix:
     labels = descents.partitions_in_order(n)
     mu_masks = [descents.mask_of(descents.set_of_composition(mu)) for mu in labels]
     rows = [[0] * len(labels) for _ in labels]
-    for (left, right), count in descents.left_right_descent_census(n).items():
+    for (left, right), count in left_right_descent_census(n).items():
         row = rows[labels.index(descents.partition_of(descents.set_of_mask(left), n))]
         for mu_idx, mu_mask in enumerate(mu_masks):
             if mu_mask & ~right == 0:
                 row[mu_idx] += count
     return CountMatrix(kind="Mbar", n=n, labels=labels, rows=tuple(tuple(r) for r in rows))
+
+
+def _multiset_sequences(fibre_sizes: Sequence[int]) -> Iterable[tuple[int, ...]]:
+    """All arrangements of the multiset {j with multiplicity fibre_sizes[j-1]}."""
+    n = sum(fibre_sizes)
+    counts = list(fibre_sizes)
+    seq: list[int] = []
+
+    def extend() -> Iterable[tuple[int, ...]]:
+        if len(seq) == n:
+            yield tuple(seq)
+            return
+        for j, c in enumerate(counts):
+            if c:
+                counts[j] -= 1
+                seq.append(j + 1)
+                yield from extend()
+                seq.pop()
+                counts[j] += 1
+
+    yield from extend()
+
+
+def count_functions(n: int, I: Iterable[int], J: Iterable[int], exact: bool) -> int:
+    """
+    Brute-force oracle for a / a_hat: count functions f from {1, ..., n}
+    onto blocks 1..len(composition_of(J, n)) with prescribed fibre sizes,
+    subject to the descent pattern of I (exact: i in I iff f(i) >= f(i+1);
+    relaxed: implication only).
+    """
+    I = descents._check_subset(I, n)
+    total = 0
+    for f in _multiset_sequences(descents.composition_of(J, n)):
+        weak = frozenset(i for i in range(1, n) if f[i - 1] >= f[i])
+        total += weak == I if exact else weak >= I
+    return total
+
+
+def _iterate(v: tuple[int, ...], m: CountMatrix, steps: int) -> tuple[int, ...]:
+    for _ in range(steps):
+        v = vec_times_matrix(v, m)
+    return v
+
+
+def b_of_simple_via(n: int, d: int, x: Perm, via: str) -> int:
+    """
+    matrices.b_of_simple(n, d, x) through a larger matrix: "Mprime", or
+    "M22" and "M23" (row- and corner-vector forms over the full matrix).
+    The matrices are rebuilt on every call.
+    """
+    if len(x) != n:
+        raise ValueError(f"permutation {x} does not live on {n} strands")
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    if via == "Mprime":
+        m = build_Mprime(n)
+        return _iterate((1,) * m.size, m, d - 1)[m.label_index(d_left(x))]
+    if via not in ("M22", "M23"):
+        raise ValueError(f"unknown path {via!r}")
+    m = build_M(n)
+    if via == "M22":
+        v = _iterate((1,) * m.size, m, d - 1)
+    else:
+        v = _iterate((0,) * (m.size - 1) + (1,), m, d)
+    return v[enumeration_index(x)]
+
+
+def naive_charpoly(rows: Sequence[Sequence[int]]) -> IntPoly:
+    """Cofactor-expansion oracle for charpoly, usable only at tiny sizes."""
+    n = len(rows)
+    entries = [
+        [
+            poly_trim((-rows[i][j], 1) if i == j else (-rows[i][j],))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+    def det(mat: list[list[tuple]]) -> tuple:
+        k = len(mat)
+        if k == 0:
+            return (1,)
+        if k == 1:
+            return mat[0][0]
+        acc = (0,)
+        for j in range(k):
+            minor = [r[:j] + r[j + 1 :] for r in mat[1:]]
+            term = poly_mul(mat[0][j], det(minor))
+            acc = poly_sub(acc, term) if j % 2 else poly_add(acc, term)
+        return acc
+
+    return det(entries)
+
+
+def m_charpoly_nonzero(n: int) -> IntPoly:
+    """
+    The nonzero-spectrum part of the characteristic polynomial of the full
+    n! x n! normality matrix, without building it.  The matrix factors as
+    A B with A indexed by (braid, right-descent-set) indicators and B by
+    set containment; A B and B A share their nonzero spectrum, and B A is
+    only 2^(n-1) square.  Cross-checked against the direct computation at
+    small n in the test suite.
+    """
+    census = left_right_descent_census(n)
+    size = 1 << (n - 1)
+    # (B A)[s, s'] counts braids with left descents inside s and right descents exactly s'.
+    prod = [[0] * size for _ in range(size)]
+    for (left, right), count in census.items():
+        for s in range(size):
+            if left & ~s == 0:
+                prod[s][right] += count
+    return strip_x_power(charpoly(prod))

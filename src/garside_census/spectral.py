@@ -4,9 +4,10 @@ consecutive spectra, and floating-point dominant-eigenvalue estimates.
 
 Polynomials are dense integer-coefficient tuples with the constant term
 first.  Characteristic polynomials are computed by the Berkowitz vector
-recursion, which is division-free and therefore stays in exact integers;
-a naive cofactor-expansion determinant over polynomial entries serves as
-the independent oracle at tiny sizes.
+recursion, which is division-free and therefore stays in exact integers.
+Its cross-checks, a naive cofactor-expansion determinant and the nonzero
+spectrum of the full matrix M(n), are oracle.naive_charpoly and
+oracle.m_charpoly_nonzero.
 """
 from __future__ import annotations
 
@@ -143,33 +144,6 @@ def cached_charpoly(m: CountMatrix) -> IntPoly:
     return charpoly(m)
 
 
-def naive_charpoly(rows: Sequence[Sequence[int]]) -> IntPoly:
-    """Cofactor-expansion oracle for charpoly, usable only at tiny sizes."""
-    n = len(rows)
-    entries = [
-        [
-            poly_trim((-rows[i][j], 1) if i == j else (-rows[i][j],))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    def det(mat: list[list[tuple]]) -> tuple:
-        k = len(mat)
-        if k == 0:
-            return (1,)
-        if k == 1:
-            return mat[0][0]
-        acc = (0,)
-        for j in range(k):
-            minor = [r[:j] + r[j + 1 :] for r in mat[1:]]
-            term = poly_mul(mat[0][j], det(minor))
-            acc = poly_sub(acc, term) if j % 2 else poly_add(acc, term)
-        return acc
-
-    return det(entries)
-
-
 def strip_x_power(p: Sequence) -> tuple:
     """Divide out the largest power of x, for nonzero-spectrum comparison."""
     t = poly_trim(p)
@@ -302,26 +276,6 @@ def new_factor_simple_roots(n: int, cap: int = matrices.DEFAULT_SUBSET_CAP) -> N
     )
 
 
-def m_charpoly_nonzero(n: int) -> IntPoly:
-    """
-    The nonzero-spectrum part of the characteristic polynomial of the full
-    n! x n! normality matrix, without building it.  The matrix factors as
-    A B with A indexed by (braid, right-descent-set) indicators and B by
-    set containment; A B and B A share their nonzero spectrum, and B A is
-    only 2^(n-1) square.  Cross-checked against the direct computation at
-    small n in the test suite.
-    """
-    census = descents.left_right_descent_census(n)
-    size = 1 << (n - 1)
-    # (B A)[s, s'] counts braids with left descents inside s and right descents exactly s'.
-    prod = [[0] * size for _ in range(size)]
-    for (left, right), count in census.items():
-        for s in range(size):
-            if left & ~s == 0:
-                prod[s][right] += count
-    return strip_x_power(charpoly(prod))
-
-
 def rho_max(m: CountMatrix, tol: float = 1e-9, max_iter: int = 1_000_000) -> float:
     """
     Dominant eigenvalue of a non-negative matrix by power iteration from
@@ -346,7 +300,7 @@ def rho_max(m: CountMatrix, tol: float = 1e-9, max_iter: int = 1_000_000) -> flo
     raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
 
 
-def spectral_radius_table(nmax: int, tol: float = 1e-9) -> list[dict]:
+def spectral_radius_table(nmax: int) -> list[dict]:
     """
     Rows (n, dominant eigenvalue, ratio against n times the previous one)
     for n = 1..nmax.
@@ -354,7 +308,7 @@ def spectral_radius_table(nmax: int, tol: float = 1e-9) -> list[dict]:
     out = []
     prev_rho = None
     for n in range(1, nmax + 1):
-        rho = rho_max(matrices.build_Mbar(n), tol=tol)
+        rho = rho_max(matrices.build_Mbar(n))
         ratio = None if prev_rho is None else rho / (n * prev_rho)
         out.append({"n": n, "rho": rho, "ratio": ratio})
         prev_rho = rho

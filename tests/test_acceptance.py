@@ -48,7 +48,7 @@ from garside_census.matrices import (
     structural_check_M,
     vec_times_matrix,
 )
-from garside_census.oracle import brute_count, dp_count
+from garside_census.oracle import brute_count, dp_count, m_charpoly_nonzero
 from garside_census.permutations import (
     compose,
     d_left,
@@ -65,7 +65,6 @@ from garside_census.permutations import (
 )
 from garside_census.spectral import (
     charpoly,
-    m_charpoly_nonzero,
     new_factor_simple_roots,
     poly_mul,
     spectral_radius_table,

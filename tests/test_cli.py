@@ -171,6 +171,11 @@ def test_usage_error_exit_code():
         (["table", "--dmax", "0"], "--dmax: must be at least 1"),
         (["conjecture", "--nmax", "1"], "--nmax: must be at least 2"),
         (["count", "3", "1", "--out", "{missing_dir}/x"], "No such file or directory"),
+        (["matrix", "M", "8"], "exceeds the factorial-size cap 7"),
+        (["charpoly", "3", "--format", "csv"], "invalid choice: 'csv'"),
+        (["normalize", "-n", "3", "s1", "--format", "csv"], "invalid choice: 'csv'"),
+        (["oracle", "3", "2", "--format", "csv"], "invalid choice: 'csv'"),
+        (["conjecture", "--nmax", "3", "--format", "csv"], "invalid choice: 'csv'"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):

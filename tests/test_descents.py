@@ -11,10 +11,8 @@ from garside_census.descents import (
     composition_of,
     compositions,
     contingency_count,
-    count_functions,
     delta_partition,
     format_parts,
-    left_right_descent_census,
     mask_of,
     partition_of,
     partitions_in_order,
@@ -22,6 +20,7 @@ from garside_census.descents import (
     set_of_mask,
     subsets_in_binary_order,
 )
+from garside_census.oracle import count_functions, left_right_descent_census
 from garside_census.permutations import d_left, partial_flip
 
 

@@ -19,7 +19,7 @@ from garside_census.matrices import (
     structural_check_M,
     vec_times_matrix,
 )
-from garside_census.oracle import sweep_Mbar
+from garside_census.oracle import b_of_simple_via, sweep_Mbar
 from garside_census.permutations import (
     d_left,
     identity,
@@ -39,8 +39,9 @@ def test_build_M_small():
 
 
 def test_build_M_cap():
-    with pytest.raises(ValueError):
-        build_M(7, cap=6)
+    # refused before anything is allocated: M(8) would hold 40320^2 entries
+    with pytest.raises(ValueError, match="cap 7"):
+        build_M(8)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -145,7 +146,7 @@ def test_count_series_matches_Mprime(case):
     n = len(x)
     lam = partition_of(d_left(x), n)
     value = count_series(n, d)[d - 1][build_Mbar(n).label_index(lam)]
-    assert value == b_of_simple(n, d, x, via="Mprime")
+    assert value == b_of_simple_via(n, d, x, "Mprime")
 
 
 def test_b_of_partition_examples():

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from garside_census import oracle
+from garside_census.cli import main
 from garside_census.matrices import b_delta, b_of_simple, b_total
-from garside_census.oracle import brute_count, dp_count
+from garside_census.oracle import b_of_simple_via, brute_count, dp_count
 from garside_census.permutations import identity, partial_flip
 
 
@@ -34,6 +37,36 @@ def test_brute_workers_agree():
     assert brute_count(3, 3, last=partial_flip(3, 2), workers=2) == brute_count(
         3, 3, last=partial_flip(3, 2)
     )
+
+
+def test_brute_pool_bounded(monkeypatch, capsys):
+    # a recording stand-in for the pool: no process is started
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(oracle, "Pool", RecordingPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+    assert brute_count(3, 2, workers=1000) == 19
+    assert started == [6]  # one process per first factor, no more
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("GC_THREADS", "1000")
+    assert main(["oracle", "3", "2", "--engine", "brute"]) == 0
+    assert capsys.readouterr().out.strip() == "19"
+    assert started == [6, 4]  # bounded by the CPU count
+    assert brute_count(3, 2, workers=1) == 19
+    assert started == [6, 4]  # one worker runs in this process
 
 
 def test_dp_examples():
@@ -83,3 +116,23 @@ def test_dp_matches_arbitrary_last_factor():
     for x in simple_enumeration(4):
         for d in (1, 2, 3, 4):
             assert dp_count(4, d, last=x) == b_of_simple(4, d, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.integers(1, 6), st.permutations(range(1, n + 1)))))
+def test_b_of_simple_matches_every_via(case):
+    d, x = case
+    x = tuple(x)
+    n = len(x)
+    value = b_of_simple(n, d, x)
+    for via in ("Mprime", "M22", "M23"):
+        assert b_of_simple_via(n, d, x, via) == value, via
+
+
+def test_b_of_simple_via_validation():
+    with pytest.raises(ValueError, match="unknown path"):
+        b_of_simple_via(3, 2, identity(3), "Mbar")
+    with pytest.raises(ValueError):
+        b_of_simple_via(3, 0, identity(3), "M22")
+    with pytest.raises(ValueError):
+        b_of_simple_via(3, 2, identity(4), "Mprime")

@@ -5,13 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from garside_census import reference
 from garside_census.matrices import b_delta, b_total, build_M, build_Mbar, build_Mprime
+from garside_census.oracle import m_charpoly_nonzero, naive_charpoly
 from garside_census.spectral import (
     charpoly,
     divides,
     exact_quotient,
     is_squarefree,
-    m_charpoly_nonzero,
-    naive_charpoly,
     new_factor_simple_roots,
     poly_degree,
     poly_eval,
