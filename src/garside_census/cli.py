@@ -8,7 +8,8 @@ verify; only count, matrix, table and verify offer --format csv.  JSON
 renders integers as decimal strings, and identical invocations produce
 byte-identical output.  Exit status is 0 on success, 1 on a verification
 mismatch, 2 on usage errors.  GC_THREADS sets the worker count for the
-brute-force oracle; count --via Mprime|M22|M23 uses the oracle paths.
+brute-force oracle; count --via Mprime|M22|M23 uses the oracle paths and
+needs --last PERM.
 """
 from __future__ import annotations
 
@@ -62,6 +63,8 @@ def _parse_last(tokens: list[str] | None, n: int):
 
 def _cmd_count(args) -> int:
     last_perm, r = _parse_last(args.last, args.n)
+    if args.via != "Mbar" and last_perm is None:
+        raise ValueError(f"--via {args.via} counts by a last permutation; give --last PERM")
     if r is not None:
         value = matrices.b_delta(args.n, args.d, r)
         label = f"delta {r}"
@@ -108,11 +111,17 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
+# Largest n per kind for an exact characteristic polynomial; Mbar is
+# limited by build_Mbar's own cap.
+_CHARPOLY_CAP = {"M": 5, "Mprime": 7}
+
+
 def _cmd_charpoly(args) -> int:
-    if args.kind == "M" and args.n > 5:
+    cap = _CHARPOLY_CAP.get(args.kind)
+    if cap is not None and args.n > cap:
         raise ValueError(
-            "the full matrix is too large for an exact characteristic polynomial "
-            "beyond n=5; its nonzero spectrum equals that of kind Mbar"
+            f"kind {args.kind} is too large for an exact characteristic polynomial "
+            f"beyond n={cap}; its nonzero spectrum equals that of kind Mbar"
         )
     m = _build_matrix(args.kind, args.n)
     poly = (spectral.cached_charpoly if args.kind == "Mbar" else spectral.charpoly)(m)

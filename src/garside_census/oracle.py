@@ -83,11 +83,18 @@ def brute_count(
 
 @functools.lru_cache(maxsize=None)
 def _predecessors(n: int) -> tuple[tuple[int, ...], ...]:
+    """
+    For each square-free braid, the indices of the braids that may stand
+    before it.  They depend only on its left-descent mask, so braids with
+    the same mask share one tuple.
+    """
     masks = descent_masks(n)
     rights = [right for _, right in masks]
-    return tuple(
-        tuple(x for x in range(len(rights)) if left & ~rights[x] == 0) for left, _ in masks
-    )
+    by_left = {
+        left: tuple(x for x in range(len(rights)) if left & ~rights[x] == 0)
+        for left in {left for left, _ in masks}
+    }
+    return tuple(by_left[left] for left, _ in masks)
 
 
 def dp_count(n: int, d: int, last: Perm | None = None) -> int:

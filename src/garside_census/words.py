@@ -1,14 +1,19 @@
 """
 Positive braid words and their normal form.
 
-A word is a sequence of generator indices in {1, ..., n-1}.  The normal
-form is computed by local rewriting: starting from one square-free factor
-per letter, whenever an adjacent pair (x, y) is not normal, the smallest
-generator that left-divides y but does not right-divide x is transferred
-from the front of y to the back of x.  Every move shifts one crossing one
-slot to the left, so the weighted crossing count strictly decreases and
-the process terminates; the result is the unique normal form, with
-trailing trivial factors removed.
+A word is a sequence of generator indices in {1, ..., n-1}.  Its normal
+form is built in one left-to-right pass, the left-greedy update of
+Elrifai and Morton (see Epstein et al., Word Processing in Groups, ch. 9):
+each letter, as a square-free factor, is multiplied on the right of the
+normal form of the letters before it.  A pair (x, y) that is not normal is
+fixed by local moves: the smallest generator that left-divides y but does
+not right-divide x is transferred from the front of y to the back of x,
+which keeps the braid and lowers the weighted crossing count by one.
+After a factor is appended, pairs are fixed leftwards and fixing stops at
+the first pair that needs no move; that is safe because every pair to its
+left is unchanged from a normal prefix, and fixing a pair leaves the pair
+to its right normal (the domino rule).  Trailing trivial factors are
+popped, and the result is the unique normal form.
 """
 from __future__ import annotations
 
@@ -101,32 +106,33 @@ def normalize_factors(
     on_step: Callable[[tuple[Perm, ...]], None] | None = None,
 ) -> NormalSequence:
     """
-    Closure of the local rewriting on an arbitrary sequence of square-free
-    factors.  Sweeps left to right, fixing each adjacent pair completely
-    (smallest transferable generator first) before moving on, and sweeps
-    again until a pass makes no change.  An already-normal sequence comes
-    back unchanged with no moves made.
+    The normal form of an arbitrary sequence of square-free factors, in
+    one left-to-right pass.  Each factor is appended to a normal prefix,
+    and adjacent pairs are then fixed leftwards (smallest transferable
+    generator first) until a pair needs no move; trailing trivial factors
+    are popped before the next factor.  on_step, if given, receives the
+    whole sequence (fixed prefix, then the factors not yet taken) after
+    every move.  An already-normal sequence comes back unchanged with no
+    moves made.
     """
-    factors = list(factors)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(factors) - 1):
-            while True:
-                movable = d_left(factors[k + 1]) - d_right(factors[k])
-                if not movable:
-                    break
-                i = min(movable)
-                t = transposition(n, i)
-                factors[k] = compose(factors[k], t)
-                factors[k + 1] = compose(t, factors[k + 1])
-                changed = True
-                if on_step is not None:
-                    on_step(tuple(factors))
+    factors = tuple(factors)
     one = identity(n)
-    while factors and factors[-1] == one:
-        factors.pop()
-    return NormalSequence(n=n, factors=tuple(factors))
+    prefix: list[Perm] = []
+    for pos, y in enumerate(factors):
+        prefix.append(y)
+        k = len(prefix) - 1
+        while k > 0 and (movable := d_left(prefix[k]) - d_right(prefix[k - 1])):
+            while movable:
+                t = transposition(n, min(movable))
+                prefix[k - 1] = compose(prefix[k - 1], t)
+                prefix[k] = compose(t, prefix[k])
+                if on_step is not None:
+                    on_step(tuple(prefix) + factors[pos + 1 :])
+                movable = d_left(prefix[k]) - d_right(prefix[k - 1])
+            k -= 1
+        while prefix and prefix[-1] == one:
+            prefix.pop()
+    return NormalSequence(n=n, factors=tuple(prefix))
 
 
 def normalize(
@@ -134,8 +140,9 @@ def normalize(
     on_step: Callable[[tuple[Perm, ...]], None] | None = None,
 ) -> NormalSequence:
     """
-    The normal form of a positive word, starting from one square-free
-    factor per letter.
+    The normal form of a positive word: normalize_factors on one
+    square-free factor per letter, so each letter is multiplied on the
+    right of the normal form of the letters before it.
     """
     n = word.n
     return normalize_factors(n, [transposition(n, i) for i in word.letters], on_step)

@@ -176,6 +176,9 @@ def test_usage_error_exit_code():
         (["normalize", "-n", "3", "s1", "--format", "csv"], "invalid choice: 'csv'"),
         (["oracle", "3", "2", "--format", "csv"], "invalid choice: 'csv'"),
         (["conjecture", "--nmax", "3", "--format", "csv"], "invalid choice: 'csv'"),
+        (["count", "3", "4", "--via", "M22"], "--via M22 counts by a last permutation"),
+        (["count", "3", "4", "--last", "delta", "1", "--via", "M23"], "--via M23 counts by a last permutation"),
+        (["charpoly", "8", "--kind", "Mprime"], "beyond n=7"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):

@@ -77,6 +77,13 @@ def test_dp_examples():
     assert dp_count(6, 4, last=partial_flip(6, 5)) == 1956
 
 
+def test_predecessors_shared_per_left_mask():
+    # predecessors depend only on the left-descent mask: 2^(n-1) tuples at most
+    predecessors = oracle._predecessors(5)
+    assert len(predecessors) == 120
+    assert len({id(pred) for pred in predecessors}) <= 16
+
+
 def test_dp_cap_and_validation():
     with pytest.raises(ValueError):
         dp_count(8, 2)

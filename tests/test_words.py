@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,6 +129,55 @@ def test_normalize_soundness(data):
     # each local move lowers the termination measure strictly
     trail = [rewrite_potential(tuple(perm_of_letters([i], n) for i in letters))] + potentials
     assert all(b < a for a, b in zip(trail, trail[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_strategy())
+def test_on_step_reports_the_whole_braid(data):
+    # every report is the whole sequence: prefix plus the letters not yet taken
+    n, letters = data
+    reports = []
+    normalize(PositiveWord(n=n, letters=tuple(letters)), on_step=reports.append)
+    target = perm_of_letters(letters, n)
+    for fs in reports:
+        assert functools.reduce(compose, fs, identity(n)) == target
+        assert sum(inversion_number(x) for x in fs) == len(letters)
+
+
+def factor_sequence_strategy(max_n=6, max_len=8):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.permutations(range(1, n + 1)).map(tuple), max_size=max_len)
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_sequence_strategy())
+def test_normalize_factors_matches_letters(data):
+    # factors with several generators exercise the early stop of the pass
+    n, factors = data
+    letters = tuple(i for x in factors for i in letters_of(x))
+    assert normalize_factors(n, factors) == normalize(PositiveWord(n=n, letters=letters))
+
+
+def test_normalize_long_word():
+    rng = random.Random(3000)
+    n = 8
+    letters = tuple(rng.randint(1, n - 1) for _ in range(3000))
+    moves = []
+    seq = normalize(PositiveWord(n=n, letters=letters), on_step=lambda fs: moves.append(1))
+
+    for k in range(len(seq.factors) - 1):
+        assert is_normal_pair(seq.factors[k], seq.factors[k + 1])
+    assert seq.factors and seq.factors[-1] != identity(n)
+    product = functools.reduce(compose, seq.factors, identity(n))
+    assert product == perm_of_letters(letters, n)
+    assert sum(inversion_number(x) for x in seq.factors) == len(letters)
+
+    # each move lowers the measure by one and the pops never raise it
+    start = rewrite_potential(tuple(perm_of_letters([i], n) for i in letters))
+    assert 0 < len(moves) <= start - rewrite_potential(seq.factors)
 
 
 @settings(max_examples=100, deadline=None)
