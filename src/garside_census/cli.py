@@ -9,7 +9,7 @@ renders integers as decimal strings, and identical invocations produce
 byte-identical output.  Exit status is 0 on success, 1 on a verification
 mismatch, 2 on usage errors.  GC_THREADS sets the worker count for the
 brute-force oracle; count --via Mprime|M22|M23 uses the oracle paths and
-needs --last PERM.
+needs --last PERM; charpoly --factored needs --kind Mbar.
 """
 from __future__ import annotations
 
@@ -117,6 +117,8 @@ _CHARPOLY_CAP = {"M": 5, "Mprime": 7}
 
 
 def _cmd_charpoly(args) -> int:
+    if args.factored and args.kind != "Mbar":
+        raise ValueError(f"--factored needs --kind Mbar, not --kind {args.kind}")
     cap = _CHARPOLY_CAP.get(args.kind)
     if cap is not None and args.n > cap:
         raise ValueError(
@@ -127,17 +129,9 @@ def _cmd_charpoly(args) -> int:
     poly = (spectral.cached_charpoly if args.kind == "Mbar" else spectral.charpoly)(m)
     factors = None
     if args.kind == "Mbar" and not args.raw:
-        parts = []
-        prev: tuple[int, ...] = (1,)
-        for k in range(1, args.n + 1):
-            cur = spectral.cached_charpoly(matrices.build_Mbar(k))
-            q = spectral.exact_quotient(prev, cur)
-            if q is None:
-                break
-            parts.append(q)
-            prev = cur
-        else:
-            factors = parts
+        chain = [spectral.cached_charpoly(matrices.build_Mbar(1))]
+        chain += (spectral.new_factor_simple_roots(k).quotient for k in range(2, args.n + 1))
+        factors = None if None in chain else chain
     if args.format == "json":
         obj = {
             "n": str(args.n),
@@ -393,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["M", "Mprime", "Mbar"], default="Mbar")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--raw", action="store_true", help="coefficient list only")
-    g.add_argument("--factored", action="store_true", help="factor against the smaller-n polynomials")
+    g.add_argument("--factored", action="store_true", help="factor against the smaller-n polynomials (kind Mbar only)")
     _add_common(p)
     p.set_defaults(func=_cmd_charpoly)
 

@@ -5,15 +5,17 @@ consecutive spectra, and floating-point dominant-eigenvalue estimates.
 Polynomials are dense integer-coefficient tuples with the constant term
 first.  Characteristic polynomials are computed by the Berkowitz vector
 recursion, which is division-free and therefore stays in exact integers.
-Its cross-checks, a naive cofactor-expansion determinant and the nonzero
-spectrum of the full matrix M(n), are oracle.naive_charpoly and
-oracle.m_charpoly_nonzero.
+Division, divisibility and gcd stay in integers too (Knuth, TAOCP vol. 2,
+4.6.1): exact division, pseudo-division, and the primitive remainder
+sequence for the degree of a gcd over Q.  Its cross-checks, a naive
+cofactor-expansion determinant and the nonzero spectrum of the full matrix
+M(n), are oracle.naive_charpoly and oracle.m_charpoly_nonzero.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
-from fractions import Fraction
+import math
 from typing import Sequence
 
 from . import descents, matrices
@@ -155,62 +157,71 @@ def strip_x_power(p: Sequence) -> tuple:
     return t[k:]
 
 
-def _divmod_q(num: Sequence, den: Sequence) -> tuple[tuple, tuple]:
-    """Long division over the rationals; returns (quotient, remainder)."""
+def _divide(num: Sequence, den: Sequence, exact: bool):
+    """
+    Long division in integers.  exact: num / den, or None at the first
+    quotient coefficient that is not an integer or on a nonzero remainder.
+    Otherwise pseudo-division: the remainder, scaled by den's leading
+    coefficient where needed, a nonzero multiple of the one over Q.
+    """
     den = poly_trim(den)
     if poly_is_zero(den):
         raise ValueError("division by the zero polynomial")
-    rem = [Fraction(c) for c in poly_trim(num)]
+    rem = list(poly_trim(num))
     dd = len(den) - 1
-    lead = Fraction(den[-1])
-    quot = [Fraction(0)] * max(1, len(rem) - dd)
-    while len(rem) - 1 >= dd and not all(c == 0 for c in rem):
+    lead = den[-1]
+    quot = [0] * (len(rem) - dd)
+    while len(rem) > dd and rem[-1] != 0:
         shift = len(rem) - 1 - dd
-        factor = rem[-1] / lead
+        if rem[-1] % lead:
+            if exact:
+                return None
+            scale = lead // math.gcd(rem[-1], lead)
+            rem = [c * scale for c in rem]
+        factor = rem[-1] // lead
         quot[shift] = factor
         for i in range(dd + 1):
-            rem[shift + i] -= factor * Fraction(den[i])
+            rem[shift + i] -= factor * den[i]
         while len(rem) > 1 and rem[-1] == 0:
             rem.pop()
-    return tuple(quot), tuple(rem)
+    if exact:
+        return poly_trim(quot) if rem[-1] == 0 else None
+    return tuple(rem)
 
 
-def divides(p: Sequence, q: Sequence) -> bool:
-    """Exact divisibility of q by p over the rationals."""
-    _, rem = _divmod_q(q, p)
-    return all(c == 0 for c in rem)
+def _primitive(p: Sequence) -> tuple:
+    """p divided by the gcd of its coefficients; the zero polynomial as is."""
+    g = math.gcd(*p)
+    return tuple(c // g for c in p) if g > 1 else tuple(p)
 
 
 def exact_quotient(p: Sequence, q: Sequence) -> IntPoly | None:
     """q / p as an integer polynomial, or None when p does not divide q."""
-    quot, rem = _divmod_q(q, p)
-    if not all(c == 0 for c in rem):
-        return None
-    if not all(c.denominator == 1 for c in quot):
-        return None
-    return poly_trim(tuple(int(c) for c in quot))
+    return _divide(q, p, exact=True)
 
 
-def _poly_gcd_q(p: Sequence, q: Sequence) -> tuple:
-    """Monic gcd over the rationals."""
-    a = [Fraction(c) for c in poly_trim(p)]
-    b = [Fraction(c) for c in poly_trim(q)]
-    while not all(c == 0 for c in b):
-        _, rem = _divmod_q(a, b)
-        a, b = b, [Fraction(c) for c in poly_trim(rem)]
-    a = list(poly_trim(a))
-    lead = a[-1]
-    if lead != 0:
-        a = [c / lead for c in a]
-    return tuple(a)
+def divides(p: Sequence, q: Sequence) -> bool:
+    """Divisibility of q by p over Q: by Gauss's lemma, in Z[x] by p's primitive part."""
+    return exact_quotient(_primitive(p), q) is not None
+
+
+def _gcd_degree(p: Sequence, q: Sequence) -> int:
+    """
+    Degree of gcd(p, q) over Q; each remainder is made primitive before it
+    divides, which keeps the coefficients small.  gcd(0, 0) has degree 0.
+    """
+    a, b = poly_trim(p), poly_trim(q)
+    while not poly_is_zero(b):
+        a, b = b, _primitive(_divide(a, b, exact=False))
+    return len(a) - 1
 
 
 def is_squarefree(p: Sequence) -> bool:
-    return len(_poly_gcd_q(p, poly_derivative(p))) == 1
+    return _gcd_degree(p, poly_derivative(p)) == 0
 
 
 def are_coprime(p: Sequence, q: Sequence) -> bool:
-    return len(_poly_gcd_q(p, q)) == 1
+    return _gcd_degree(p, q) == 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -253,26 +264,16 @@ def new_factor_simple_roots(n: int, cap: int = matrices.DEFAULT_SUBSET_CAP) -> N
     cur = cached_charpoly(matrices.build_Mbar(n, cap=cap))
     quotient = exact_quotient(prev, cur)
     expected = len(descents.partitions_in_order(n)) - len(descents.partitions_in_order(n - 1))
-    if quotient is None:
-        return NewFactorReport(
-            n=n,
-            divides=False,
-            quotient=None,
-            expected_degree=expected,
-            degree_ok=False,
-            constant_nonzero=False,
-            squarefree=False,
-            coprime_with_previous=False,
-        )
+    ok = quotient is not None
     return NewFactorReport(
         n=n,
-        divides=True,
+        divides=ok,
         quotient=quotient,
         expected_degree=expected,
-        degree_ok=poly_degree(quotient) == expected,
-        constant_nonzero=quotient[0] != 0,
-        squarefree=is_squarefree(quotient),
-        coprime_with_previous=are_coprime(quotient, prev),
+        degree_ok=ok and poly_degree(quotient) == expected,
+        constant_nonzero=ok and quotient[0] != 0,
+        squarefree=ok and is_squarefree(quotient),
+        coprime_with_previous=ok and are_coprime(quotient, prev),
     )
 
 

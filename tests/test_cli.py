@@ -179,6 +179,7 @@ def test_usage_error_exit_code():
         (["count", "3", "4", "--via", "M22"], "--via M22 counts by a last permutation"),
         (["count", "3", "4", "--last", "delta", "1", "--via", "M23"], "--via M23 counts by a last permutation"),
         (["charpoly", "8", "--kind", "Mprime"], "beyond n=7"),
+        (["charpoly", "5", "--kind", "M", "--factored"], "--factored needs --kind Mbar"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):

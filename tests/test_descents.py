@@ -113,18 +113,16 @@ def test_compositions_count():
 
 
 def _contingency_brute(rows, cols):
-    total = 0
-    cells = list(itertools.product(range(len(rows)), range(len(cols))))
-    ranges = [range(min(rows[i], cols[j]) + 1) for i, j in cells]
-    for values in itertools.product(*ranges):
-        grid = {}
-        for (i, j), v in zip(cells, values):
-            grid[i, j] = v
-        if all(sum(grid[i, j] for j in range(len(cols))) == rows[i] for i in range(len(rows))) and all(
-            sum(grid[i, j] for i in range(len(rows))) == cols[j] for j in range(len(cols))
-        ):
-            total += 1
-    return total
+    """Every table row by row: each row is a vector with the row's sum and
+    entry j at most cols[j]; count the choices whose columns sum right."""
+    choices = [
+        [v for v in itertools.product(*(range(c + 1) for c in cols)) if sum(v) == r]
+        for r in rows
+    ]
+    return sum(
+        all(sum(column) == c for column, c in zip(zip(*grid), cols))
+        for grid in itertools.product(*choices)
+    )
 
 
 def test_contingency_examples():

@@ -7,6 +7,7 @@ from garside_census import reference
 from garside_census.matrices import b_delta, b_total, build_M, build_Mbar, build_Mprime
 from garside_census.oracle import m_charpoly_nonzero, naive_charpoly
 from garside_census.spectral import (
+    are_coprime,
     charpoly,
     divides,
     exact_quotient,
@@ -141,6 +142,76 @@ def test_new_factor_n2_repeats_eigenvalue():
     rep = new_factor_simple_roots(2)
     assert rep.quotient == (-1, 1)
     assert not rep.coprime_with_previous
+
+
+# --- integer division and gcd, against products built by poly_mul -----------
+
+
+def _poly(min_degree, lead=st.integers(-5, 5).filter(bool)):
+    """Integer polynomials of degree at least min_degree, constant first."""
+    return st.tuples(
+        st.lists(st.integers(-5, 5), min_size=min_degree, max_size=min_degree + 3), lead
+    ).map(lambda t: tuple(t[0]) + (t[1],))
+
+
+_non_unit = st.integers(-6, 6).filter(lambda c: abs(c) >= 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly(1, lead=_non_unit), _poly(0))
+def test_exact_quotient_of_product(p, q):
+    assert exact_quotient(p, poly_mul(p, q)) == q
+    assert divides(p, poly_mul(p, q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly(1), _poly(0), _non_unit)
+def test_divides_scaled_divisor(p, q, c):
+    # Gauss's lemma: c*p divides p*q over Q though the quotient q/c may not be integral
+    scaled = poly_mul((c,), p)
+    assert divides(scaled, poly_mul(p, q))
+    assert (exact_quotient(scaled, poly_mul(p, q)) is None) == any(x % c for x in q)
+
+
+def test_gauss_lemma_example():
+    assert exact_quotient((0, 2), (0, 1)) is None
+    assert divides((0, 2), (0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly(1), _poly(0), _poly(1))
+def test_common_factor_detected(a, b, c):
+    assert not are_coprime(poly_mul(a, c), poly_mul(b, c))
+    assert not is_squarefree(poly_mul(a, a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True),
+    st.lists(st.integers(7, 12), max_size=3, unique=True),
+    st.integers(1, 5),
+    _non_unit,
+)
+def test_distinct_linear_factors(roots, others, k, c):
+    p = (c,)
+    for r in roots:
+        p = poly_mul(p, (-r, 1))
+    # x^2 + k has no real root, and the others avoid the roots of p
+    q = (k, 0, 1)
+    for s in others:
+        q = poly_mul(q, (-s, 1))
+    assert is_squarefree(p)
+    assert are_coprime(p, q)
+    assert are_coprime(q, p)
+
+
+def test_zero_polynomial_results():
+    assert are_coprime((0,), (1,))
+    assert not are_coprime((0,), (1, 1))
+    assert is_squarefree((0,))
+    for q in ((0,), (1,), (-2, 1)):
+        with pytest.raises(ValueError):
+            exact_quotient((0,), q)
 
 
 # --- dominant eigenvalues ------------------------------------------------------
