@@ -6,13 +6,15 @@ of degree p(n) - p(n-1) and nonzero constant term.
 
     python3 scripts/run_conjecture.py [--nmax N]
 
-The default range n <= 10 runs in well under a minute; larger n only
-needs the subset cap raised.
+N runs from 2 to matrices.MBAR_CAP (15), the size cap of build_Mbar; a
+larger N is refused before any matrix is built.  The default range
+n <= 10 runs in seconds, n = 13 in well under a minute.
 """
 import argparse
 import sys
 import time
 
+from garside_census.matrices import MBAR_CAP
 from garside_census.spectral import new_factor_simple_roots, poly_str
 
 
@@ -20,7 +22,7 @@ def run(nmax: int) -> int:
     failures = 0
     for n in range(2, nmax + 1):
         t0 = time.perf_counter()
-        rep = new_factor_simple_roots(n, cap=max(12, nmax))
+        rep = new_factor_simple_roots(n)
         elapsed = time.perf_counter() - t0
         verdict = "ok" if rep.all_ok else "FAIL"
         if not rep.all_ok:
@@ -38,4 +40,6 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--nmax", type=int, default=10)
     args = parser.parse_args()
+    if not 2 <= args.nmax <= MBAR_CAP:
+        parser.error(f"--nmax must be in 2..{MBAR_CAP}, got {args.nmax}")
     sys.exit(run(args.nmax))

@@ -9,7 +9,8 @@ renders integers as decimal strings, and identical invocations produce
 byte-identical output.  Exit status is 0 on success, 1 on a verification
 mismatch, 2 on usage errors.  GC_THREADS sets the worker count for the
 brute-force oracle; count --via Mprime|M22|M23 uses the oracle paths and
-needs --last PERM; charpoly --factored needs --kind Mbar.
+needs --last PERM; --last delta R needs R in 1..n; charpoly --factored
+needs --kind Mbar; table, conjecture and verify take --nmax <= MBAR_CAP.
 """
 from __future__ import annotations
 
@@ -54,7 +55,12 @@ def _parse_last(tokens: list[str] | None, n: int):
     if tokens[0] == "delta":
         if len(tokens) != 2:
             raise ValueError("--last delta takes exactly one integer argument")
-        r = int(tokens[1])
+        try:
+            r = int(tokens[1])
+        except ValueError:
+            raise ValueError(f"--last delta takes an integer, got {tokens[1]!r}") from None
+        if not 1 <= r <= n:
+            raise ValueError(f"r={r} out of range 1..{n}")
         return None, r
     if len(tokens) != 1:
         raise ValueError("--last takes one permutation or 'delta R'")
@@ -345,12 +351,15 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than low."""
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than low and, if given, no larger than high."""
     def integer(text: str) -> int:
-        if int(text) < low:
+        value = int(text)
+        if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
+        return value
     return integer
 
 
@@ -407,20 +416,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("table", help="grid of counts by last half twist")
-    p.add_argument("--nmax", type=_at_least(2), default=6)
-    p.add_argument("--dmax", type=_at_least(1), default=6)
+    p.add_argument("--nmax", type=_int_in(2, matrices.MBAR_CAP), default=6)
+    p.add_argument("--dmax", type=_int_in(1), default=6)
     _add_common(p, with_csv=True)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("conjecture", help="nested-spectrum check for consecutive n")
-    p.add_argument("--nmax", type=_at_least(2), default=10)
+    p.add_argument("--nmax", type=_int_in(2, matrices.MBAR_CAP), default=10)
     _add_common(p)
     p.set_defaults(func=_cmd_conjecture)
 
     p = sub.add_parser("verify", help="evaluate every closed formula against the pipeline")
     p.add_argument("--formula", default=None)
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--dmax", type=int, default=20)
+    p.add_argument("--nmax", type=_int_in(2, matrices.MBAR_CAP), default=8)
+    p.add_argument("--dmax", type=_int_in(2), default=20)
     _add_common(p, with_csv=True)
     p.set_defaults(func=_cmd_verify)
 
@@ -432,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,9 @@ The two counting numbers implemented here are, for subsets I and J:
 
 a_hat is computed as the number of non-negative integer matrices with row
 margins the composition of I and column margins the composition of J; a
-follows by inclusion-exclusion over supersets of I.  Their brute-force
+follows by inclusion-exclusion over supersets of I, in a_column, the one
+superset transform; partitions_by_mask is the one subset-to-partition
+table.  matrices.build_Mprime and build_Mbar read both.  The brute-force
 oracles, oracle.count_functions and the census of all n! permutations
 (oracle.left_right_descent_census), live with the other oracles.
 """
@@ -81,6 +83,19 @@ def subsets_in_binary_order(n: int) -> list[frozenset[int]]:
 
 
 @functools.lru_cache(maxsize=None)
+def partitions_by_mask(n: int) -> tuple[PartitionN, ...]:
+    """
+    The partition of every subset of {1, ..., n-1}, indexed by its bitmask.
+
+    >>> partitions_by_mask(3)
+    ((1, 1, 1), (2, 1), (2, 1), (3,))
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return tuple(partition_of(set_of_mask(mask), n) for mask in range(1 << (n - 1)))
+
+
+@functools.lru_cache(maxsize=None)
 def partitions_in_order(n: int) -> tuple[PartitionN, ...]:
     """
     The partitions of n, ordered by first occurrence as the partition of a
@@ -89,12 +104,7 @@ def partitions_in_order(n: int) -> tuple[PartitionN, ...]:
     >>> partitions_in_order(3)
     ((1, 1, 1), (2, 1), (3,))
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    seen: dict[PartitionN, None] = {}
-    for subset in subsets_in_binary_order(n):
-        seen.setdefault(partition_of(subset, n), None)
-    return tuple(seen)
+    return tuple(dict.fromkeys(partitions_by_mask(n)))
 
 
 def delta_partition(n: int, r: int) -> PartitionN:
@@ -186,22 +196,31 @@ def a_hat(n: int, I: Iterable[int], J: Iterable[int]) -> int:
     return contingency_count(composition_of(I, n), composition_of(J, n))
 
 
+def a_column(n: int, j_mask: int) -> list[int]:
+    """
+    a(n, I, J) for every subset mask I at the fixed column mask J: the
+    contained-descents counts a_hat, then the signed superset transform,
+    one bit at a time.
+    """
+    parts = partitions_by_mask(n)
+    col = parts[j_mask]
+    arr = [_count_by_sorted_margins(lam, col) for lam in parts]
+    for b in range(n - 1):
+        bit = 1 << b
+        for i_mask in range(len(arr)):
+            if not i_mask & bit:
+                arr[i_mask] -= arr[i_mask | bit]
+    return arr
+
+
 def a(n: int, I: Iterable[int], J: Iterable[int]) -> int:
     """
     Number of square-free n-braids whose left-descent set equals I exactly
     and whose right-descent set contains J, by inclusion-exclusion over the
     supersets of I.
     """
-    I = _check_subset(I, n)
-    cols = tuple(sorted(composition_of(J, n), reverse=True))
-    free = sorted(set(range(1, n)) - I)
-    total = 0
-    for size in range(len(free) + 1):
-        sign = -1 if size % 2 else 1
-        for extra in itertools.combinations(free, size):
-            rows = tuple(sorted(composition_of(I | set(extra), n), reverse=True))
-            total += sign * _count_by_sorted_margins(rows, cols)
-    return total
+    i_mask = mask_of(_check_subset(I, n))
+    return a_column(n, mask_of(_check_subset(J, n)))[i_mask]
 
 
 def mask_of(members: Iterable[int]) -> int:

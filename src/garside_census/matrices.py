@@ -12,6 +12,9 @@ and the exact big-integer counting pipeline built on them.
             order; rows of Mprime summed over subsets sharing a partition,
             columns taken at the canonical subset of the column partition.
 
+Each has its own size cap: FACTORIAL_CAP, SUBSET_CAP and MBAR_CAP.  The
+columns of Mprime and Mbar come from descents.a_column.
+
 b(n, d) counts the positive n-braids of degree at most d; b(n, d, x) those
 whose d-th normal factor equals the square-free braid x.  All three
 matrices compute these numbers through row-vector iteration; the reduced
@@ -35,7 +38,8 @@ from .descents import PartitionN
 from .permutations import Perm
 
 FACTORIAL_CAP = 7
-DEFAULT_SUBSET_CAP = 12
+SUBSET_CAP = 12
+MBAR_CAP = 15
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,52 +181,29 @@ def structural_check_M(n: int) -> MStructureReport:
     )
 
 
-def _a_column(n: int, parts: list[PartitionN], j_mask: int) -> list[int]:
-    """
-    Exact-left counts a(n, I, J) for all subset masks I at the fixed
-    column J: start from the contained-descents counts and apply the
-    signed superset transform.  parts[mask] is the partition of the subset.
-    """
-    size = 1 << (n - 1)
-    arr = [descents._count_by_sorted_margins(lam, parts[j_mask]) for lam in parts]
-    for b in range(n - 1):
-        bit = 1 << b
-        for i_mask in range(size):
-            if not i_mask & bit:
-                arr[i_mask] -= arr[i_mask | bit]
-    return arr
-
-
-def _partitions_by_mask(n: int) -> list[PartitionN]:
-    return [descents.partition_of(descents.set_of_mask(mask), n) for mask in range(1 << (n - 1))]
-
-
 def build_Mprime(n: int) -> CountMatrix:
     """
     The 2^(n-1) square matrix of exact-left / contained-right descent
-    counts over subsets in binary order.
+    counts over subsets in binary order, one descents.a_column per column.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > DEFAULT_SUBSET_CAP:
-        raise ValueError(f"n={n} exceeds the subset-size cap {DEFAULT_SUBSET_CAP}")
-    parts = _partitions_by_mask(n)
-    size = 1 << (n - 1)
-    columns = [_a_column(n, parts, j_mask) for j_mask in range(size)]
-    rows = tuple(tuple(columns[j][i] for j in range(size)) for i in range(size))
+    if n > SUBSET_CAP:
+        raise ValueError(f"n={n} exceeds the subset-size cap {SUBSET_CAP}")
+    rows = tuple(zip(*(descents.a_column(n, j_mask) for j_mask in range(1 << (n - 1)))))
     labels = tuple(descents.subsets_in_binary_order(n))
     return CountMatrix(kind="Mprime", n=n, labels=labels, rows=rows)
 
 
-def build_Mbar(n: int, cap: int = DEFAULT_SUBSET_CAP) -> CountMatrix:
+def build_Mbar(n: int) -> CountMatrix:
     """
     The p(n) square partition-level matrix from the margin-count formulas;
     the cap is checked on every call, the shared matrix built once per n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the subset-size cap {cap}")
+    if n > MBAR_CAP:
+        raise ValueError(f"n={n} exceeds the Mbar size cap {MBAR_CAP}")
     return _cached_Mbar(n)
 
 
@@ -230,10 +211,10 @@ def build_Mbar(n: int, cap: int = DEFAULT_SUBSET_CAP) -> CountMatrix:
 def _cached_Mbar(n: int) -> CountMatrix:
     labels = descents.partitions_in_order(n)
     index = {lam: i for i, lam in enumerate(labels)}
-    parts = _partitions_by_mask(n)
+    parts = descents.partitions_by_mask(n)
     rows_acc = [[0] * len(labels) for _ in labels]
     for mu_idx, mu in enumerate(labels):
-        col = _a_column(n, parts, descents.mask_of(descents.set_of_composition(mu)))
+        col = descents.a_column(n, descents.mask_of(descents.set_of_composition(mu)))
         for lam, count in zip(parts, col):
             rows_acc[index[lam]][mu_idx] += count
     rows = tuple(tuple(r) for r in rows_acc)

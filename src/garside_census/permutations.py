@@ -175,15 +175,6 @@ def enumeration_index(x: Perm) -> int:
     return _enumeration_index(len(x))[x]
 
 
-def enumeration_key(x: Perm) -> tuple[int, ...]:
-    """
-    Sort key realizing the enumeration order: x precedes y exactly when, at
-    the largest position where their one-line arrays disagree, x has the
-    larger value.
-    """
-    return tuple(-v for v in reversed(x))
-
-
 def phi(x: Perm) -> Perm:
     """
     The flip automorphism: conjugation by the half twist, exchanging the

@@ -68,13 +68,6 @@ def poly_sub(p: Sequence, q: Sequence) -> tuple:
     )
 
 
-def poly_eval(p: Sequence, x):
-    acc = 0
-    for c in reversed(tuple(p)):
-        acc = acc * x + c
-    return acc
-
-
 def poly_derivative(p: Sequence) -> tuple:
     if len(p) <= 1:
         return (0,)
@@ -252,16 +245,17 @@ class NewFactorReport:
         )
 
 
-def new_factor_simple_roots(n: int, cap: int = matrices.DEFAULT_SUBSET_CAP) -> NewFactorReport:
+def new_factor_simple_roots(n: int) -> NewFactorReport:
     """
     Divide the partition-matrix characteristic polynomial at n by the one
     at n-1 and examine the quotient: its degree should be p(n) - p(n-1),
-    its constant term nonzero, and its roots simple and new.
+    its constant term nonzero, and its roots simple and new.  n runs up to
+    build_Mbar's cap, matrices.MBAR_CAP.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    prev = cached_charpoly(matrices.build_Mbar(n - 1, cap=cap))
-    cur = cached_charpoly(matrices.build_Mbar(n, cap=cap))
+    prev = cached_charpoly(matrices.build_Mbar(n - 1))
+    cur = cached_charpoly(matrices.build_Mbar(n))
     quotient = exact_quotient(prev, cur)
     expected = len(descents.partitions_in_order(n)) - len(descents.partitions_in_order(n - 1))
     ok = quotient is not None

@@ -180,6 +180,14 @@ def test_usage_error_exit_code():
         (["count", "3", "4", "--last", "delta", "1", "--via", "M23"], "--via M23 counts by a last permutation"),
         (["charpoly", "8", "--kind", "Mprime"], "beyond n=7"),
         (["charpoly", "5", "--kind", "M", "--factored"], "--factored needs --kind Mbar"),
+        (["oracle", "4", "3", "--last", "delta", "0"], "r=0 out of range 1..4"),
+        (["oracle", "4", "3", "--last", "delta", "5"], "r=5 out of range 1..4"),
+        (["count", "4", "3", "--last", "delta", "x"], "--last delta takes an integer"),
+        (["table", "--nmax", str(matrices.MBAR_CAP + 1)], f"--nmax: must be at most {matrices.MBAR_CAP}"),
+        (["conjecture", "--nmax", str(matrices.MBAR_CAP + 1)], f"--nmax: must be at most {matrices.MBAR_CAP}"),
+        (["verify", "--nmax", str(matrices.MBAR_CAP + 1)], f"--nmax: must be at most {matrices.MBAR_CAP}"),
+        (["verify", "--nmax", "1"], "--nmax: must be at least 2"),
+        (["verify", "--dmax", "1"], "--dmax: must be at least 2"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):
@@ -192,6 +200,23 @@ def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):
     assert code == 2
     assert out.out == ""
     assert message in out.err
+
+
+def test_nmax_beyond_the_cap_builds_nothing(capsys):
+    misses = matrices._cached_Mbar.cache_info().misses
+    with pytest.raises(SystemExit) as exc:
+        main(["conjecture", "--nmax", str(matrices.MBAR_CAP + 1)])
+    assert exc.value.code == 2
+    assert matrices._cached_Mbar.cache_info().misses == misses
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    def broken(n, d):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(matrices, "b_total", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["count", "3", "2"])
 
 
 def test_each_Mbar_and_charpoly_built_once(capsys, monkeypatch):

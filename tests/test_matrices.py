@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from garside_census import reference
+from garside_census import matrices, reference
 from garside_census.descents import partition_of, partitions_in_order, subsets_in_binary_order
 from garside_census.matrices import (
     b_delta,
@@ -96,8 +96,10 @@ def test_Mbar_methods_agree(n):
 def test_Mbar_cap_checked_on_cached_calls():
     m = build_Mbar(9)
     assert build_Mbar(9) is m
-    with pytest.raises(ValueError, match="cap"):
-        build_Mbar(9, cap=8)
+    misses = matrices._cached_Mbar.cache_info().misses
+    with pytest.raises(ValueError, match=f"cap {matrices.MBAR_CAP}"):
+        build_Mbar(matrices.MBAR_CAP + 1)
+    assert matrices._cached_Mbar.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("n", range(1, 9))

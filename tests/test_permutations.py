@@ -9,7 +9,6 @@ from garside_census.permutations import (
     d_right,
     dual_left,
     dual_right,
-    enumeration_key,
     flip,
     format_descent_set,
     format_permutation,
@@ -182,8 +181,10 @@ def test_enumeration_size_and_last(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_enumeration_order_key(n):
+    # x precedes y exactly when, at the largest position where their
+    # one-line arrays disagree, x has the larger value
     enum = simple_enumeration(n)
-    assert sorted(enum, key=enumeration_key) == list(enum)
+    assert sorted(enum, key=lambda x: tuple(-v for v in reversed(x))) == list(enum)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
