@@ -13,11 +13,16 @@ The two counting numbers implemented here are, for subsets I and J:
                   and d_right(x) >= J;
   a(n, I, J)      the same with d_left(x) == I exactly.
 
-a_hat is computed as the number of non-negative integer matrices with row
-margins the composition of I and column margins the composition of J; a
-follows by inclusion-exclusion over supersets of I, in a_column, the one
-superset transform; partitions_by_mask is the one subset-to-partition
-table.  matrices.build_Mprime and build_Mbar read both.  The brute-force
+a_hat is the number of non-negative integer matrices with row margins the
+composition of I and column margins the composition of J.  That number
+depends only on the two partitions, and by RSK it is sum over shapes nu
+of K(nu, rows) * K(nu, cols), a sum of products of Kostka numbers read
+from _tableaux, which grows each table by one horizontal strip per part.
+contingency_count, a dynamic program over the columns, counts the same
+matrices directly and is kept as the independent check.  a follows by
+inclusion-exclusion over supersets of I, in a_column, the one superset
+transform; partitions_by_mask is the one subset-to-partition table.
+matrices.build_Mprime and build_Mbar read both.  The brute-force
 oracles, oracle.count_functions and the census of all n! permutations
 (oracle.left_right_descent_census), live with the other oracles.
 """
@@ -140,7 +145,8 @@ def contingency_count(rows: Sequence[int], cols: Sequence[int]) -> int:
     """
     The number of non-negative integer matrices with the given row and
     column sums, by dynamic programming over columns with the multiset of
-    remaining row sums as state.
+    remaining row sums as state.  The library counts through the Kostka
+    numbers instead; this is the check.
 
     >>> contingency_count((2, 1), (2, 1))
     2
@@ -180,9 +186,57 @@ def _fill_columns(rows_sorted: tuple[int, ...], cols: tuple[int, ...]) -> int:
     return total
 
 
+def _horizontal_strips(shape: PartitionN, k: int) -> list[PartitionN]:
+    """
+    Every partition nu containing shape whose skew nu/shape is a horizontal
+    strip of k boxes: row i grows by at most shape[i-1] - shape[i].
+
+    >>> _horizontal_strips((2,), 1)
+    [(2, 1), (3,)]
+    """
+    rows = shape + (0,)
+    out = []
+
+    def grow(i: int, left: int, grown: tuple[int, ...]) -> None:
+        if i == len(rows):
+            if left == 0:
+                out.append(grown if grown[-1] else grown[:-1])
+            return
+        room = left if i == 0 else min(left, rows[i - 1] - rows[i])
+        for add in range(room + 1):
+            grow(i + 1, left - add, grown + (rows[i] + add,))
+
+    grow(0, k, ())
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _tableaux(content: tuple[int, ...]) -> dict[PartitionN, int]:
+    """
+    The Kostka numbers K(shape, content): the number of semistandard
+    tableaux of each shape with content[i] entries equal to i + 1.  The
+    largest entries form a horizontal strip, so the table extends the one
+    for content[:-1] by one strip of content[-1] boxes.  The dict is
+    shared by every caller and must not be changed.
+
+    >>> _tableaux((2, 1))
+    {(2, 1): 1, (3,): 1}
+    """
+    if not content:
+        return {(): 1}
+    out: dict[PartitionN, int] = {}
+    for shape, count in _tableaux(content[:-1]).items():
+        for bigger in _horizontal_strips(shape, content[-1]):
+            out[bigger] = out.get(bigger, 0) + count
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _count_by_sorted_margins(rows_desc: tuple[int, ...], cols_desc: tuple[int, ...]) -> int:
-    return contingency_count(rows_desc, cols_desc)
+    # RSK: a matrix with these margins is a pair of semistandard tableaux
+    # of one shape, with contents rows_desc and cols_desc.
+    by_cols = _tableaux(cols_desc)
+    return sum(k * by_cols.get(shape, 0) for shape, k in _tableaux(rows_desc).items())
 
 
 def a_hat(n: int, I: Iterable[int], J: Iterable[int]) -> int:
@@ -193,7 +247,7 @@ def a_hat(n: int, I: Iterable[int], J: Iterable[int]) -> int:
     >>> a_hat(3, {1}, {1})
     2
     """
-    return contingency_count(composition_of(I, n), composition_of(J, n))
+    return _count_by_sorted_margins(partition_of(I, n), partition_of(J, n))
 
 
 def a_column(n: int, j_mask: int) -> list[int]:

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from garside_census import descents, matrices
 from garside_census.descents import (
     a,
     a_hat,
@@ -162,6 +163,66 @@ def test_contingency_transpose_symmetry(rows, cols):
     elif diff < 0:
         rows = rows + [-diff]
     assert contingency_count(tuple(rows), tuple(cols)) == contingency_count(tuple(cols), tuple(rows))
+
+
+# --- Kostka numbers against the retained DP ---------------------------------
+
+
+def _ssyt_brute(shape, content):
+    """Fill the cells row by row with every arrangement of the content's
+    letters; count the fillings whose rows rise weakly and columns strictly."""
+    letters = [v for v, m in enumerate(content) for _ in range(m)]
+    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
+    count = 0
+    for word in set(itertools.permutations(letters)):
+        at = dict(zip(cells, word))
+        if all(at[r, c - 1] <= v for (r, c), v in at.items() if c) and all(
+            at[r - 1, c] < v for (r, c), v in at.items() if r
+        ):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tableaux_against_brute(n):
+    shapes = partitions_in_order(n)
+    for content in shapes:
+        brute = {shape: _ssyt_brute(shape, content) for shape in shapes}
+        assert descents._tableaux(content) == {s: k for s, k in brute.items() if k}, content
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kostka_sum_equals_contingency_count(n):
+    parts = partitions_in_order(n)
+    for rows in parts:
+        for cols in parts:
+            assert descents._count_by_sorted_margins(rows, cols) == contingency_count(rows, cols), (rows, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(11, 13)
+    .map(partitions_in_order)
+    .flatmap(lambda parts: st.tuples(st.sampled_from(parts), st.sampled_from(parts)))
+)
+def test_kostka_sum_equals_contingency_count_large(pair):
+    rows, cols = pair
+    assert descents._count_by_sorted_margins(rows, cols) == contingency_count(rows, cols)
+
+
+def test_library_counts_never_run_the_dp():
+    for cached in (
+        descents._fill_columns,
+        descents._count_by_sorted_margins,
+        descents._tableaux,
+        matrices._cached_Mbar,
+    ):
+        cached.cache_clear()
+    matrices.build_Mbar(9)
+    matrices.build_Mprime(7)
+    a_hat(8, {1, 3, 4}, {2, 6, 7})
+    assert descents._tableaux.cache_info().misses > 0
+    assert descents._fill_columns.cache_info().misses == 0
 
 
 # --- the counting numbers ---------------------------------------------------
