@@ -192,8 +192,12 @@ def _cmd_oracle(args) -> int:
     last_perm, r = _parse_last(args.last, args.n)
     if r is not None:
         last_perm = permutations.partial_flip(args.n, args.n - r)
-    workers = int(os.environ.get("GC_THREADS", "1"))
     if args.engine == "brute":
+        threads = os.environ.get("GC_THREADS", "1")
+        try:
+            workers = int(threads)
+        except ValueError:
+            raise ValueError(f"GC_THREADS must be an integer, got {threads!r}") from None
         value = oracle.brute_count(args.n, args.d, last=last_perm, budget=args.budget, workers=workers)
     else:
         value = oracle.dp_count(args.n, args.d, last=last_perm)

@@ -250,15 +250,13 @@ def a_hat(n: int, I: Iterable[int], J: Iterable[int]) -> int:
     return _count_by_sorted_margins(partition_of(I, n), partition_of(J, n))
 
 
-def a_column(n: int, j_mask: int) -> list[int]:
+def a_column(n: int, mu: PartitionN) -> list[int]:
     """
-    a(n, I, J) for every subset mask I at the fixed column mask J: the
-    contained-descents counts a_hat, then the signed superset transform,
-    one bit at a time.
+    a(n, I, J) for every subset mask I at any column J whose partition is
+    mu (the count depends on J only through it): the contained-descents
+    counts a_hat, then the signed superset transform, one bit at a time.
     """
-    parts = partitions_by_mask(n)
-    col = parts[j_mask]
-    arr = [_count_by_sorted_margins(lam, col) for lam in parts]
+    arr = [_count_by_sorted_margins(lam, mu) for lam in partitions_by_mask(n)]
     for b in range(n - 1):
         bit = 1 << b
         for i_mask in range(len(arr)):
@@ -274,7 +272,7 @@ def a(n: int, I: Iterable[int], J: Iterable[int]) -> int:
     supersets of I.
     """
     i_mask = mask_of(_check_subset(I, n))
-    return a_column(n, mask_of(_check_subset(J, n)))[i_mask]
+    return a_column(n, partition_of(J, n))[i_mask]
 
 
 def mask_of(members: Iterable[int]) -> int:

@@ -1,6 +1,8 @@
 """
 Closed formulas and recurrences for the counting numbers, each evaluated
-exactly and cross-checked against the matrix pipeline.
+in exact integers and cross-checked against the matrix pipeline.  The two
+series identities are checked multiplied through by their factorial
+denominators.
 
 Where a published formula disagrees with its own derivation and with every
 computational path (three such spots are known: the degree-3 count at the
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
+from typing import Sequence
 
 from . import matrices
 from .descents import PartitionN, compositions
@@ -52,6 +54,14 @@ def _check(label: str, expected, computed, flag: str | None = None) -> Check:
         match=expected == computed,
         flag=flag,
     )
+
+
+def _multinomial(parts: Sequence[int]) -> int:
+    """sum(parts)! / (parts[0]! parts[1]! ...), e.g. 12 for (2, 1, 1)."""
+    out = math.factorial(sum(parts))
+    for p in parts:
+        out //= math.factorial(p)
+    return out
 
 
 def b3_closed(d: int, lam: PartitionN) -> int:
@@ -107,24 +117,24 @@ def b_n2_recurrence(nmax: int) -> list[int]:
     return vals
 
 
+def _gf_coefficient(b: Sequence[int], m: int) -> int:
+    """m!^2 times the x^m coefficient of sum b[i] x^i / i!^2 times sum (-1)^j x^j / j!^2."""
+    return sum((-1) ** (m - i) * math.comb(m, i) ** 2 * b[i] for i in range(m + 1))
+
+
 def gf_identity_check(order: int) -> bool:
     """
     Formal-series check that sum b(n,2) x^n / n!^2 is the reciprocal of the
-    alternating series sum (-1)^n x^n / n!^2, with exact rationals.
+    alternating series sum (-1)^n x^n / n!^2, in integers: for m <= order,
+    sum over i of (-1)^(m-i) C(m, i)^2 b(i, 2) is 1 at m = 0 and 0 after.
+    That is the recurrence b_n2_recurrence solves, so this checks the
+    recurrence against the series; the bn2-recurrence report row ties its
+    values to the pipeline.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     b = b_n2_recurrence(order)
-    a_coeffs = [Fraction(b[i], math.factorial(i) ** 2) for i in range(order + 1)]
-    inv_coeffs = [
-        Fraction((-1) ** i, math.factorial(i) ** 2) for i in range(order + 1)
-    ]
-    if a_coeffs[0] * inv_coeffs[0] != 1:
-        return False
-    for m in range(1, order + 1):
-        if sum(a_coeffs[i] * inv_coeffs[m - i] for i in range(m + 1)) != 0:
-            return False
-    return True
+    return all(_gf_coefficient(b, m) == int(m == 0) for m in range(order + 1))
 
 
 def b_n2_delta(n: int, r: int) -> int:
@@ -162,24 +172,12 @@ def b_n3_delta2_by_sums(n: int) -> int:
     """
     if n < 3:
         raise ValueError("n must be at least 3")
-    fact = math.factorial(n)
-
-    def multinomial(parts: tuple[int, ...]) -> int:
-        out = fact
-        for p in parts:
-            out //= math.factorial(p)
-        return out
-
     total = b_n3_delta1(n)
     for parts in compositions(n):
         if len(parts) == 3:
-            total += multinomial(parts)
-            if parts[1] >= 2:
-                total += multinomial(parts)
+            total += _multinomial(parts) * (2 if parts[1] >= 2 else 1)
         elif len(parts) == 2:
-            total += multinomial(parts)
-            if parts[0] >= 2 and parts[1] >= 2:
-                total += multinomial(parts)
+            total += _multinomial(parts) * (2 if min(parts) >= 2 else 1)
     return total
 
 
@@ -199,19 +197,23 @@ def b_n4_delta1_by_compositions(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    fact = math.factorial(n)
     total = 0
     for parts in compositions(n):
-        coef = fact
-        for p in parts:
-            coef //= math.factorial(p)
-        if len(parts) == 1:
-            weight = parts[0]
-        else:
-            weight = parts[0] * parts[-1]
-            for p in parts[1:-1]:
-                weight *= p - 1
-        total += coef * weight
+        weight = parts[0] if len(parts) == 1 else parts[0] * parts[-1]
+        for p in parts[1:-1]:
+            weight *= p - 1
+        total += _multinomial(parts) * weight
+    return total
+
+
+def _unit_composition_sum(m: int) -> int:
+    """Sum over compositions p of m of multinomial(p) (p_1 - 1) ... (p_{k-1} - 1) p_k."""
+    total = 0
+    for parts in compositions(m):
+        weight = parts[-1]
+        for p in parts[:-1]:
+            weight *= p - 1
+        total += _multinomial(parts) * weight
     return total
 
 
@@ -219,20 +221,12 @@ def f_identity_check(imax: int) -> bool:
     """
     The composition identity behind the factorial-sum formula: for each i,
     summing (p_1 - 1)/p_1! ... (p_{k-1} - 1)/p_{k-1}! * p_k/p_k! over the
-    compositions of i+1 gives exactly 1.
+    compositions of m = i+1 gives exactly 1; times m!, in integers,
+    _unit_composition_sum(m) == m!.
     """
     if imax < 0:
         raise ValueError("imax must be non-negative")
-    for i in range(imax + 1):
-        acc = Fraction(0)
-        for parts in compositions(i + 1):
-            term = Fraction(parts[-1], math.factorial(parts[-1]))
-            for p in parts[:-1]:
-                term *= Fraction(p - 1, math.factorial(p))
-            acc += term
-        if acc != 1:
-            return False
-    return True
+    return all(_unit_composition_sum(m) == math.factorial(m) for m in range(1, imax + 2))
 
 
 def floor_e_identity(n: int) -> int:

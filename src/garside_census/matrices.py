@@ -10,7 +10,8 @@ and the exact big-integer counting pipeline built on them.
             and right descents containing J.
   Mbar(n)   p(n) square, indexed by partitions of n in first-occurrence
             order; rows of Mprime summed over subsets sharing a partition,
-            columns taken at the canonical subset of the column partition.
+            columns keyed by the partition (a column of Mprime depends on
+            its subset only through it).
 
 Each has its own size cap: FACTORIAL_CAP, SUBSET_CAP and MBAR_CAP.  The
 columns of Mprime and Mbar come from descents.a_column.
@@ -184,13 +185,15 @@ def structural_check_M(n: int) -> MStructureReport:
 def build_Mprime(n: int) -> CountMatrix:
     """
     The 2^(n-1) square matrix of exact-left / contained-right descent
-    counts over subsets in binary order, one descents.a_column per column.
+    counts over subsets in binary order; a column depends only on its
+    partition, so each of the p(n) distinct columns is built once.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > SUBSET_CAP:
         raise ValueError(f"n={n} exceeds the subset-size cap {SUBSET_CAP}")
-    rows = tuple(zip(*(descents.a_column(n, j_mask) for j_mask in range(1 << (n - 1)))))
+    columns = {mu: descents.a_column(n, mu) for mu in descents.partitions_in_order(n)}
+    rows = tuple(zip(*(columns[mu] for mu in descents.partitions_by_mask(n))))
     labels = tuple(descents.subsets_in_binary_order(n))
     return CountMatrix(kind="Mprime", n=n, labels=labels, rows=rows)
 
@@ -214,8 +217,7 @@ def _cached_Mbar(n: int) -> CountMatrix:
     parts = descents.partitions_by_mask(n)
     rows_acc = [[0] * len(labels) for _ in labels]
     for mu_idx, mu in enumerate(labels):
-        col = descents.a_column(n, descents.mask_of(descents.set_of_composition(mu)))
-        for lam, count in zip(parts, col):
+        for lam, count in zip(parts, descents.a_column(n, mu)):
             rows_acc[index[lam]][mu_idx] += count
     rows = tuple(tuple(r) for r in rows_acc)
     return CountMatrix(kind="Mbar", n=n, labels=labels, rows=rows)

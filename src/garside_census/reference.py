@@ -57,7 +57,6 @@ MBAR4 = (
     (6, 4, 2, 2, 0),
     (1, 1, 1, 1, 1),
 )
-MBAR4_ORDER_FLAG = PAPER_DISCREPANCY
 
 MBAR5_LABELS = (
     (1, 1, 1, 1, 1),

@@ -105,6 +105,17 @@ def test_oracle(capsys):
     assert out.strip() == "1956"
 
 
+def test_gc_threads_read_only_by_the_brute_engine(capsys, monkeypatch):
+    monkeypatch.setenv("GC_THREADS", "abc")
+    code, out, _ = run(capsys, "oracle", "4", "3")
+    assert code == 0
+    assert out.strip() == "1380"
+    code, out, err = run(capsys, "oracle", "3", "2", "--engine", "brute")
+    assert code == 2
+    assert out == ""
+    assert "GC_THREADS" in err
+
+
 def test_table_flags(capsys):
     code, out, _ = run(capsys, "table", "--nmax", "6", "--dmax", "6", "--format", "json")
     assert code == 0

@@ -1,5 +1,11 @@
-import pytest
+import math
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from garside_census import formulas
 from garside_census.formulas import (
     b3_closed,
     b3_total_closed,
@@ -56,8 +62,43 @@ def test_b_n2_recurrence_values():
         assert b_n2_recurrence(n)[n] == b_total(n, 2)
 
 
+def _gf_coefficient_as_fraction(b, m):
+    # The series product's x^m coefficient with exact rationals, as the
+    # identity was first checked.
+    return sum(
+        Fraction(b[i], math.factorial(i) ** 2) * Fraction((-1) ** (m - i), math.factorial(m - i) ** 2)
+        for i in range(m + 1)
+    )
+
+
 def test_gf_identity():
     assert gf_identity_check(12)
+
+
+def test_gf_coefficients_are_the_rational_ones_times_m_factorial_squared():
+    b = b_n2_recurrence(13)
+    for m in range(14):
+        scaled = math.factorial(m) ** 2 * _gf_coefficient_as_fraction(b, m)
+        assert formulas._gf_coefficient(b, m) == scaled == (1 if m == 0 else 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-(10**6), 10**6), min_size=14, max_size=14))
+def test_gf_coefficient_scaling_on_any_sequence(b):
+    for m in range(14):
+        assert formulas._gf_coefficient(b, m) == math.factorial(m) ** 2 * _gf_coefficient_as_fraction(b, m)
+
+
+def test_gf_identity_sees_one_wrong_value(monkeypatch):
+    real = formulas.b_n2_recurrence
+
+    def perturbed(nmax):
+        vals = real(nmax)
+        vals[12] += 1
+        return vals
+
+    monkeypatch.setattr(formulas, "b_n2_recurrence", perturbed)
+    assert not gf_identity_check(12)
 
 
 def test_b_n2_delta():
@@ -100,8 +141,42 @@ def test_b_n4_delta1():
         assert b_n4_delta1(n) == b_delta(n, 4, 1)
 
 
+def _unit_sum_as_fraction(m):
+    # The composition unit identity's sum with exact rationals, as it was
+    # first checked.
+    acc = Fraction(0)
+    for parts in formulas.compositions(m):
+        term = Fraction(parts[-1], math.factorial(parts[-1]))
+        for p in parts[:-1]:
+            term *= Fraction(p - 1, math.factorial(p))
+        acc += term
+    return acc
+
+
 def test_f_identity():
     assert f_identity_check(12)
+
+
+def test_unit_sum_is_the_rational_one_times_m_factorial():
+    for m in range(1, 14):
+        fraction_sum = _unit_sum_as_fraction(m)
+        assert fraction_sum == 1
+        assert formulas._unit_composition_sum(m) == math.factorial(m) * fraction_sum
+
+
+def test_multinomial():
+    assert formulas._multinomial((2, 1, 1)) == 12
+    assert formulas._multinomial((5,)) == 1
+    assert formulas._multinomial((3, 4, 1, 2)) == math.factorial(10) // (6 * 24 * 1 * 2)
+    assert formulas._multinomial(()) == 1
+
+
+def test_f_identity_sees_one_missing_composition(monkeypatch):
+    real = formulas.compositions
+    # Only the top index loses a term: the one-part composition (13,).
+    monkeypatch.setattr(formulas, "compositions", lambda m: [c for c in real(m) if c != (13,)])
+    assert not f_identity_check(12)
+    assert f_identity_check(11)
 
 
 def test_floor_e_identity():
