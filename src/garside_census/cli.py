@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -373,7 +374,9 @@ def _add_common(p: argparse.ArgumentParser, with_csv: bool = False) -> None:
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse_args returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="garside-census",
         description="Exact counting of normal sequences of positive braids.",
@@ -441,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -15,6 +15,7 @@ the pipeline, and the report rows record the printed variant with a
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Sequence
 
@@ -231,14 +232,22 @@ def f_identity_check(imax: int) -> bool:
 
 def floor_e_identity(n: int) -> int:
     """
-    floor(n! e) - 1, evaluated exactly: the truncated exponential series
-    sum n!/i! for i = 0..n equals floor(n! e) because the discarded tail
-    lies strictly between 0 and 1.
+    floor(n! e) - 1, with e taken from its continued fraction [2; 1, 2, 1,
+    1, 4, 1, 1, 6, ...].  Consecutive convergents lie on opposite sides of
+    e, so once n! times each of two consecutive ones has the same floor,
+    that floor is floor(n! e).  The floor-e row checks it against
+    b_n4_delta1(n), the sum of n!/i! over i < n: that is n! e less the
+    term n!/n! = 1 and a tail strictly between 0 and 1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     fact = math.factorial(n)
-    return sum(fact // math.factorial(i) for i in range(n + 1)) - 1
+    p0, q0, p1, q1 = 1, 0, 2, 1
+    for k in itertools.count(1):
+        a = 2 * (k + 1) // 3 if k % 3 == 2 else 1
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if fact * p0 // q0 == fact * p1 // q1:
+            return fact * p1 // q1 - 1
 
 
 def cor47_check(nmax: int) -> FormulaReport:

@@ -122,8 +122,9 @@ CHARPOLY_NEW_FACTORS: dict[int, tuple[int, ...]] = {
     8: (-226800, 1341900, -3305160, 3780975, -1321214, 139976, -2134, 1),
 }
 
-# Dominant eigenvalue of the counting matrices, printed to three decimals,
-# and the ratio row rho(n) / (n * rho(n-1)).
+# Dominant eigenvalue of the counting matrices, truncated to three decimals
+# (floor(1000 rho) / 1000, so 18.7178 appears as 18.717), and the ratio row
+# rho(n) / (n * rho(n-1)), rounded to three decimals.
 RHO: dict[int, float] = {
     1: 1.0,
     2: 1.0,

@@ -1,6 +1,7 @@
 """
 Exact characteristic polynomials of the counting matrices, divisibility of
-consecutive spectra, and floating-point dominant-eigenvalue estimates.
+consecutive spectra, and the dominant eigenvalue, read exactly off the
+characteristic polynomial and returned as the nearest double.
 
 Polynomials are dense integer-coefficient tuples with the constant term
 first.  Characteristic polynomials are computed by the Berkowitz vector
@@ -9,7 +10,10 @@ Division, divisibility and gcd stay in integers too (Knuth, TAOCP vol. 2,
 4.6.1): exact division, pseudo-division, and the primitive remainder
 sequence for the degree of a gcd over Q.  Its cross-checks, a naive
 cofactor-expansion determinant and the nonzero spectrum of the full matrix
-M(n), are oracle.naive_charpoly and oracle.m_charpoly_nonzero.
+M(n), are oracle.naive_charpoly and oracle.m_charpoly_nonzero.  The
+dominant eigenvalue costs one cached Berkowitz run per matrix and a
+bisection in which every step is an integer Taylor shift; nothing here
+uses floats until the final, correctly rounded division.
 """
 from __future__ import annotations
 
@@ -271,28 +275,59 @@ def new_factor_simple_roots(n: int) -> NewFactorReport:
     )
 
 
-def rho_max(m: CountMatrix, tol: float = 1e-9, max_iter: int = 1_000_000) -> float:
+def _side_of_rho(p: Sequence, a: int, s: int) -> int:
     """
-    Dominant eigenvalue of a non-negative matrix by power iteration from
-    the all-ones vector, stopping when successive Rayleigh quotients agree
-    within tol.
+    Sign of x - rho for x = a / 2**s, where p is the characteristic
+    polynomial of a non-negative matrix and rho its spectral radius.
+
+    By Perron-Frobenius rho is an eigenvalue and every eigenvalue has real
+    part at most rho, so p(x + t) is a product of factors t + (x - w) and
+    t^2 + 2(x - Re w)t + |x - w|^2.  For x > rho each has positive
+    coefficients, hence so does p(x + t).  For x = rho the same holds past
+    the zero coefficients at the bottom.  For x < rho, t = rho - x > 0 is a
+    root, so even past those zeros the coefficients are not all positive.
+    The Taylor shift runs on 2**(s*deg) p((a + u) / 2**s), which has the
+    same signs, in integers.
     """
-    rows = [[float(e) for e in row] for row in m.rows]
-    size = len(rows)
-    v = [1.0] * size
-    prev = None
-    for _ in range(max_iter):
-        w = [sum(row[j] * v[j] for j in range(size)) for row in rows]
-        den = sum(x * x for x in v)
-        est = sum(w[i] * v[i] for i in range(size)) / den
-        if prev is not None and abs(est - prev) < tol:
-            return est
-        prev = est
-        scale = max(abs(x) for x in w)
-        if scale == 0.0:
-            return 0.0
-        v = [x / scale for x in w]
-    raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
+    deg = len(p) - 1
+    q = [c << (s * (deg - k)) for k, c in enumerate(p)]
+    for i in range(deg):
+        for j in range(deg - 1, i - 1, -1):
+            q[j] += a * q[j + 1]
+        # q[i] is now final: coefficient i of the shifted polynomial
+        if q[i] < 0 or (q[i] == 0 and any(q[:i])):
+            return -1
+    return 1 if q[0] else 0
+
+
+def rho_max(m: CountMatrix) -> float:
+    """
+    Spectral radius of a non-negative integer matrix, the double nearest
+    the exact value.  It is read off cached_charpoly(m), so the cost is
+    one cached Berkowitz run per matrix and a bisection over dyadic points
+    x, each decided exactly by _side_of_rho.  The bisection stops once both
+    ends round to the same double, or when it lands on rho itself.  As a
+    root of a monic integer polynomial rho is an integer, which is a
+    bisection point, or irrational, which is never a tie between doubles;
+    so it stops.
+    """
+    if any(e < 0 for row in m.rows for e in row):
+        raise ValueError("rho_max needs a non-negative matrix")
+    p = cached_charpoly(m)
+    if _side_of_rho(p, 0, 0) == 0:
+        return 0.0
+    # rho <= the largest row sum < hi; a power of two, so every integer below is a bisection point
+    lo, hi, s = 0, 1 << max(map(sum, m.rows)).bit_length(), 0
+    while lo / 2**s != hi / 2**s:
+        mid, lo, hi, s = lo + hi, 2 * lo, 2 * hi, s + 1
+        side = _side_of_rho(p, mid, s)
+        if side == 0:
+            return mid / 2**s
+        if side > 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo / 2**s
 
 
 def spectral_radius_table(nmax: int) -> list[dict]:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from garside_census import matrices, spectral
+import garside_census
+from garside_census import cli, matrices, spectral
 from garside_census.cli import main
 
 
@@ -139,6 +143,14 @@ def test_conjecture(capsys):
     assert "n=4: ok" in out
 
 
+def test_conjecture_json_rho_is_exact(capsys):
+    code, out, _ = run(capsys, "conjecture", "--nmax", "3", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    # Mbar(2) is the Jordan block [[1,0],[1,1]], whose spectral radius is exactly 1
+    assert [r["rho_max"] for r in rows] == ["1.000000", "2.000000"]
+
+
 def test_verify(capsys):
     code, out, _ = run(capsys, "verify", "--formula", "floor-e")
     assert code == 0
@@ -167,6 +179,29 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     obj = json.loads(target.read_text())
     assert obj["rows"] == [["1", "0"], ["1", "1"]]
+
+
+def _separate_process(argv):
+    src = os.path.dirname(os.path.dirname(garside_census.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "garside_census.cli", *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    return proc.stdout
+
+
+def test_parser_built_once_and_no_state_carries_over(capsys):
+    sequence = [
+        ["count", "5", "4", "--last", "delta", "2", "--format", "json"],
+        ["count", "5", "4"],
+        ["verify", "--formula", "floor-e"],
+        ["verify", "--nmax", "4", "--dmax", "6"],
+    ]
+    cli.build_parser.cache_clear()
+    outputs = [run(capsys, *argv) for argv in sequence]
+    assert cli.build_parser.cache_info().misses == 1
+    for argv, (code, out, _) in zip(sequence, outputs):
+        assert code == 0
+        assert out == _separate_process(argv)
 
 
 def test_usage_error_exit_code():

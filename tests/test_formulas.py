@@ -183,7 +183,7 @@ def test_floor_e_identity():
     assert floor_e_identity(3) == 15
     assert floor_e_identity(1) == 1
     assert floor_e_identity(4) == 64
-    for n in range(1, 13):
+    for n in range(1, 61):
         assert floor_e_identity(n) == b_n4_delta1(n)
 
 

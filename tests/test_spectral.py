@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from garside_census import reference
-from garside_census.matrices import b_delta, b_total, build_M, build_Mbar, build_Mprime
+from garside_census.matrices import CountMatrix, b_delta, b_total, build_M, build_Mbar, build_Mprime
 from garside_census.oracle import m_charpoly_nonzero, naive_charpoly
 from garside_census.spectral import (
     are_coprime,
@@ -216,21 +216,92 @@ def test_zero_polynomial_results():
 # --- dominant eigenvalues ------------------------------------------------------
 
 
+def power_iteration_rho(m, tol=1e-12, max_iter=1_000_000):
+    """
+    The float power iteration rho_max once was, kept as an independent
+    reference; its step tolerance is tighter than the old default 1e-9.
+    """
+    rows = [[float(e) for e in row] for row in m.rows]
+    size = len(rows)
+    v = [1.0] * size
+    prev = None
+    for _ in range(max_iter):
+        w = [sum(row[j] * v[j] for j in range(size)) for row in rows]
+        den = sum(x * x for x in v)
+        est = sum(w[i] * v[i] for i in range(size)) / den
+        if prev is not None and abs(est - prev) < tol:
+            return est
+        prev = est
+        scale = max(abs(x) for x in w)
+        if scale == 0.0:
+            return 0.0
+        v = [x / scale for x in w]
+    raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
+
+
+def _below_3_plus_sqrt6(num, den):
+    """num/den < 3 + sqrt(6), in integers (den > 0)."""
+    return num < 3 * den or (num - 3 * den) ** 2 < 6 * den * den
+
+
+def _midpoint(x, y):
+    """(x + y) / 2 of two doubles, exactly, as (numerator, denominator)."""
+    (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+    return a * d + c * b, 2 * b * d
+
+
 def test_rho_max_values():
-    assert rho_max(build_Mbar(1)) == pytest.approx(1.0, abs=1e-9)
-    assert rho_max(build_Mbar(3)) == pytest.approx(2.0, abs=1e-6)
-    assert rho_max(build_Mbar(4)) == pytest.approx(3 + math.sqrt(6), abs=1e-6)
+    assert rho_max(build_Mbar(1)) == 1.0
+    assert rho_max(build_Mbar(2)) == 1.0  # a Jordan block: (x - 1)^2
+    assert rho_max(build_Mbar(3)) == 2.0
+    rho = rho_max(build_Mbar(4))
+    # the double nearest 3 + sqrt(6): the root lies between the midpoints to its neighbours
+    assert _below_3_plus_sqrt6(*_midpoint(math.nextafter(rho, 0.0), rho))
+    assert not _below_3_plus_sqrt6(*_midpoint(rho, math.nextafter(rho, math.inf)))
 
 
 def test_rho_max_transpose_invariant():
-    for n in (3, 4, 5, 6):
+    for n in range(1, 7):
         m = build_Mbar(n)
-        assert rho_max(m) == pytest.approx(rho_max(m.transpose()), abs=1e-6)
+        assert rho_max(m) == rho_max(m.transpose())
 
 
-def test_rho_max_nonconvergence():
-    with pytest.raises(RuntimeError):
-        rho_max(build_Mbar(2), tol=0.0, max_iter=50)
+def _matrix(rows):
+    return CountMatrix(kind="Mbar", n=len(rows), labels=tuple(range(len(rows))), rows=rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.tuples(*[st.tuples(*[st.integers(1, 50)] * k)] * k)
+    )
+)
+def test_rho_max_against_power_iteration(rows):
+    m = _matrix(rows)
+    assert rho_max(m) == pytest.approx(power_iteration_rho(m), rel=1e-9)
+
+
+def test_rho_max_special_spectra():
+    # nilpotent: rho = 0; a permutation matrix: every eigenvalue on the unit circle
+    assert rho_max(_matrix(((0, 1), (0, 0)))) == 0.0
+    assert rho_max(_matrix(((0, 0), (0, 0)))) == 0.0
+    assert rho_max(_matrix(((0, 1, 0), (0, 0, 1), (1, 0, 0)))) == 1.0
+    assert rho_max(_matrix(((2, 0), (0, 7)))) == 7.0
+
+
+def test_rho_max_rejects_a_negative_entry():
+    with pytest.raises(ValueError, match="non-negative"):
+        rho_max(_matrix(((1, -1), (1, 1))))
+
+
+def test_reference_rho_digits_exact():
+    rows = spectral_radius_table(8)
+    for row in rows:
+        n = row["n"]
+        # RHO is truncated to three decimals, RHO_RATIO rounded
+        assert math.floor(1000 * row["rho"]) == round(1000 * reference.RHO[n])
+        if n >= 2:
+            assert round(row["ratio"], 3) == reference.RHO_RATIO[n]
 
 
 def test_spectral_radius_table_against_reference():
