@@ -7,10 +7,10 @@ Commands: count, matrix, charpoly, normalize, oracle, table, conjecture,
 verify; only count, matrix, table and verify offer --format csv.  JSON
 renders integers as decimal strings, and identical invocations produce
 byte-identical output.  Exit status is 0 on success, 1 on a verification
-mismatch, 2 on usage errors.  GC_THREADS sets the worker count for the
-brute-force oracle; count --via Mprime|M22|M23 uses the oracle paths and
-needs --last PERM; --last delta R needs R in 1..n; charpoly --factored
-needs --kind Mbar; table, conjecture and verify take --nmax <= MBAR_CAP.
+mismatch, 2 on usage errors.  count --via Mprime|M22|M23 uses the
+oracle paths and needs --last PERM; --last delta R needs R in 1..n;
+charpoly prints the factored form for --kind Mbar unless --raw is given;
+table, conjecture and verify take --nmax <= MBAR_CAP.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 
 from . import formulas, matrices, oracle, permutations, reference, spectral, words
@@ -124,8 +123,6 @@ _CHARPOLY_CAP = {"M": 5, "Mprime": 7}
 
 
 def _cmd_charpoly(args) -> int:
-    if args.factored and args.kind != "Mbar":
-        raise ValueError(f"--factored needs --kind Mbar, not --kind {args.kind}")
     cap = _CHARPOLY_CAP.get(args.kind)
     if cap is not None and args.n > cap:
         raise ValueError(
@@ -194,12 +191,7 @@ def _cmd_oracle(args) -> int:
     if r is not None:
         last_perm = permutations.partial_flip(args.n, args.n - r)
     if args.engine == "brute":
-        threads = os.environ.get("GC_THREADS", "1")
-        try:
-            workers = int(threads)
-        except ValueError:
-            raise ValueError(f"GC_THREADS must be an integer, got {threads!r}") from None
-        value = oracle.brute_count(args.n, args.d, last=last_perm, budget=args.budget, workers=workers)
+        value = oracle.brute_count(args.n, args.d, last=last_perm)
     else:
         value = oracle.dp_count(args.n, args.d, last=last_perm)
     if args.format == "json":
@@ -401,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("charpoly", help="characteristic polynomial of a counting matrix")
     p.add_argument("n", type=int)
     p.add_argument("--kind", choices=["M", "Mprime", "Mbar"], default="Mbar")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--raw", action="store_true", help="coefficient list only")
-    g.add_argument("--factored", action="store_true", help="factor against the smaller-n polynomials (kind Mbar only)")
+    p.add_argument("--raw", action="store_true", help="coefficient list only")
     _add_common(p)
     p.set_defaults(func=_cmd_charpoly)
 
@@ -418,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int)
     p.add_argument("--last", nargs="+", default=None, metavar="PERM|delta R")
     p.add_argument("--engine", choices=["brute", "dp"], default="dp")
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     _add_common(p)
     p.set_defaults(func=_cmd_oracle)
 

@@ -198,21 +198,24 @@ def b_n4_delta1_by_compositions(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    total = 0
-    for parts in compositions(n):
-        weight = parts[0] if len(parts) == 1 else parts[0] * parts[-1]
-        for p in parts[1:-1]:
-            weight *= p - 1
-        total += _multinomial(parts) * weight
-    return total
+    return _composition_sum(n, 0)
 
 
 def _unit_composition_sum(m: int) -> int:
     """Sum over compositions p of m of multinomial(p) (p_1 - 1) ... (p_{k-1} - 1) p_k."""
+    return _composition_sum(m, 1)
+
+
+def _composition_sum(m: int, shift: int) -> int:
+    """
+    Sum over compositions p of m of multinomial(p) times the weight
+    (p_1 - shift) (p_2 - 1) ... (p_{k-1} - 1) p_k, or m for the one-part
+    composition.  The two sums above differ only in shift.
+    """
     total = 0
     for parts in compositions(m):
-        weight = parts[-1]
-        for p in parts[:-1]:
+        weight = parts[0] if len(parts) == 1 else (parts[0] - shift) * parts[-1]
+        for p in parts[1:-1]:
             weight *= p - 1
         total += _multinomial(parts) * weight
     return total

@@ -2,9 +2,10 @@
 Independent ground truth for the counting pipeline; every cross-check
 lives here, so the library modules keep one code path each.
 
-brute_count enumerates whole tuples of permutations and tests every
-adjacent pair in isolation.  dp_count runs a dynamic program whose state
-is the exact last factor, without descent-class or partition reductions.
+brute_count lists the normal sequences one by one, extending normal
+prefixes depth first and testing each new adjacent pair in isolation.
+dp_count runs a dynamic program whose state is the exact last factor,
+without descent-class or partition reductions.
 left_right_descent_census tallies the descent masks of all n! braids, and
 sweep_Mbar builds Mbar(n) from it.  count_functions checks a / a_hat,
 b_of_simple_via counts through Mprime(n) or M(n) instead of Mbar(n),
@@ -17,8 +18,6 @@ import collections
 import functools
 import itertools
 import math
-import os
-from multiprocessing import Pool
 from typing import Iterable, Sequence
 
 from . import descents
@@ -30,34 +29,16 @@ DEFAULT_BUDGET = 10**8
 DP_CAP = 7
 
 
-def _tuple_is_normal(tup: tuple[Perm, ...]) -> bool:
-    return all(is_normal_pair(tup[k], tup[k + 1]) for k in range(len(tup) - 1))
-
-
-def _count_chunk(args: tuple[int, int, tuple[Perm, ...], tuple[Perm, ...]]) -> int:
-    """Count the normal tuples (first, free - 1 more factors, *tail) with first in firsts."""
-    n, free, tail, firsts = args
-    perms = list(itertools.permutations(range(1, n + 1)))
-    return sum(
-        _tuple_is_normal((first,) + rest + tail)
-        for first in firsts
-        for rest in itertools.product(perms, repeat=free - 1)
-    )
-
-
-def brute_count(
-    n: int,
-    d: int,
-    last: Perm | None = None,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-) -> int:
+def brute_count(n: int, d: int, last: Perm | None = None, budget: int = DEFAULT_BUDGET) -> int:
     """
-    Count length-d normal sequences of square-free n-braids by exhaustive
-    tuple enumeration, optionally with the final factor pinned.  Refuses
-    to start when the worst-case number of pair checks exceeds the budget.
-    The first factors are split among at most min(workers, n!, CPU count)
-    processes.
+    Count length-d normal sequences of square-free n-braids one by one,
+    optionally with the final factor pinned.  The sequences are listed
+    depth first: a normal prefix is extended by every permutation y with
+    (prefix[-1], y) a normal pair.  Normality is a condition on each
+    adjacent pair, so every prefix of a normal sequence is normal, and
+    skipping the extensions of a non-normal prefix loses no normal
+    sequence.  Refuses to start when the worst-case number of pair checks
+    over all tuples exceeds the budget.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
@@ -72,13 +53,25 @@ def brute_count(
         raise ValueError(
             f"budget exceeded: {checks} pair checks needed, budget is {budget}"
         )
-    firsts = list(itertools.permutations(range(1, n + 1)))
-    workers = min(workers, len(firsts), os.cpu_count() or 1)
-    if workers <= 1:
-        return _count_chunk((n, free, tail, tuple(firsts)))
-    jobs = [(n, free, tail, tuple(firsts[i::workers])) for i in range(workers)]
-    with Pool(processes=workers) as pool:
-        return sum(pool.map(_count_chunk, jobs))
+    perms = list(itertools.permutations(range(1, n + 1)))
+    slots = [perms] * free + [tail] * len(tail)
+    # an explicit stack, not recursion: at n = 1 the budget admits d far beyond the recursion limit
+    count = 0
+    prefix: list[Perm] = []
+    pending = [iter(slots[0])]  # pending[k] yields the candidates left for slot k
+    while pending:
+        y = next(pending[-1], None)
+        if y is None:
+            pending.pop()
+            if prefix:
+                prefix.pop()
+        elif not prefix or is_normal_pair(prefix[-1], y):
+            if len(prefix) + 1 == d:
+                count += 1
+            else:
+                prefix.append(y)
+                pending.append(iter(slots[len(prefix)]))
+    return count
 
 
 @functools.lru_cache(maxsize=None)

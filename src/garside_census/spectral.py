@@ -137,9 +137,13 @@ def charpoly(m: CountMatrix | Sequence[Sequence[int]]) -> IntPoly:
     return tuple(reversed(_berkowitz(rows)))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=matrices.MBAR_CAP)
 def cached_charpoly(m: CountMatrix) -> IntPoly:
-    """charpoly memoized per matrix; on build_Mbar(n), Berkowitz runs once per n."""
+    """
+    charpoly memoized per matrix; on build_Mbar(n), Berkowitz runs once per
+    n.  The cache holds one entry per possible Mbar(n), so other matrices
+    passed to rho_max do not stay in memory for good.
+    """
     return charpoly(m)
 
 

@@ -109,17 +109,6 @@ def test_oracle(capsys):
     assert out.strip() == "1956"
 
 
-def test_gc_threads_read_only_by_the_brute_engine(capsys, monkeypatch):
-    monkeypatch.setenv("GC_THREADS", "abc")
-    code, out, _ = run(capsys, "oracle", "4", "3")
-    assert code == 0
-    assert out.strip() == "1380"
-    code, out, err = run(capsys, "oracle", "3", "2", "--engine", "brute")
-    assert code == 2
-    assert out == ""
-    assert "GC_THREADS" in err
-
-
 def test_table_flags(capsys):
     code, out, _ = run(capsys, "table", "--nmax", "6", "--dmax", "6", "--format", "json")
     assert code == 0
@@ -225,7 +214,7 @@ def test_usage_error_exit_code():
         (["count", "3", "4", "--via", "M22"], "--via M22 counts by a last permutation"),
         (["count", "3", "4", "--last", "delta", "1", "--via", "M23"], "--via M23 counts by a last permutation"),
         (["charpoly", "8", "--kind", "Mprime"], "beyond n=7"),
-        (["charpoly", "5", "--kind", "M", "--factored"], "--factored needs --kind Mbar"),
+        (["charpoly", "4", "--factored"], "unrecognized arguments"),
         (["oracle", "4", "3", "--last", "delta", "0"], "r=0 out of range 1..4"),
         (["oracle", "4", "3", "--last", "delta", "5"], "r=5 out of range 1..4"),
         (["count", "4", "3", "--last", "delta", "x"], "--last delta takes an integer"),
@@ -234,6 +223,8 @@ def test_usage_error_exit_code():
         (["verify", "--nmax", str(matrices.MBAR_CAP + 1)], f"--nmax: must be at most {matrices.MBAR_CAP}"),
         (["verify", "--nmax", "1"], "--nmax: must be at least 2"),
         (["verify", "--dmax", "1"], "--dmax: must be at least 2"),
+        (["oracle", "3", "2", "--budget", "5"], "unrecognized arguments"),
+        (["oracle", "5", "4", "--engine", "brute"], "budget exceeded"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from garside_census import oracle
-from garside_census.cli import main
 from garside_census.matrices import b_delta, b_of_simple, b_total
 from garside_census.oracle import b_of_simple_via, brute_count, dp_count
 from garside_census.permutations import identity, partial_flip
@@ -32,41 +31,39 @@ def test_brute_validation():
         brute_count(0, 1)
 
 
-def test_brute_workers_agree():
-    assert brute_count(3, 3, workers=2) == brute_count(3, 3)
-    assert brute_count(3, 3, last=partial_flip(3, 2), workers=2) == brute_count(
-        3, 3, last=partial_flip(3, 2)
+@st.composite
+def brute_cases(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
+    last = draw(
+        st.one_of(
+            st.none(),
+            st.integers(1, n).map(lambda r: partial_flip(n, n - r)),
+            st.permutations(range(1, n + 1)).map(tuple),
+        )
     )
+    return n, d, last
 
 
-def test_brute_pool_bounded(monkeypatch, capsys):
-    # a recording stand-in for the pool: no process is started
-    started = []
+@settings(max_examples=60, deadline=None)
+@given(brute_cases())
+def test_brute_matches_dp(case):
+    n, d, last = case
+    assert brute_count(n, d, last=last) == dp_count(n, d, last=last)
 
-    class RecordingPool:
-        def __init__(self, processes):
-            started.append(processes)
 
-        def __enter__(self):
-            return self
+def test_brute_at_sizes_beyond_plain_enumeration():
+    # 24^5 tuples at (4, 5), but only normal prefixes are extended: a second or two each
+    assert brute_count(4, 5) == b_total(4, 5) == 45252
+    assert brute_count(5, 3) == b_total(5, 3)
+    for r in range(1, 5):
+        assert brute_count(4, 5, last=partial_flip(4, 4 - r)) == b_delta(4, 5, r)
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
-
-    monkeypatch.setattr(oracle, "Pool", RecordingPool)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
-    assert brute_count(3, 2, workers=1000) == 19
-    assert started == [6]  # one process per first factor, no more
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("GC_THREADS", "1000")
-    assert main(["oracle", "3", "2", "--engine", "brute"]) == 0
-    assert capsys.readouterr().out.strip() == "19"
-    assert started == [6, 4]  # bounded by the CPU count
-    assert brute_count(3, 2, workers=1) == 19
-    assert started == [6, 4]  # one worker runs in this process
+@pytest.mark.parametrize("n, d", [(4, 6), (5, 4), (6, 3)])
+def test_brute_refuses_beyond_the_budget(n, d):
+    with pytest.raises(ValueError, match="budget exceeded"):
+        brute_count(n, d)
 
 
 def test_dp_examples():

@@ -1,13 +1,15 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from garside_census import reference
-from garside_census.matrices import CountMatrix, b_delta, b_total, build_M, build_Mbar, build_Mprime
+from garside_census.matrices import MBAR_CAP, CountMatrix, b_delta, b_total, build_M, build_Mbar, build_Mprime
 from garside_census.oracle import m_charpoly_nonzero, naive_charpoly
 from garside_census.spectral import (
     are_coprime,
+    cached_charpoly,
     charpoly,
     divides,
     exact_quotient,
@@ -287,6 +289,14 @@ def test_rho_max_special_spectra():
     assert rho_max(_matrix(((0, 0), (0, 0)))) == 0.0
     assert rho_max(_matrix(((0, 1, 0), (0, 0, 1), (1, 0, 0)))) == 1.0
     assert rho_max(_matrix(((2, 0), (0, 7)))) == 7.0
+
+
+def test_charpoly_cache_holds_at_most_one_entry_per_Mbar():
+    rng = random.Random(7)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        rho_max(_matrix(tuple(tuple(rng.randint(0, 9) for _ in range(k)) for _ in range(k))))
+    assert cached_charpoly.cache_info().currsize <= MBAR_CAP
 
 
 def test_rho_max_rejects_a_negative_entry():
