@@ -133,8 +133,8 @@ def _cmd_charpoly(args) -> int:
     poly = (spectral.cached_charpoly if args.kind == "Mbar" else spectral.charpoly)(m)
     factors = None
     if args.kind == "Mbar" and not args.raw:
-        chain = [spectral.cached_charpoly(matrices.build_Mbar(1))]
-        chain += (spectral.new_factor_simple_roots(k).quotient for k in range(2, args.n + 1))
+        polys = [spectral.cached_charpoly(matrices.build_Mbar(k)) for k in range(1, args.n + 1)]
+        chain = polys[:1] + [spectral.exact_quotient(p, q) for p, q in zip(polys, polys[1:])]
         factors = None if None in chain else chain
     if args.format == "json":
         obj = {

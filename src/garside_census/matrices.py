@@ -13,8 +13,11 @@ and the exact big-integer counting pipeline built on them.
             columns keyed by the partition (a column of Mprime depends on
             its subset only through it).
 
-Each has its own size cap: FACTORIAL_CAP, SUBSET_CAP and MBAR_CAP.  The
-columns of Mprime and Mbar come from descents.a_column.
+Each has its own size cap: FACTORIAL_CAP, SUBSET_CAP and MBAR_CAP.
+FACTORIAL_CAP also bounds the n!-sized state of the oracles that count
+through M(n) by its predecessor lists (oracle.dp_count and the M22 / M23
+paths of oracle.b_of_simple_via).  The columns of Mprime and Mbar come
+from descents.a_column.
 
 b(n, d) counts the positive n-braids of degree at most d; b(n, d, x) those
 whose d-th normal factor equals the square-free braid x.  All three

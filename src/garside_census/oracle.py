@@ -5,7 +5,9 @@ lives here, so the library modules keep one code path each.
 brute_count lists the normal sequences one by one, extending normal
 prefixes depth first and testing each new adjacent pair in isolation.
 dp_count runs a dynamic program whose state is the exact last factor,
-without descent-class or partition reductions.
+without descent-class or partition reductions: it steps a row vector
+through M(n), held as the predecessor lists of _predecessors, the one
+encoding of M(n) that any count iterates.
 left_right_descent_census tallies the descent masks of all n! braids, and
 sweep_Mbar builds Mbar(n) from it.  count_functions checks a / a_hat,
 b_of_simple_via counts through Mprime(n) or M(n) instead of Mbar(n),
@@ -21,12 +23,11 @@ import math
 from typing import Iterable, Sequence
 
 from . import descents
-from .matrices import CountMatrix, build_M, build_Mprime, descent_masks, vec_times_matrix
+from .matrices import FACTORIAL_CAP, CountMatrix, build_Mprime, descent_masks, vec_times_matrix
 from .permutations import Perm, d_left, enumeration_index, is_normal_pair
-from .spectral import IntPoly, charpoly, poly_add, poly_mul, poly_sub, poly_trim, strip_x_power
+from .spectral import IntPoly, charpoly, poly_mul, poly_trim, strip_x_power
 
 DEFAULT_BUDGET = 10**8
-DP_CAP = 7
 
 
 def brute_count(n: int, d: int, last: Perm | None = None, budget: int = DEFAULT_BUDGET) -> int:
@@ -77,10 +78,15 @@ def brute_count(n: int, d: int, last: Perm | None = None, budget: int = DEFAULT_
 @functools.lru_cache(maxsize=None)
 def _predecessors(n: int) -> tuple[tuple[int, ...], ...]:
     """
-    For each square-free braid, the indices of the braids that may stand
-    before it.  They depend only on its left-descent mask, so braids with
-    the same mask share one tuple.
+    M(n) by columns: for each square-free braid, the indices of the braids
+    that may stand before it, the rows x with M(n)[x][y] = 1.  They depend
+    only on its left-descent mask, so braids with the same mask share one
+    tuple.  Refuses n beyond matrices.FACTORIAL_CAP.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > FACTORIAL_CAP:
+        raise ValueError(f"n={n} exceeds the factorial-size cap {FACTORIAL_CAP}")
     masks = descent_masks(n)
     rights = [right for _, right in masks]
     by_left = {
@@ -90,22 +96,26 @@ def _predecessors(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(by_left[left] for left, _ in masks)
 
 
+def _times_M(v: list[int], predecessors: tuple[tuple[int, ...], ...], steps: int) -> list[int]:
+    """The row vector v times M(n)^steps, M(n) given by _predecessors(n)."""
+    for _ in range(steps):
+        v = [sum(v[x] for x in pred) for pred in predecessors]
+    return v
+
+
 def dp_count(n: int, d: int, last: Perm | None = None) -> int:
     """
     Count the same sequences by a transfer dynamic program over the exact
     last factor, one state per square-free braid (no descent-class
-    grouping).  Refuses n beyond DP_CAP.
+    grouping): the vector 1 M(n)^(d-1).  Refuses n beyond
+    matrices.FACTORIAL_CAP.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
-    if n > DP_CAP:
-        raise ValueError(f"n={n} exceeds the dp cap {DP_CAP}")
     if last is not None and len(last) != n:
         raise ValueError(f"constraint permutation {last} does not live on {n} strands")
     predecessors = _predecessors(n)
-    v = [1] * len(predecessors)
-    for _ in range(d - 1):
-        v = [sum(v[x] for x in pred) for pred in predecessors]
+    v = _times_M([1] * len(predecessors), predecessors, d - 1)
     return sum(v) if last is None else v[enumeration_index(last)]
 
 
@@ -170,17 +180,14 @@ def count_functions(n: int, I: Iterable[int], J: Iterable[int], exact: bool) -> 
     return total
 
 
-def _iterate(v: tuple[int, ...], m: CountMatrix, steps: int) -> tuple[int, ...]:
-    for _ in range(steps):
-        v = vec_times_matrix(v, m)
-    return v
-
-
 def b_of_simple_via(n: int, d: int, x: Perm, via: str) -> int:
     """
     matrices.b_of_simple(n, d, x) through a larger matrix: "Mprime", or
-    "M22" and "M23" (row- and corner-vector forms over the full matrix).
-    The matrices are rebuilt on every call.
+    "M22" and "M23" over the full matrix M(n).  M22 is the row vector
+    1 M(n)^(d-1), which is dp_count with x pinned; M23 is the corner
+    vector e_Delta M(n)^d.  Both step over the predecessor lists of
+    _predecessors, within matrices.FACTORIAL_CAP.  Mprime(n) is rebuilt
+    on every call.
     """
     if len(x) != n:
         raise ValueError(f"permutation {x} does not live on {n} strands")
@@ -188,14 +195,16 @@ def b_of_simple_via(n: int, d: int, x: Perm, via: str) -> int:
         raise ValueError("d must be at least 1")
     if via == "Mprime":
         m = build_Mprime(n)
-        return _iterate((1,) * m.size, m, d - 1)[m.label_index(d_left(x))]
-    if via not in ("M22", "M23"):
-        raise ValueError(f"unknown path {via!r}")
-    m = build_M(n)
+        v = (1,) * m.size
+        for _ in range(d - 1):
+            v = vec_times_matrix(v, m)
+        return v[m.label_index(d_left(x))]
     if via == "M22":
-        v = _iterate((1,) * m.size, m, d - 1)
-    else:
-        v = _iterate((0,) * (m.size - 1) + (1,), m, d)
+        return dp_count(n, d, last=x)
+    if via != "M23":
+        raise ValueError(f"unknown path {via!r}")
+    predecessors = _predecessors(n)
+    v = _times_M([0] * (len(predecessors) - 1) + [1], predecessors, d)
     return v[enumeration_index(x)]
 
 
@@ -216,12 +225,13 @@ def naive_charpoly(rows: Sequence[Sequence[int]]) -> IntPoly:
             return (1,)
         if k == 1:
             return mat[0][0]
-        acc = (0,)
+        acc = [0] * (k + 1)  # a k x k determinant of linear entries has degree at most k
         for j in range(k):
             minor = [r[:j] + r[j + 1 :] for r in mat[1:]]
-            term = poly_mul(mat[0][j], det(minor))
-            acc = poly_sub(acc, term) if j % 2 else poly_add(acc, term)
-        return acc
+            sign = -1 if j % 2 else 1
+            for i, c in enumerate(poly_mul(mat[0][j], det(minor))):
+                acc[i] += sign * c
+        return poly_trim(acc)
 
     return det(entries)
 

@@ -58,20 +58,6 @@ def poly_mul(p: Sequence, q: Sequence) -> tuple:
     return poly_trim(out)
 
 
-def poly_add(p: Sequence, q: Sequence) -> tuple:
-    size = max(len(p), len(q))
-    return poly_trim(
-        tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(size))
-    )
-
-
-def poly_sub(p: Sequence, q: Sequence) -> tuple:
-    size = max(len(p), len(q))
-    return poly_trim(
-        tuple((p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(size))
-    )
-
-
 def poly_derivative(p: Sequence) -> tuple:
     if len(p) <= 1:
         return (0,)

@@ -171,17 +171,3 @@ def rewrite_potential(factors: tuple[Perm, ...]) -> int:
     factor weighted by its slot.  Each local move decreases it by one.
     """
     return sum((k + 1) * inversion_number(x) for k, x in enumerate(factors))
-
-
-def letters_of(x: Perm) -> tuple[int, ...]:
-    """
-    A reduced positive word for a square-free braid, peeling the smallest
-    right descent until the identity remains.
-    """
-    out: list[int] = []
-    n = len(x)
-    while x != identity(n):
-        i = min(d_right(x))
-        out.append(i)
-        x = compose(x, transposition(n, i))
-    return tuple(reversed(out))

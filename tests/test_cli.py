@@ -225,6 +225,9 @@ def test_usage_error_exit_code():
         (["verify", "--dmax", "1"], "--dmax: must be at least 2"),
         (["oracle", "3", "2", "--budget", "5"], "unrecognized arguments"),
         (["oracle", "5", "4", "--engine", "brute"], "budget exceeded"),
+        (["count", "8", "2", "--last", "[8,7,6,5,4,3,2,1]", "--via", "M22"], "exceeds the factorial-size cap 7"),
+        (["count", "8", "2", "--last", "[8,7,6,5,4,3,2,1]", "--via", "M23"], "exceeds the factorial-size cap 7"),
+        (["oracle", "8", "2"], "exceeds the factorial-size cap 7"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from garside_census import oracle
-from garside_census.matrices import b_delta, b_of_simple, b_total
+from garside_census.matrices import b_delta, b_of_simple, b_total, build_M
 from garside_census.oracle import b_of_simple_via, brute_count, dp_count
-from garside_census.permutations import identity, partial_flip
+from garside_census.permutations import flip, identity, partial_flip
 
 
 def test_brute_examples():
@@ -81,8 +81,15 @@ def test_predecessors_shared_per_left_mask():
     assert len({id(pred) for pred in predecessors}) <= 16
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_predecessors_are_the_columns_of_M(n):
+    rows = build_M(n).rows
+    for y, pred in enumerate(oracle._predecessors(n)):
+        assert pred == tuple(x for x in range(len(rows)) if rows[x][y] == 1)
+
+
 def test_dp_cap_and_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds the factorial-size cap 7"):
         dp_count(8, 2)
     with pytest.raises(ValueError):
         dp_count(3, 0)
@@ -131,6 +138,22 @@ def test_b_of_simple_matches_every_via(case):
     value = b_of_simple(n, d, x)
     for via in ("Mprime", "M22", "M23"):
         assert b_of_simple_via(n, d, x, via) == value, via
+
+
+@pytest.mark.parametrize("via", ["M22", "M23"])
+@pytest.mark.parametrize(
+    "n, d, x",
+    [
+        (6, 2, identity(6)),
+        (6, 5, partial_flip(6, 3)),
+        (6, 8, (6, 5, 4, 3, 1, 2)),
+        (7, 3, identity(7)),
+        (7, 3, flip(7)),
+        (7, 6, (7, 6, 5, 4, 3, 1, 2)),  # 1336762651, also compared end to end in CI
+    ],
+)
+def test_full_matrix_paths_at_n_6_and_7(n, d, x, via):
+    assert b_of_simple_via(n, d, x, via) == b_of_simple(n, d, x)
 
 
 def test_b_of_simple_via_validation():

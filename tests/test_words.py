@@ -7,12 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from garside_census.matrices import b_total
 from garside_census.permutations import (
+    Perm,
     compose,
+    d_right,
     flip,
     identity,
     inversion_number,
     is_normal_pair,
     perm_of_letters,
+    transposition,
 )
 from garside_census.words import (
     NormalSequence,
@@ -20,12 +23,25 @@ from garside_census.words import (
     degree,
     delta_letters,
     dth_factor,
-    letters_of,
     normalize,
     normalize_factors,
     parse_word,
     rewrite_potential,
 )
+
+
+def letters_of(x: Perm) -> tuple[int, ...]:
+    """
+    A reduced positive word for a square-free braid, peeling the smallest
+    right descent until the identity remains.
+    """
+    out: list[int] = []
+    n = len(x)
+    while x != identity(n):
+        i = min(d_right(x))
+        out.append(i)
+        x = compose(x, transposition(n, i))
+    return tuple(reversed(out))
 
 
 def word_strategy(max_n=5, max_len=12):
