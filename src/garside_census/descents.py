@@ -19,17 +19,24 @@ depends only on the two partitions, and by RSK it is sum over shapes nu
 of K(nu, rows) * K(nu, cols), a sum of products of Kostka numbers read
 from _tableaux, which grows each table by one horizontal strip per part.
 contingency_count, a dynamic program over the columns, counts the same
-matrices directly and is kept as the independent check.  a follows by
+matrices directly and is kept as the independent check.
+
+Two levels read these margin counts.  At the subset level, a follows by
 inclusion-exclusion over supersets of I, in a_column, the one superset
-transform; partitions_by_mask is the one subset-to-partition table.
-matrices.build_Mprime and build_Mbar read both.  The brute-force
-oracles, oracle.count_functions and the census of all n! permutations
-(oracle.left_right_descent_census), live with the other oracles.
+transform; partitions_by_mask is the one subset-to-partition table, and
+matrices.build_Mprime and a read both.  At the partition level,
+_refinements holds the signed refinement counts that sum the same
+inclusion-exclusion over every subset with a given partition at once;
+matrices.build_Mbar reads it with _count_by_sorted_margins and never
+builds a subset table.  The brute-force oracles, oracle.count_functions
+and the census of all n! permutations (oracle.left_right_descent_census),
+live with the other oracles.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Iterable, Sequence
 
 Composition = tuple[int, ...]
@@ -104,12 +111,16 @@ def partitions_by_mask(n: int) -> tuple[PartitionN, ...]:
 def partitions_in_order(n: int) -> tuple[PartitionN, ...]:
     """
     The partitions of n, ordered by first occurrence as the partition of a
-    subset, subsets taken in binary counting order.
+    subset, subsets taken in binary counting order.  That first subset is
+    the one whose composition is the partition read in non-increasing
+    order, so the partitions are sorted by mask_of(set_of_composition(lam)).
 
     >>> partitions_in_order(3)
     ((1, 1, 1), (2, 1), (3,))
     """
-    return tuple(dict.fromkeys(partitions_by_mask(n)))
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return tuple(sorted(_refinements((n,)), key=lambda lam: mask_of(set_of_composition(lam))))
 
 
 def delta_partition(n: int, r: int) -> PartitionN:
@@ -237,6 +248,40 @@ def _count_by_sorted_margins(rows_desc: tuple[int, ...], cols_desc: tuple[int, .
     # of one shape, with contents rows_desc and cols_desc.
     by_cols = _tableaux(cols_desc)
     return sum(k * by_cols.get(shape, 0) for shape, k in _tableaux(rows_desc).items())
+
+
+def _multinomial(parts: Sequence[int]) -> int:
+    """sum(parts)! / (parts[0]! parts[1]! ...), e.g. 12 for (2, 1, 1)."""
+    out = math.factorial(sum(parts))
+    for p in parts:
+        out //= math.factorial(p)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _refinements(kappa: tuple[int, ...]) -> dict[PartitionN, int]:
+    """
+    Signed refinement counts of kappa, read as a composition: entry lam is
+    the sum of (-1)^(len(alpha) - len(kappa)) over the compositions alpha
+    that split each part of kappa into a composition and sort to lam.  The
+    table extends the one for kappa[:-1] by every composition of the last
+    part, one sign flip for each part it adds.
+
+    Shrinking a subset I' to I refines its composition this way, with sign
+    (-1)^|I' - I|, so r(kappa) times entry lam, r(kappa) the number of
+    orderings of kappa, is the signed count of the pairs I within I' with
+    partitions lam and kappa.  The dict is shared by every caller and must
+    not be changed.
+    """
+    if not kappa:
+        return {(): 1}
+    out: dict[PartitionN, int] = {}
+    pieces = [(beta, (-1) ** (len(beta) - 1)) for beta in compositions(kappa[-1])]
+    for lam, count in _refinements(kappa[:-1]).items():
+        for beta, sign in pieces:
+            finer = tuple(sorted(lam + beta, reverse=True))
+            out[finer] = out.get(finer, 0) + sign * count
+    return out
 
 
 def a_hat(n: int, I: Iterable[int], J: Iterable[int]) -> int:

@@ -20,7 +20,7 @@ import math
 from typing import Sequence
 
 from . import matrices
-from .descents import PartitionN, compositions
+from .descents import PartitionN, _multinomial, compositions
 from .reference import PAPER_DISCREPANCY
 
 
@@ -55,14 +55,6 @@ def _check(label: str, expected, computed, flag: str | None = None) -> Check:
         match=expected == computed,
         flag=flag,
     )
-
-
-def _multinomial(parts: Sequence[int]) -> int:
-    """sum(parts)! / (parts[0]! parts[1]! ...), e.g. 12 for (2, 1, 1)."""
-    out = math.factorial(sum(parts))
-    for p in parts:
-        out //= math.factorial(p)
-    return out
 
 
 def b3_closed(d: int, lam: PartitionN) -> int:

@@ -16,8 +16,9 @@ and the exact big-integer counting pipeline built on them.
 Each has its own size cap: FACTORIAL_CAP, SUBSET_CAP and MBAR_CAP.
 FACTORIAL_CAP also bounds the n!-sized state of the oracles that count
 through M(n) by its predecessor lists (oracle.dp_count and the M22 / M23
-paths of oracle.b_of_simple_via).  The columns of Mprime and Mbar come
-from descents.a_column.
+paths of oracle.b_of_simple_via).  The columns of Mprime come from
+descents.a_column, the subset level; Mbar is built at the partition level
+from the Kostka sums and descents._refinements, with no subset table.
 
 b(n, d) counts the positive n-braids of degree at most d; b(n, d, x) those
 whose d-th normal factor equals the square-free braid x.  All three
@@ -32,6 +33,7 @@ polynomial (spectral.cached_charpoly) are computed once per process.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import math
@@ -215,13 +217,20 @@ def build_Mbar(n: int) -> CountMatrix:
 
 @functools.lru_cache(maxsize=None)
 def _cached_Mbar(n: int) -> CountMatrix:
+    # Mbar = C·Â at the partition level (Stanley, EC2 §7.23): row kappa of Â
+    # holds the Kostka sums, and C[lam][kappa] = r(kappa)·_refinements(kappa)[lam]
+    # is the h-expansion of the summed ribbon Schur functions, the superset
+    # inclusion-exclusion of a_column summed over the subsets with partition lam.
     labels = descents.partitions_in_order(n)
     index = {lam: i for i, lam in enumerate(labels)}
-    parts = descents.partitions_by_mask(n)
     rows_acc = [[0] * len(labels) for _ in labels]
-    for mu_idx, mu in enumerate(labels):
-        for lam, count in zip(parts, descents.a_column(n, mu)):
-            rows_acc[index[lam]][mu_idx] += count
+    for kappa in labels:
+        a_hat_row = [descents._count_by_sorted_margins(kappa, mu) for mu in labels]
+        orderings = descents._multinomial(collections.Counter(kappa).values())
+        for lam, count in descents._refinements(kappa).items():
+            i = index[lam]
+            weight = orderings * count
+            rows_acc[i] = [acc + weight * x for acc, x in zip(rows_acc[i], a_hat_row)]
     rows = tuple(tuple(r) for r in rows_acc)
     return CountMatrix(kind="Mbar", n=n, labels=labels, rows=rows)
 

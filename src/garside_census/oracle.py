@@ -27,10 +27,10 @@ from .matrices import FACTORIAL_CAP, CountMatrix, build_Mprime, descent_masks, v
 from .permutations import Perm, d_left, enumeration_index, is_normal_pair
 from .spectral import IntPoly, charpoly, poly_mul, poly_trim, strip_x_power
 
-DEFAULT_BUDGET = 10**8
+BRUTE_BUDGET = 10**8
 
 
-def brute_count(n: int, d: int, last: Perm | None = None, budget: int = DEFAULT_BUDGET) -> int:
+def brute_count(n: int, d: int, last: Perm | None = None) -> int:
     """
     Count length-d normal sequences of square-free n-braids one by one,
     optionally with the final factor pinned.  The sequences are listed
@@ -39,7 +39,7 @@ def brute_count(n: int, d: int, last: Perm | None = None, budget: int = DEFAULT_
     adjacent pair, so every prefix of a normal sequence is normal, and
     skipping the extensions of a non-normal prefix loses no normal
     sequence.  Refuses to start when the worst-case number of pair checks
-    over all tuples exceeds the budget.
+    over all tuples exceeds BRUTE_BUDGET.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
@@ -50,9 +50,9 @@ def brute_count(n: int, d: int, last: Perm | None = None, budget: int = DEFAULT_
     if free == 0:
         return 1
     checks = math.factorial(n) ** free * max(d - 1, 1)
-    if checks > budget:
+    if checks > BRUTE_BUDGET:
         raise ValueError(
-            f"budget exceeded: {checks} pair checks needed, budget is {budget}"
+            f"budget exceeded: {checks} pair checks needed, budget is {BRUTE_BUDGET}"
         )
     perms = list(itertools.permutations(range(1, n + 1)))
     slots = [perms] * free + [tail] * len(tail)

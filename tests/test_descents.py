@@ -84,6 +84,16 @@ def test_partitions_in_order_small():
     )
 
 
+@pytest.mark.parametrize("n", range(1, 16))
+def test_partitions_in_order_is_first_occurrence_over_subsets(n):
+    assert partitions_in_order(n) == tuple(dict.fromkeys(descents.partitions_by_mask(n)))
+
+
+def test_partitions_in_order_rejects_n_below_one():
+    with pytest.raises(ValueError):
+        partitions_in_order(0)
+
+
 @pytest.mark.parametrize(
     "n,count", [(1, 1), (2, 2), (3, 3), (4, 5), (5, 7), (6, 11), (7, 15), (8, 22), (9, 30), (10, 42)]
 )
@@ -223,6 +233,36 @@ def test_library_counts_never_run_the_dp():
     a_hat(8, {1, 3, 4}, {2, 6, 7})
     assert descents._tableaux.cache_info().misses > 0
     assert descents._fill_columns.cache_info().misses == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_subset_pairs(n):
+    """
+    (lam, kappa) -> the sum of (-1)^|I' - I| over the subset pairs I <= I'
+    with partitions lam and kappa: the partition-level inclusion-exclusion.
+    """
+    parts = descents.partitions_by_mask(n)
+    out = {}
+    for outer in range(1 << (n - 1)):
+        inner = outer
+        while True:
+            key = (parts[inner], parts[outer])
+            out[key] = out.get(key, 0) + (-1) ** bin(outer ^ inner).count("1")
+            if inner == 0:
+                break
+            inner = (inner - 1) & outer
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.sampled_from(partitions_in_order(n)))))
+def test_refinements_times_orderings_sum_the_signed_subset_pairs(case):
+    n, kappa = case
+    pairs = _signed_subset_pairs(n)
+    orderings = descents._multinomial([kappa.count(p) for p in set(kappa)])
+    table = descents._refinements(kappa)
+    for lam in partitions_in_order(n):
+        assert orderings * table.get(lam, 0) == pairs.get((lam, kappa), 0), (lam, kappa)
 
 
 # --- the counting numbers ---------------------------------------------------

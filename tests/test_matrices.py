@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from garside_census import matrices, reference
+from garside_census import descents, matrices, reference
 from garside_census.descents import partition_of, partitions_in_order, subsets_in_binary_order
 from garside_census.matrices import (
     b_delta,
@@ -91,6 +91,33 @@ def test_build_Mbar_small():
 def test_Mbar_methods_agree(n):
     # the margin-count build against the oracle's sweep over all n! permutations
     assert build_Mbar(n) == sweep_Mbar(n)
+
+
+def _Mbar_from_subsets(n):
+    """Mbar by regrouping every a_column(n, mu) over the rows' subset partitions."""
+    labels = partitions_in_order(n)
+    index = {lam: i for i, lam in enumerate(labels)}
+    rows = [[0] * len(labels) for _ in labels]
+    for j, mu in enumerate(labels):
+        for lam, count in zip(descents.partitions_by_mask(n), descents.a_column(n, mu)):
+            rows[index[lam]][j] += count
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_Mbar_equals_the_subset_level_regrouping(n):
+    assert matrices._cached_Mbar(n).rows == _Mbar_from_subsets(n)
+
+
+def test_Mbar_build_never_touches_the_subset_level(monkeypatch):
+    def forbidden(n, mu):
+        raise AssertionError("a_column called on the Mbar path")
+
+    for cached in (matrices._cached_Mbar, descents.partitions_in_order, descents.partitions_by_mask):
+        cached.cache_clear()
+    monkeypatch.setattr(descents, "a_column", forbidden)
+    build_Mbar(11)
+    assert descents.partitions_by_mask.cache_info().misses == 0
 
 
 def test_Mbar_cap_checked_on_cached_calls():

@@ -20,8 +20,11 @@ def test_brute_degenerate():
 
 
 def test_brute_budget():
-    with pytest.raises(ValueError):
-        brute_count(4, 5, budget=1000)
+    # the budget is the module constant, not a parameter
+    with pytest.raises(ValueError, match=f"budget is {oracle.BRUTE_BUDGET}$"):
+        brute_count(4, 6)
+    with pytest.raises(TypeError):
+        brute_count(4, 5, budget=10**9)
 
 
 def test_brute_validation():
