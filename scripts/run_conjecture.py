@@ -8,7 +8,7 @@ of degree p(n) - p(n-1) and nonzero constant term.
 
 N runs from 2 to matrices.MBAR_CAP (15), the size cap of build_Mbar; a
 larger N is refused before any matrix is built.  The default range
-n <= 10 runs in seconds, n = 13 in well under a minute.
+n <= 10 runs in about a second, the full range n <= 15 in about 10 s.
 """
 import argparse
 import sys

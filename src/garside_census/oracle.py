@@ -11,7 +11,7 @@ encoding of M(n) that any count iterates.
 left_right_descent_census tallies the descent masks of all n! braids, and
 sweep_Mbar builds Mbar(n) from it.  count_functions checks a / a_hat,
 b_of_simple_via counts through Mprime(n) or M(n) instead of Mbar(n),
-naive_charpoly checks Berkowitz by cofactors, and m_charpoly_nonzero
+naive_charpoly checks charpoly by cofactors, and m_charpoly_nonzero
 gives the nonzero spectrum of M(n) without building it.
 """
 from __future__ import annotations

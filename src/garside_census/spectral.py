@@ -4,28 +4,39 @@ consecutive spectra, and the dominant eigenvalue, read exactly off the
 characteristic polynomial and returned as the nearest double.
 
 Polynomials are dense integer-coefficient tuples with the constant term
-first.  Characteristic polynomials are computed by the Berkowitz vector
-recursion, which is division-free and therefore stays in exact integers.
-Division, divisibility and gcd stay in integers too (Knuth, TAOCP vol. 2,
-4.6.1): exact division, pseudo-division, and the primitive remainder
-sequence for the degree of a gcd over Q.  Its cross-checks, a naive
+first.  A characteristic polynomial is solved for from the Krylov rows
+v A^k of v = (1, ..., 1): the Krylov matrix is factored once modulo the
+word-size prime _P and the solution lifted P-adically (Dixon, Numer.
+Math. 40, 1982) until it satisfies the Cayley-Hamilton identity for v
+exactly.  When v is not cyclic for A, or the Krylov matrix is singular
+mod _P, the division-free Berkowitz recursion runs instead; both stay in
+exact integers.  Division, divisibility and gcd stay in integers too
+(Knuth, TAOCP vol. 2, 4.6.1): exact division, pseudo-division, and the
+primitive remainder sequence for the degree of a gcd over Q, which
+coprimality and squarefree tests reach only when a remainder sequence
+mod _P cannot already prove the answer.  Its cross-checks, a naive
 cofactor-expansion determinant and the nonzero spectrum of the full matrix
 M(n), are oracle.naive_charpoly and oracle.m_charpoly_nonzero.  The
-dominant eigenvalue costs one cached Berkowitz run per matrix and a
-bisection in which every step is an integer Taylor shift; nothing here
-uses floats until the final, correctly rounded division.
+dominant eigenvalue costs one cached characteristic polynomial per matrix
+and a bisection in which every step is an integer Taylor shift; nothing
+here uses floats until the final, correctly rounded division.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import math
+from operator import mul
 from typing import Sequence
 
 from . import descents, matrices
 from .matrices import CountMatrix
 
 IntPoly = tuple[int, ...]
+
+# The modulus of the Krylov factorisation and the modular gcd: a prime
+# below 2**30, so every residue is a one-digit CPython int.
+_P = (1 << 30) - 35
 
 
 def poly_trim(p: Sequence) -> tuple:
@@ -112,21 +123,97 @@ def _berkowitz(rows: Sequence[Sequence[int]]) -> list[int]:
     return poly
 
 
+def _lu_mod_p(a: Sequence[Sequence[int]]):
+    """
+    LU factorisation of a square integer matrix mod _P with row pivoting:
+    (perm, lu), row k of lu holding the multipliers of L left of the
+    diagonal and U from it on.  None when the matrix is singular mod _P.
+    """
+    a = [[e % _P for e in row] for row in a]
+    perm = list(range(len(a)))
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        perm[k], perm[piv] = perm[piv], perm[k]
+        inv = pow(a[k][k], -1, _P)
+        tail = a[k][k + 1:]
+        for row in a[k + 1:]:
+            f = row[k] * inv % _P
+            row[k] = f
+            if f:
+                row[k + 1:] = [(x - f * y) % _P for x, y in zip(row[k + 1:], tail)]
+    return perm, a
+
+
+def _solve_mod_p(perm: list[int], lu: list[list[int]], r: Sequence[int]) -> list[int]:
+    """The x with a x = r mod _P, for (perm, lu) = _lu_mod_p(a)."""
+    y = [r[p] % _P for p in perm]
+    for i, row in enumerate(lu):
+        y[i] = (y[i] - sum(map(mul, row[:i], y[:i]))) % _P
+    for i in range(len(lu) - 1, -1, -1):
+        row = lu[i]
+        y[i] = (y[i] - sum(map(mul, row[i + 1:], y[i + 1:]))) * pow(row[i], -1, _P) % _P
+    return y
+
+
+def _krylov_charpoly(rows: Sequence[Sequence[int]]) -> IntPoly | None:
+    """
+    det(xI - A), constant term first, from the Krylov rows K_k = v A^k of
+    v = (1, ..., 1); None when K = (K_0; ...; K_(m-1)) is singular mod _P.
+
+    Then K is nonsingular over Q, v's minimal polynomial has degree m and
+    is the characteristic polynomial, and its low coefficients c are the
+    unique solution of c K = -K_m.  Dixon lifting finds c mod P^i for
+    i = 1, 2, ...; the symmetric residue is c itself once P^i > 2 max|c_k|,
+    and the exact identity c K + K_m = 0, which holds for c alone, decides
+    when that is.  Every |c_k| <= (1 + R)^m, R the largest absolute row
+    sum, so the lifting cannot pass that bound without a bug.
+    """
+    m = len(rows)
+    cols = list(zip(*rows))
+    krylov = [[1] * m]
+    for _ in range(m):
+        prev = krylov[-1]
+        krylov.append([sum(map(mul, prev, col)) for col in cols])
+    # kt[j] = (K_0[j], ..., K_(m-1)[j]): x K is the vector of x . kt[j]
+    kt = list(zip(*krylov[:m]))
+    factored = _lu_mod_p(kt)
+    if factored is None:
+        return None
+    target = [-e for e in krylov[m]]
+    bound = 2 * (1 + max((sum(map(abs, row)) for row in rows), default=0)) ** m
+    r, c, scale = target, [0] * m, 1
+    while scale <= bound:
+        x = _solve_mod_p(*factored, r)
+        r = [(rj - sum(map(mul, x, col))) // _P for rj, col in zip(r, kt)]
+        c = [ck + scale * xk for ck, xk in zip(c, x)]
+        scale *= _P
+        cand = [ck - scale if 2 * ck > scale else ck for ck in c]
+        if all(sum(map(mul, cand, col)) == t for col, t in zip(kt, target)):
+            return (*cand, 1)
+    raise ArithmeticError("Krylov lifting passed the coefficient bound")
+
+
 def charpoly(m: CountMatrix | Sequence[Sequence[int]]) -> IntPoly:
     """
     Exact characteristic polynomial det(xI - m), monic of degree equal to
-    the matrix size, constant term first.
+    the matrix size, constant term first: from the Krylov sequence of
+    (1, ..., 1) by P-adic lifting, or by Berkowitz when that sequence does
+    not span (a repeated eigenvalue with a diagonalizable block, say).
     """
     rows = m.rows if isinstance(m, CountMatrix) else tuple(tuple(r) for r in m)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
-    return tuple(reversed(_berkowitz(rows)))
+    poly = _krylov_charpoly(rows)
+    return tuple(reversed(_berkowitz(rows))) if poly is None else poly
 
 
 @functools.lru_cache(maxsize=matrices.MBAR_CAP)
 def cached_charpoly(m: CountMatrix) -> IntPoly:
     """
-    charpoly memoized per matrix; on build_Mbar(n), Berkowitz runs once per
+    charpoly memoized per matrix; on build_Mbar(n), charpoly runs once per
     n.  The cache holds one entry per possible Mbar(n), so other matrices
     passed to rho_max do not stay in memory for good.
     """
@@ -203,11 +290,36 @@ def _gcd_degree(p: Sequence, q: Sequence) -> int:
     return len(a) - 1
 
 
+def _gcd_degree_mod_p(p: Sequence, q: Sequence) -> int:
+    """Degree of gcd(p mod _P, q mod _P) over GF(_P), by Euclid's remainder sequence."""
+    a, b = poly_trim([c % _P for c in p]), poly_trim([c % _P for c in q])
+    while any(b):
+        inv, db = pow(b[-1], -1, _P), len(b) - 1
+        rem = list(a)
+        while len(rem) > db and any(rem):
+            f, shift = rem[-1] * inv % _P, len(rem) - 1 - db
+            rem[shift:-1] = [(x - f * y) % _P for x, y in zip(rem[shift:-1], b)]
+            rem.pop()
+            while len(rem) > 1 and rem[-1] == 0:
+                rem.pop()
+        a, b = b, tuple(rem)
+    return len(a) - 1
+
+
 def is_squarefree(p: Sequence) -> bool:
-    return _gcd_degree(p, poly_derivative(p)) == 0
+    return are_coprime(p, poly_derivative(p))
 
 
 def are_coprime(p: Sequence, q: Sequence) -> bool:
+    """
+    Whether gcd(p, q) over Q is a constant.  When _P divides neither
+    leading coefficient, the resultant of p and q reduces to that of
+    their residues, so a constant gcd mod _P proves a nonzero resultant
+    and the answer; otherwise the exact remainder sequence decides.
+    """
+    p, q = poly_trim(p), poly_trim(q)
+    if p[-1] % _P and q[-1] % _P and _gcd_degree_mod_p(p, q) == 0:
+        return True
     return _gcd_degree(p, q) == 0
 
 
@@ -294,12 +406,12 @@ def rho_max(m: CountMatrix) -> float:
     """
     Spectral radius of a non-negative integer matrix, the double nearest
     the exact value.  It is read off cached_charpoly(m), so the cost is
-    one cached Berkowitz run per matrix and a bisection over dyadic points
-    x, each decided exactly by _side_of_rho.  The bisection stops once both
-    ends round to the same double, or when it lands on rho itself.  As a
-    root of a monic integer polynomial rho is an integer, which is a
-    bisection point, or irrational, which is never a tie between doubles;
-    so it stops.
+    one cached characteristic polynomial per matrix and a bisection over
+    dyadic points x, each decided exactly by _side_of_rho.  The bisection
+    stops once both ends round to the same double, or when it lands on
+    rho itself.  As a root of a monic integer polynomial rho is an
+    integer, which is a bisection point, or irrational, which is never a
+    tie between doubles; so it stops.
     """
     if any(e < 0 for row in m.rows for e in row):
         raise ValueError("rho_max needs a non-negative matrix")

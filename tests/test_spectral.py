@@ -2,12 +2,17 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from garside_census import reference
+from garside_census import reference, spectral
 from garside_census.matrices import MBAR_CAP, CountMatrix, b_delta, b_total, build_M, build_Mbar, build_Mprime
 from garside_census.oracle import m_charpoly_nonzero, naive_charpoly
 from garside_census.spectral import (
+    _P,
+    _berkowitz,
+    _gcd_degree,
+    _gcd_degree_mod_p,
+    _krylov_charpoly,
     are_coprime,
     cached_charpoly,
     charpoly,
@@ -16,6 +21,7 @@ from garside_census.spectral import (
     is_squarefree,
     new_factor_simple_roots,
     poly_degree,
+    poly_derivative,
     poly_mul,
     poly_str,
     recurrence_check,
@@ -73,8 +79,82 @@ def test_charpoly_identity_matrix():
 
 
 def test_charpoly_not_square():
-    with pytest.raises(ValueError):
-        charpoly([[1, 2, 3], [4, 5, 6]])
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1]] * 2):
+        with pytest.raises(ValueError):
+            charpoly(rows)
+
+
+def test_charpoly_empty_matrix():
+    assert charpoly([]) == (1,)
+
+
+def test_krylov_prime_is_prime():
+    assert _P == 2**30 - 35
+    assert all(_P % d for d in range(2, math.isqrt(_P) + 1))
+
+
+def _berkowitz_charpoly(rows):
+    return tuple(reversed(_berkowitz(rows)))
+
+
+_entry = st.one_of(st.integers(-3, 3), st.integers(-(10**6), 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda k: st.lists(st.lists(_entry, min_size=k, max_size=k), min_size=k, max_size=k)
+    )
+)
+def test_charpoly_matches_berkowitz(rows):
+    assert charpoly(rows) == _berkowitz_charpoly(rows)
+
+
+def _conjugate(rows, steps):
+    """E A E^-1 for each E = I + t e_ij in turn, i != j: an integer similarity."""
+    a = [list(r) for r in rows]
+    for i, j, t in steps:
+        a[i] = [x + t * y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[j] -= t * row[i]
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.integers(-50, 50), min_size=k - 1, max_size=k - 1),
+            st.lists(
+                st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(-3, 3)).filter(
+                    lambda s: s[0] != s[1]
+                ),
+                max_size=6,
+            ),
+        )
+    )
+)
+def test_charpoly_falls_back_on_a_repeated_diagonalizable_eigenvalue(case):
+    # diag(d_0, d_0, d_1, ...) and its integer conjugates: the minimal
+    # polynomial has degree below the size, so no Krylov sequence spans
+    diag, steps = case
+    diag = [diag[0]] + diag
+    k = len(diag)
+    rows = _conjugate([[diag[i] if i == j else 0 for j in range(k)] for i in range(k)], steps)
+    assert _krylov_charpoly(rows) is None
+    assert charpoly(rows) == _berkowitz_charpoly(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_charpoly_of_Mbar_never_falls_back(n, monkeypatch):
+    rows = build_Mbar(n).rows
+    expected = reference_charpoly(n) if n <= 8 else _berkowitz_charpoly(rows)
+
+    def no_berkowitz(rows):
+        raise AssertionError("Berkowitz fallback reached")
+
+    monkeypatch.setattr(spectral, "_berkowitz", no_berkowitz)
+    assert charpoly(rows) == expected
 
 
 def test_charpoly_mbar3():
@@ -206,6 +286,31 @@ def test_distinct_linear_factors(roots, others, k, c):
     assert are_coprime(q, p)
 
 
+_lead_P = st.sampled_from([1, -1, 3, _P, -_P, 2 * _P, _P + 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly(0, lead=_lead_P), _poly(0, lead=_lead_P), _poly(1, lead=_lead_P))
+def test_modular_gcd_against_exact(a, b, c):
+    p, q = poly_mul(a, c), poly_mul(b, c)
+    for x, y in ((p, q), (a, b), (a, c), (p, a)):
+        exact = _gcd_degree(x, y)
+        assert are_coprime(x, y) == (exact == 0)
+        if x[-1] % _P and y[-1] % _P:
+            # a factor over Q stays a factor mod P when the degrees survive
+            assert _gcd_degree_mod_p(x, y) >= exact
+    for x in (p, a, poly_mul(a, a)):
+        assert is_squarefree(x) == (_gcd_degree(x, poly_derivative(x)) == 0)
+
+
+def test_modular_gcd_only_proves_coprimality():
+    # x + 1 and x + 1 + P are coprime, yet equal mod P
+    assert _gcd_degree_mod_p((1, 1), (1 + _P, 1)) == 1
+    assert are_coprime((1, 1), (1 + _P, 1))
+    # (x + 1)(x + 1 + P) is squarefree though its square factor mod P is not
+    assert is_squarefree(poly_mul((1, 1), (1 + _P, 1)))
+
+
 def test_zero_polynomial_results():
     assert are_coprime((0,), (1,))
     assert not are_coprime((0,), (1, 1))
@@ -222,6 +327,9 @@ def power_iteration_rho(m, tol=1e-12, max_iter=1_000_000):
     """
     The float power iteration rho_max once was, kept as an independent
     reference; its step tolerance is tighter than the old default 1e-9.
+    It stops only once the vector has settled as well as the estimate:
+    two consecutive Rayleigh quotients can agree while v is still far
+    from the eigenvector.
     """
     rows = [[float(e) for e in row] for row in m.rows]
     size = len(rows)
@@ -231,13 +339,14 @@ def power_iteration_rho(m, tol=1e-12, max_iter=1_000_000):
         w = [sum(row[j] * v[j] for j in range(size)) for row in rows]
         den = sum(x * x for x in v)
         est = sum(w[i] * v[i] for i in range(size)) / den
-        if prev is not None and abs(est - prev) < tol:
-            return est
-        prev = est
         scale = max(abs(x) for x in w)
         if scale == 0.0:
             return 0.0
-        v = [x / scale for x in w]
+        nxt = [x / scale for x in w]
+        settled = max(abs(a - b) for a, b in zip(nxt, v)) < tol
+        if prev is not None and abs(est - prev) < tol and settled:
+            return est
+        prev, v = est, nxt
     raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
 
 
@@ -278,6 +387,8 @@ def _matrix(rows):
         lambda k: st.tuples(*[st.tuples(*[st.integers(1, 50)] * k)] * k)
     )
 )
+# the first two Rayleigh quotients from (1, 1, 1) are both exactly 50
+@example(rows=((17, 1, 42), (17, 1, 27), (17, 1, 27)))
 def test_rho_max_against_power_iteration(rows):
     m = _matrix(rows)
     assert rho_max(m) == pytest.approx(power_iteration_rho(m), rel=1e-9)
