@@ -14,11 +14,11 @@ and the exact big-integer counting pipeline built on them.
             its subset only through it).
 
 Each has its own size cap: FACTORIAL_CAP, SUBSET_CAP and MBAR_CAP.
-FACTORIAL_CAP also bounds the n!-sized state of the oracles that count
-through M(n) by its predecessor lists (oracle.dp_count and the M22 / M23
-paths of oracle.b_of_simple_via).  The columns of Mprime come from
-descents.a_column, the subset level; Mbar is built at the partition level
-from the Kostka sums and descents._refinements, with no subset table.
+FACTORIAL_CAP also bounds the n!-sized state of oracle.dp_count and the
+M22 / M23 paths of oracle.b_of_simple_via, which step through M(n) on
+descent_masks(n) alone.  The columns of Mprime come from
+descents.a_column, the subset level; Mbar is built at the partition
+level from the Kostka sums and descents._refinements, with no subset table.
 
 b(n, d) counts the positive n-braids of degree at most d; b(n, d, x) those
 whose d-th normal factor equals the square-free braid x.  All three

@@ -5,9 +5,10 @@ lives here, so the library modules keep one code path each.
 brute_count lists the normal sequences one by one, extending normal
 prefixes depth first and testing each new adjacent pair in isolation.
 dp_count runs a dynamic program whose state is the exact last factor,
-without descent-class or partition reductions: it steps a row vector
-through M(n), held as the predecessor lists of _predecessors, the one
-encoding of M(n) that any count iterates.
+one entry per braid, without partitions or Kostka numbers: _through_M
+steps the row vector through M(n) by summing it by right-descent mask
+and taking superset sums over the masks, reading only
+matrices.descent_masks, so it stays independent of the Mbar pipeline.
 left_right_descent_census tallies the descent masks of all n! braids, and
 sweep_Mbar builds Mbar(n) from it.  count_functions checks a / a_hat,
 b_of_simple_via counts through Mprime(n) or M(n) instead of Mbar(n),
@@ -17,10 +18,9 @@ gives the nonzero spectrum of M(n) without building it.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import descents
 from .matrices import FACTORIAL_CAP, CountMatrix, build_Mprime, descent_masks, vec_times_matrix
@@ -75,47 +75,49 @@ def brute_count(n: int, d: int, last: Perm | None = None) -> int:
     return count
 
 
-@functools.lru_cache(maxsize=None)
-def _predecessors(n: int) -> tuple[tuple[int, ...], ...]:
+def _through_M(n: int, steps: int, start: Callable[[int], list[int]]) -> list[int]:
     """
-    M(n) by columns: for each square-free braid, the indices of the braids
-    that may stand before it, the rows x with M(n)[x][y] = 1.  They depend
-    only on its left-descent mask, so braids with the same mask share one
-    tuple.  Refuses n beyond matrices.FACTORIAL_CAP.
+    The row vector start(n!), indexed by simple_enumeration(n), times
+    M(n)^steps.  M(n)[x][y] = 1 exactly when D_L(y) is inside D_R(x), so a
+    step sums the vector by right-descent mask, takes superset sums over
+    the n-1 bits (the fast zeta transform, n! + (n-1) 2^(n-2) additions),
+    and gives braid y the sum at its left-descent mask.  Refuses n beyond
+    matrices.FACTORIAL_CAP before building anything.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > FACTORIAL_CAP:
         raise ValueError(f"n={n} exceeds the factorial-size cap {FACTORIAL_CAP}")
     masks = descent_masks(n)
-    rights = [right for _, right in masks]
-    by_left = {
-        left: tuple(x for x in range(len(rights)) if left & ~rights[x] == 0)
-        for left in {left for left, _ in masks}
-    }
-    return tuple(by_left[left] for left, _ in masks)
-
-
-def _times_M(v: list[int], predecessors: tuple[tuple[int, ...], ...], steps: int) -> list[int]:
-    """The row vector v times M(n)^steps, M(n) given by _predecessors(n)."""
+    v = start(len(masks))
+    size = 1 << (n - 1)
     for _ in range(steps):
-        v = [sum(v[x] for x in pred) for pred in predecessors]
+        w = [0] * size
+        for (_, right), value in zip(masks, v):
+            w[right] += value
+        bit = 1
+        while bit < size:
+            for s in range(size):
+                if not s & bit:
+                    w[s] += w[s | bit]
+            bit <<= 1
+        v = [w[left] for left, _ in masks]
     return v
 
 
 def dp_count(n: int, d: int, last: Perm | None = None) -> int:
     """
     Count the same sequences by a transfer dynamic program over the exact
-    last factor, one state per square-free braid (no descent-class
-    grouping): the vector 1 M(n)^(d-1).  Refuses n beyond
-    matrices.FACTORIAL_CAP.
+    last factor, one state per square-free braid: the vector
+    1 M(n)^(d-1).  Each step sums the states by right-descent mask (see
+    _through_M) and uses no partition or Kostka reduction.  Refuses n
+    beyond matrices.FACTORIAL_CAP.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
     if last is not None and len(last) != n:
         raise ValueError(f"constraint permutation {last} does not live on {n} strands")
-    predecessors = _predecessors(n)
-    v = _times_M([1] * len(predecessors), predecessors, d - 1)
+    v = _through_M(n, d - 1, lambda size: [1] * size)
     return sum(v) if last is None else v[enumeration_index(last)]
 
 
@@ -185,9 +187,8 @@ def b_of_simple_via(n: int, d: int, x: Perm, via: str) -> int:
     matrices.b_of_simple(n, d, x) through a larger matrix: "Mprime", or
     "M22" and "M23" over the full matrix M(n).  M22 is the row vector
     1 M(n)^(d-1), which is dp_count with x pinned; M23 is the corner
-    vector e_Delta M(n)^d.  Both step over the predecessor lists of
-    _predecessors, within matrices.FACTORIAL_CAP.  Mprime(n) is rebuilt
-    on every call.
+    vector e_Delta M(n)^d.  Both step through M(n) by _through_M, within
+    matrices.FACTORIAL_CAP.  Mprime(n) is rebuilt on every call.
     """
     if len(x) != n:
         raise ValueError(f"permutation {x} does not live on {n} strands")
@@ -203,8 +204,7 @@ def b_of_simple_via(n: int, d: int, x: Perm, via: str) -> int:
         return dp_count(n, d, last=x)
     if via != "M23":
         raise ValueError(f"unknown path {via!r}")
-    predecessors = _predecessors(n)
-    v = _times_M([0] * (len(predecessors) - 1) + [1], predecessors, d)
+    v = _through_M(n, d, lambda size: [0] * (size - 1) + [1])  # e_Delta: Delta comes last
     return v[enumeration_index(x)]
 
 

@@ -1,8 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from garside_census import oracle
-from garside_census.matrices import b_delta, b_of_simple, b_total, build_M
+from garside_census.matrices import b_delta, b_of_simple, b_total, build_M, descent_masks
 from garside_census.oracle import b_of_simple_via, brute_count, dp_count
 from garside_census.permutations import flip, identity, partial_flip
 
@@ -77,23 +79,49 @@ def test_dp_examples():
     assert dp_count(6, 4, last=partial_flip(6, 5)) == 1956
 
 
-def test_predecessors_shared_per_left_mask():
-    # predecessors depend only on the left-descent mask: 2^(n-1) tuples at most
-    predecessors = oracle._predecessors(5)
-    assert len(predecessors) == 120
-    assert len({id(pred) for pred in predecessors}) <= 16
-
-
 @pytest.mark.parametrize("n", range(1, 6))
-def test_predecessors_are_the_columns_of_M(n):
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_through_M_matches_dense_M(n, data):
     rows = build_M(n).rows
-    for y, pred in enumerate(oracle._predecessors(n)):
-        assert pred == tuple(x for x in range(len(rows)) if rows[x][y] == 1)
+    v = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=len(rows), max_size=len(rows)))
+    steps = data.draw(st.integers(0, 3))
+    expected = v
+    for _ in range(steps):
+        expected = [sum(expected[x] * rows[x][y] for x in range(len(rows))) for y in range(len(rows))]
+    assert oracle._through_M(n, steps, lambda size: list(v)) == expected
+
+
+def _times_M_by_predecessors(v, n):
+    """
+    The retained slow step v M(n): column y of M(n) as the tuple of the x
+    with D_L(y) inside D_R(x), one tuple per left-descent mask, summed
+    entry by entry (3 081 513 entries at n = 7).
+    """
+    masks = descent_masks(n)
+    by_left = {
+        left: tuple(x for x, (_, right) in enumerate(masks) if left & ~right == 0)
+        for left in {left for left, _ in masks}
+    }
+    return [sum(v[x] for x in by_left[left]) for left, _ in masks]
+
+
+@pytest.mark.parametrize("n", (6, 7))
+def test_through_M_matches_predecessor_lists(n):
+    size = math.factorial(n)
+    for start in ([1] * size, [0] * (size - 1) + [1]):
+        expected = start
+        for steps in range(4):
+            assert oracle._through_M(n, steps, lambda size: list(start)) == expected, steps
+            expected = _times_M_by_predecessors(expected, n)
 
 
 def test_dp_cap_and_validation():
     with pytest.raises(ValueError, match="exceeds the factorial-size cap 7"):
         dp_count(8, 2)
+    # refused before any n!-entry vector is built
+    with pytest.raises(ValueError, match="n=20 exceeds the factorial-size cap 7"):
+        dp_count(20, 2)
     with pytest.raises(ValueError):
         dp_count(3, 0)
     with pytest.raises(ValueError):
@@ -116,12 +144,17 @@ def test_brute_matches_pipeline_n4():
             assert brute_count(4, d, last=partial_flip(4, 4 - r)) == b_delta(4, d, r)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_dp_matches_pipeline(n):
     for d in range(1, 7):
         assert dp_count(n, d) == b_total(n, d)
         for r in range(1, n + 1):
             assert dp_count(n, d, last=partial_flip(n, n - r)) == b_delta(n, d, r)
+
+
+@pytest.mark.parametrize("d", (7, 12, 20))
+def test_dp_matches_pipeline_at_n7_beyond_d6(d):
+    assert dp_count(7, d) == b_total(7, d)
 
 
 def test_dp_matches_arbitrary_last_factor():
@@ -157,6 +190,12 @@ def test_b_of_simple_matches_every_via(case):
 )
 def test_full_matrix_paths_at_n_6_and_7(n, d, x, via):
     assert b_of_simple_via(n, d, x, via) == b_of_simple(n, d, x)
+
+
+@pytest.mark.parametrize("via", ["M22", "M23"])
+def test_full_matrix_paths_share_the_dp_cap(via):
+    with pytest.raises(ValueError, match="exceeds the factorial-size cap 7"):
+        b_of_simple_via(8, 3, flip(8), via)
 
 
 def test_b_of_simple_via_validation():
