@@ -245,9 +245,12 @@ def _tableaux(content: tuple[int, ...]) -> dict[PartitionN, int]:
 @functools.lru_cache(maxsize=None)
 def _count_by_sorted_margins(rows_desc: tuple[int, ...], cols_desc: tuple[int, ...]) -> int:
     # RSK: a matrix with these margins is a pair of semistandard tableaux
-    # of one shape, with contents rows_desc and cols_desc.
-    by_cols = _tableaux(cols_desc)
-    return sum(k * by_cols.get(shape, 0) for shape, k in _tableaux(rows_desc).items())
+    # of one shape, with contents rows_desc and cols_desc.  The sum is
+    # symmetric, so walk the table with fewer shapes and probe the other.
+    walk, probe = _tableaux(rows_desc), _tableaux(cols_desc)
+    if len(walk) > len(probe):
+        walk, probe = probe, walk
+    return sum(k * probe.get(shape, 0) for shape, k in walk.items())
 
 
 def _multinomial(parts: Sequence[int]) -> int:

@@ -112,7 +112,7 @@ def descent_masks(n: int) -> tuple[tuple[int, int], ...]:
     build_M, structural_check_M and the oracles all read this one table.
     """
     return tuple(
-        (descents.mask_of(permutations.d_left(x)), descents.mask_of(permutations.d_right(x)))
+        (permutations.descent_mask(permutations.inverse(x)), permutations.descent_mask(x))
         for x in permutations.simple_enumeration(n)
     )
 

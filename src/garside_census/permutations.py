@@ -106,6 +106,21 @@ def d_right(x: Perm) -> frozenset[int]:
     return frozenset(i + 1 for i in range(len(x) - 1) if x[i] > x[i + 1])
 
 
+def descent_mask(x: Perm) -> int:
+    """
+    d_right(x) as a bitmask, bit i-1 for descent i (the descents.mask_of
+    convention); descent_mask(inverse(x)) is the mask of d_left(x).
+
+    >>> descent_mask((3, 1, 2)), descent_mask(inverse((3, 1, 2)))
+    (1, 2)
+    """
+    mask = 0
+    for i in range(len(x) - 1):
+        if x[i] > x[i + 1]:
+            mask |= 1 << i
+    return mask
+
+
 def d_left(x: Perm) -> frozenset[int]:
     """Descents of the inverse: the generators left-dividing the braid of x."""
     return d_right(inverse(x))

@@ -14,6 +14,21 @@ the first pair that needs no move; that is safe because every pair to its
 left is unchanged from a normal prefix, and fixing a pair leaves the pair
 to its right normal (the domino rule).  Trailing trivial factors are
 popped, and the result is the unique normal form.
+
+While it is rewritten, each factor of the prefix is carried as four
+things: its one-line list p and its inverse list q, both padded with the
+values 0 in front and n+1 behind, and the bitmasks R of the descents of p
+(the generators right-dividing it) and L of the descents of q (those
+left-dividing it), bit i-1 for generator i.  The pair (x, y) is normal
+exactly when L_y & ~R_x is 0, and its lowest set bit is the generator to
+move.  Multiplying x by s_i on the right swaps places i and i+1 of p_x,
+and s_i times y swaps the values i and i+1 of p_y; each is an adjacent
+swap in one list and a swap of two entries in the other.  An adjacent
+swap changes only the descent bits at i-1, i and i+1, and a swap of two
+values changes only the order of those two values, so a descent bit of
+the other list flips only when they are consecutive.  A move therefore
+updates a few bits instead of rescanning the factor, and a factor is
+trivial exactly when its R is 0.
 """
 from __future__ import annotations
 
@@ -23,10 +38,9 @@ from typing import Callable
 
 from .permutations import (
     Perm,
-    compose,
-    d_left,
-    d_right,
+    descent_mask,
     identity,
+    inverse,
     inversion_number,
     is_normal_pair,
     transposition,
@@ -106,33 +120,60 @@ def normalize_factors(
     on_step: Callable[[tuple[Perm, ...]], None] | None = None,
 ) -> NormalSequence:
     """
-    The normal form of an arbitrary sequence of square-free factors, in
-    one left-to-right pass.  Each factor is appended to a normal prefix,
-    and adjacent pairs are then fixed leftwards (smallest transferable
-    generator first) until a pair needs no move; trailing trivial factors
-    are popped before the next factor.  on_step, if given, receives the
-    whole sequence (fixed prefix, then the factors not yet taken) after
-    every move.  An already-normal sequence comes back unchanged with no
-    moves made.
+    The normal form of an arbitrary sequence of square-free factors on n
+    strands (permutations of 1..n), in one left-to-right pass.  Each
+    factor is appended to a normal prefix, and adjacent pairs are then
+    fixed leftwards (smallest transferable generator first) until a pair
+    needs no move; trailing trivial factors are popped before the next
+    factor.  on_step, if given, receives the whole sequence (fixed prefix,
+    then the factors not yet taken) after every move.  An already-normal
+    sequence comes back unchanged with no moves made.
     """
     factors = tuple(factors)
-    one = identity(n)
-    prefix: list[Perm] = []
+    # the prefix, one entry per factor in each list: see the module docstring
+    ps: list[list[int]] = []
+    qs: list[list[int]] = []
+    rs: list[int] = []
+    ls: list[int] = []
     for pos, y in enumerate(factors):
-        prefix.append(y)
-        k = len(prefix) - 1
-        while k > 0 and (movable := d_left(prefix[k]) - d_right(prefix[k - 1])):
+        y_inv = inverse(y)
+        ps.append([0, *y, n + 1])
+        qs.append([0, *y_inv, n + 1])
+        rs.append(descent_mask(y))
+        ls.append(descent_mask(y_inv))
+        k = len(rs) - 1
+        while k > 0 and (movable := ls[k] & ~rs[k - 1]):
+            px, qx, rx, lx = ps[k - 1], qs[k - 1], rs[k - 1], ls[k - 1]
+            py, qy, ry, ly = ps[k], qs[k], rs[k], ls[k]
             while movable:
-                t = transposition(n, min(movable))
-                prefix[k - 1] = compose(prefix[k - 1], t)
-                prefix[k] = compose(t, prefix[k])
+                bit = movable & -movable
+                i = bit.bit_length()
+                # x -> x s_i: places i, i+1 of p_x hold a < c and swap
+                a, c = px[i], px[i + 1]
+                px[i], px[i + 1] = c, a
+                qx[a], qx[c] = i + 1, i
+                rx |= bit
+                rx = rx | bit >> 1 if px[i - 1] > c else rx & ~(bit >> 1)
+                rx = rx | bit << 1 if a > px[i + 2] else rx & ~(bit << 1)
+                if c == a + 1:
+                    lx |= 1 << (a - 1)
+                # y -> s_i y: the values i+1, i stand at places v < u and swap
+                u, v = qy[i], qy[i + 1]
+                qy[i], qy[i + 1] = v, u
+                py[v], py[u] = i, i + 1
+                ly &= ~bit
+                ly = ly | bit >> 1 if qy[i - 1] > v else ly & ~(bit >> 1)
+                ly = ly | bit << 1 if u > qy[i + 2] else ly & ~(bit << 1)
+                if u == v + 1:
+                    ry &= ~(1 << (v - 1))
                 if on_step is not None:
-                    on_step(tuple(prefix) + factors[pos + 1 :])
-                movable = d_left(prefix[k]) - d_right(prefix[k - 1])
+                    on_step(tuple(tuple(p[1:-1]) for p in ps) + factors[pos + 1 :])
+                movable = ly & ~rx
+            rs[k - 1], ls[k - 1], rs[k], ls[k] = rx, lx, ry, ly
             k -= 1
-        while prefix and prefix[-1] == one:
-            prefix.pop()
-    return NormalSequence(n=n, factors=tuple(prefix))
+        while rs and rs[-1] == 0:
+            del ps[-1], qs[-1], rs[-1], ls[-1]
+    return NormalSequence(n=n, factors=tuple(tuple(p[1:-1]) for p in ps))
 
 
 def normalize(

@@ -22,6 +22,7 @@ from garside_census.matrices import (
 from garside_census.oracle import b_of_simple_via, sweep_Mbar
 from garside_census.permutations import (
     d_left,
+    d_right,
     identity,
     partial_flip,
     simple_enumeration,
@@ -36,6 +37,13 @@ def test_build_M_small():
     assert build_M(1).rows == reference.M1
     assert build_M(2).rows == reference.M2
     assert build_M(3).rows == reference.M3
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_descent_masks_equal_the_frozenset_masks(n):
+    assert matrices.descent_masks(n) == tuple(
+        (descents.mask_of(d_left(x)), descents.mask_of(d_right(x))) for x in simple_enumeration(n)
+    )
 
 
 def test_build_M_cap():

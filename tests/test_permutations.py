@@ -3,10 +3,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from garside_census.descents import mask_of
 from garside_census.permutations import (
     compose,
     d_left,
     d_right,
+    descent_mask,
     dual_left,
     dual_right,
     flip,
@@ -100,6 +102,13 @@ def test_descent_examples():
     x = perm_of_letters([2, 1], 3)
     assert d_right(x) == frozenset({1})
     assert d_left(x) == frozenset({2})
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_descent_mask_equals_the_frozenset_descents(n):
+    for x in simple_enumeration(n):
+        assert descent_mask(x) == mask_of(d_right(x)), x
+        assert descent_mask(inverse(x)) == mask_of(d_left(x)), x
 
 
 def test_normal_pair_examples():

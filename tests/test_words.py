@@ -9,12 +9,14 @@ from garside_census.matrices import b_total
 from garside_census.permutations import (
     Perm,
     compose,
+    d_left,
     d_right,
     flip,
     identity,
     inversion_number,
     is_normal_pair,
     perm_of_letters,
+    simple_enumeration,
     transposition,
 )
 from garside_census.words import (
@@ -42,6 +44,32 @@ def letters_of(x: Perm) -> tuple[int, ...]:
         out.append(i)
         x = compose(x, transposition(n, i))
     return tuple(reversed(out))
+
+
+def _reference_normalize_factors(n, factors, on_step=None):
+    """
+    The normal form move by move on permutation tuples and frozenset
+    descents: the slow reference for normalize_factors, with the same
+    moves in the same order and the same on_step reports.
+    """
+    factors = tuple(factors)
+    one = identity(n)
+    prefix: list[Perm] = []
+    for pos, y in enumerate(factors):
+        prefix.append(y)
+        k = len(prefix) - 1
+        while k > 0 and (movable := d_left(prefix[k]) - d_right(prefix[k - 1])):
+            while movable:
+                t = transposition(n, min(movable))
+                prefix[k - 1] = compose(prefix[k - 1], t)
+                prefix[k] = compose(t, prefix[k])
+                if on_step is not None:
+                    on_step(tuple(prefix) + factors[pos + 1 :])
+                movable = d_left(prefix[k]) - d_right(prefix[k - 1])
+            k -= 1
+        while prefix and prefix[-1] == one:
+            prefix.pop()
+    return NormalSequence(n=n, factors=tuple(prefix))
 
 
 def word_strategy(max_n=5, max_len=12):
@@ -175,6 +203,47 @@ def test_normalize_factors_matches_letters(data):
     n, factors = data
     letters = tuple(i for x in factors for i in letters_of(x))
     assert normalize_factors(n, factors) == normalize(PositiveWord(n=n, letters=letters))
+
+
+def assert_matches_reference(n, factors):
+    fast, slow = [], []
+    assert normalize_factors(n, factors, fast.append) == _reference_normalize_factors(n, factors, slow.append)
+    assert fast == slow
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(1, n - 1), max_size=80) if n > 1 else st.just([])
+        )
+    )
+)
+def test_normalize_matches_the_reference_on_words(data):
+    n, letters = data
+    assert_matches_reference(n, [transposition(n, i) for i in letters])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.sampled_from(simple_enumeration(n)), max_size=10),
+            st.lists(st.integers(0, 10), max_size=3),
+        )
+    )
+)
+def test_normalize_factors_matches_the_reference(data):
+    # identity factors are inserted anywhere, the middle included, and the
+    # normal form itself is fed back in as an already-normal list
+    n, factors, slots = data
+    for slot in slots:
+        factors.insert(min(slot, len(factors)), identity(n))
+    assert_matches_reference(n, factors)
+    normal = _reference_normalize_factors(n, factors).factors
+    assert_matches_reference(n, normal)
+    assert normalize_factors(n, normal).factors == normal
 
 
 def test_normalize_long_word():
