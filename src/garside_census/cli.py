@@ -158,20 +158,19 @@ def _cmd_charpoly(args) -> int:
 def _cmd_normalize(args) -> int:
     word = words.parse_word(args.word, args.n)
     seq = words.normalize(word)
-    factor_info = [
-        {
-            "permutation": [str(v) for v in x],
-            "d_left": [str(i) for i in sorted(permutations.d_left(x))],
-            "d_right": [str(i) for i in sorted(permutations.d_right(x))],
-        }
-        for x in seq.factors
-    ]
     if args.format == "json":
         obj = {
             "n": str(args.n),
             "word": args.word,
             "degree": str(words.degree(seq)),
-            "factors": factor_info,
+            "factors": [
+                {
+                    "permutation": [str(v) for v in x],
+                    "d_left": [str(i) for i in sorted(permutations.d_left(x))],
+                    "d_right": [str(i) for i in sorted(permutations.d_right(x))],
+                }
+                for x in seq.factors
+            ],
         }
         _emit_json(obj, args.out)
     else:

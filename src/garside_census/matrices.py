@@ -21,11 +21,11 @@ descents.a_column, the subset level; Mbar is built at the partition
 level from the Kostka sums and descents._refinements, with no subset table.
 
 b(n, d) counts the positive n-braids of degree at most d; b(n, d, x) those
-whose d-th normal factor equals the square-free braid x.  All three
-matrices compute these numbers through row-vector iteration; the reduced
-matrix is the counting path, and the counts through the larger ones are
-cross-checks that live in oracle.b_of_simple_via.  Arithmetic is exact
-arbitrary-precision integer throughout.
+whose d-th normal factor equals the square-free braid x, by exact integer
+row-vector iteration through vec_times_matrix, the one product (the Krylov
+rows of spectral.charpoly use it too).  The reduced matrix is the counting
+path; the counts through the larger ones are cross-checks that live in
+oracle.b_of_simple_via.
 
 Every b(...) function and computed_table read count_series(n, dmax), the
 vectors 1 Mbar(n)^(d-1) for d = 1..dmax; Mbar(n) and its characteristic
@@ -37,6 +37,7 @@ import collections
 import dataclasses
 import functools
 import math
+from operator import mul
 from typing import Sequence
 
 from . import descents, permutations
@@ -235,12 +236,12 @@ def _cached_Mbar(n: int) -> CountMatrix:
     return CountMatrix(kind="Mbar", n=n, labels=labels, rows=rows)
 
 
-def vec_times_matrix(v: Sequence[int], m: CountMatrix) -> tuple[int, ...]:
-    """Row vector times matrix, exact integers."""
-    if len(v) != m.size:
-        raise ValueError(f"vector length {len(v)} does not match matrix size {m.size}")
-    cols = range(m.size)
-    return tuple(sum(v[i] * m.rows[i][j] for i in range(m.size)) for j in cols)
+def vec_times_matrix(v: Sequence[int], m: CountMatrix | Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Row vector times matrix (a CountMatrix or its rows), exact integers."""
+    rows = m.rows if isinstance(m, CountMatrix) else m
+    if len(v) != len(rows):
+        raise ValueError(f"vector length {len(v)} does not match matrix size {len(rows)}")
+    return tuple(sum(map(mul, v, col)) for col in zip(*rows))
 
 
 # n -> [v_1, v_2, ...], extended on demand by count_series.

@@ -5,10 +5,11 @@ characteristic polynomial and returned as the nearest double.
 
 Polynomials are dense integer-coefficient tuples with the constant term
 first.  A characteristic polynomial is solved for from the Krylov rows
-v A^k of v = (1, ..., 1): the Krylov matrix is factored once modulo the
-word-size prime _P and the solution lifted P-adically (Dixon, Numer.
-Math. 40, 1982) until it satisfies the Cayley-Hamilton identity for v
-exactly.  When v is not cyclic for A, or the Krylov matrix is singular
+v A^k of v = (1, ..., 1), taken by matrices.vec_times_matrix, the one
+product behind the count series too: the Krylov matrix is factored once
+modulo the word-size prime _P and the solution lifted P-adically (Dixon,
+Numer. Math. 40, 1982) until it satisfies the Cayley-Hamilton identity
+for v exactly.  When v is not cyclic for A, or the Krylov matrix is singular
 mod _P, the division-free Berkowitz recursion runs instead; both stay in
 exact integers.  Division, divisibility and gcd stay in integers too
 (Knuth, TAOCP vol. 2, 4.6.1): exact division, pseudo-division, and the
@@ -161,7 +162,8 @@ def _solve_mod_p(perm: list[int], lu: list[list[int]], r: Sequence[int]) -> list
 def _krylov_charpoly(rows: Sequence[Sequence[int]]) -> IntPoly | None:
     """
     det(xI - A), constant term first, from the Krylov rows K_k = v A^k of
-    v = (1, ..., 1); None when K = (K_0; ...; K_(m-1)) is singular mod _P.
+    v = (1, ..., 1), each a matrices.vec_times_matrix product as in
+    count_series; None when K = (K_0; ...; K_(m-1)) is singular mod _P.
 
     Then K is nonsingular over Q, v's minimal polynomial has degree m and
     is the characteristic polynomial, and its low coefficients c are the
@@ -172,11 +174,9 @@ def _krylov_charpoly(rows: Sequence[Sequence[int]]) -> IntPoly | None:
     sum, so the lifting cannot pass that bound without a bug.
     """
     m = len(rows)
-    cols = list(zip(*rows))
     krylov = [[1] * m]
     for _ in range(m):
-        prev = krylov[-1]
-        krylov.append([sum(map(mul, prev, col)) for col in cols])
+        krylov.append(matrices.vec_times_matrix(krylov[-1], rows))
     # kt[j] = (K_0[j], ..., K_(m-1)[j]): x K is the vector of x . kt[j]
     kt = list(zip(*krylov[:m]))
     factored = _lu_mod_p(kt)

@@ -186,6 +186,33 @@ def test_count_series_matches_Mprime(case):
     assert value == b_of_simple_via(n, d, x, "Mprime")
 
 
+def _naive_vec_times_matrix(v, rows):
+    return tuple(sum(v[i] * rows[i][j] for i in range(len(rows))) for j in range(len(rows)))
+
+
+_square_int_matrices = st.integers(1, 8).flatmap(
+    lambda k: st.tuples(
+        st.lists(st.integers(-50, 50), min_size=k, max_size=k),
+        st.lists(st.lists(st.integers(-50, 50), min_size=k, max_size=k), min_size=k, max_size=k),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_square_int_matrices, st.integers(-50, 50))
+def test_vec_times_matrix_matches_the_index_loop(case, extra):
+    v, rows = case
+    rows = tuple(tuple(r) for r in rows)
+    m = matrices.CountMatrix(kind="Mbar", n=len(rows), labels=tuple(range(len(rows))), rows=rows)
+    expected = _naive_vec_times_matrix(v, rows)
+    assert vec_times_matrix(v, m) == vec_times_matrix(v, rows) == expected
+    for bad in (v[:-1], v + [extra]):
+        with pytest.raises(ValueError):
+            vec_times_matrix(bad, m)
+        with pytest.raises(ValueError):
+            vec_times_matrix(bad, rows)
+
+
 def test_b_of_partition_examples():
     assert [b_of_partition(3, d, (2, 1)) for d in range(1, 7)] == [1, 3, 7, 15, 31, 63]
     for lam in partitions_in_order(5):
