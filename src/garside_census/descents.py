@@ -135,23 +135,6 @@ def delta_partition(n: int, r: int) -> PartitionN:
     return tuple(sorted(head + [1] * r, reverse=True))
 
 
-def compositions(n: int) -> list[Composition]:
-    """All 2^(n-1) sequences of positive integers summing to n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    out: list[Composition] = []
-
-    def extend(prefix: tuple[int, ...], rest: int) -> None:
-        if rest == 0:
-            out.append(prefix)
-            return
-        for p in range(1, rest + 1):
-            extend(prefix + (p,), rest - p)
-
-    extend((), n)
-    return out
-
-
 def contingency_count(rows: Sequence[int], cols: Sequence[int]) -> int:
     """
     The number of non-negative integer matrices with the given row and
@@ -266,9 +249,10 @@ def _refinements(kappa: tuple[int, ...]) -> dict[PartitionN, int]:
     """
     Signed refinement counts of kappa, read as a composition: entry lam is
     the sum of (-1)^(len(alpha) - len(kappa)) over the compositions alpha
-    that split each part of kappa into a composition and sort to lam.  The
-    table extends the one for kappa[:-1] by every composition of the last
-    part, one sign flip for each part it adds.
+    that split each part of kappa into a composition and sort to lam.  By
+    induction on the first piece j of the last part k, it is the table for
+    kappa[:-1] with k added, minus, for j = 1..k-1, the table for
+    (*kappa[:-1], k - j) with j added.
 
     Shrinking a subset I' to I refines its composition this way, with sign
     (-1)^|I' - I|, so r(kappa) times entry lam, r(kappa) the number of
@@ -278,11 +262,12 @@ def _refinements(kappa: tuple[int, ...]) -> dict[PartitionN, int]:
     """
     if not kappa:
         return {(): 1}
+    head, k = kappa[:-1], kappa[-1]
     out: dict[PartitionN, int] = {}
-    pieces = [(beta, (-1) ** (len(beta) - 1)) for beta in compositions(kappa[-1])]
-    for lam, count in _refinements(kappa[:-1]).items():
-        for beta, sign in pieces:
-            finer = tuple(sorted(lam + beta, reverse=True))
+    steps = [(head, k, 1)] + [(head + (k - j,), j, -1) for j in range(1, k)]
+    for coarser, piece, sign in steps:
+        for lam, count in _refinements(coarser).items():
+            finer = tuple(sorted(lam + (piece,), reverse=True))
             out[finer] = out.get(finer, 0) + sign * count
     return out
 

@@ -20,7 +20,7 @@ import math
 from typing import Sequence
 
 from . import matrices
-from .descents import PartitionN, _multinomial, compositions
+from .descents import PartitionN, _multinomial
 from .reference import PAPER_DISCREPANCY
 
 
@@ -161,16 +161,16 @@ def b_n3_delta2_by_sums(n: int) -> int:
     set of the middle factor: the one-strand-short tail, the three-block
     multinomials, and the mixed case whose two-block compositions with both
     parts at least 2 contribute twice.  (The printed sum misses that
-    repetition: at n = 4 it yields 77 against the correct 83.)
+    repetition: at n = 4 it yields 77 against the correct 83.)  The 2- and
+    3-block compositions are listed by their first one or two blocks.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
     total = b_n3_delta1(n)
-    for parts in compositions(n):
-        if len(parts) == 3:
-            total += _multinomial(parts) * (2 if parts[1] >= 2 else 1)
-        elif len(parts) == 2:
-            total += _multinomial(parts) * (2 if min(parts) >= 2 else 1)
+    for p in range(1, n):
+        total += _multinomial((p, n - p)) * (2 if min(p, n - p) >= 2 else 1)
+        for q in range(1, n - p):
+            total += _multinomial((p, q, n - p - q)) * (2 if q >= 2 else 1)
     return total
 
 
@@ -186,7 +186,7 @@ def b_n4_delta1_by_compositions(n: int) -> int:
     """
     The same count as a sum over all compositions of n, weighting the
     multinomial of (p_1, ..., p_k) by p_1 (p_2 - 1) ... (p_{k-1} - 1) p_k
-    (just n for the one-part composition).
+    (just n for the one-part composition), by induction on p_1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -202,15 +202,14 @@ def _composition_sum(m: int, shift: int) -> int:
     """
     Sum over compositions p of m of multinomial(p) times the weight
     (p_1 - shift) (p_2 - 1) ... (p_{k-1} - 1) p_k, or m for the one-part
-    composition.  The two sums above differ only in shift.
+    composition.  The two sums above differ only in shift.  By induction
+    on the first part j, it is m + sum over j < m of C(m, j) (j - shift)
+    U(m - j), U the unit sum: U(r) = r + sum over j < r of C(r, j) (j - 1) U(r - j).
     """
-    total = 0
-    for parts in compositions(m):
-        weight = parts[0] if len(parts) == 1 else (parts[0] - shift) * parts[-1]
-        for p in parts[1:-1]:
-            weight *= p - 1
-        total += _multinomial(parts) * weight
-    return total
+    unit = [0]
+    for r in range(1, m):
+        unit.append(r + sum(math.comb(r, j) * (j - 1) * unit[r - j] for j in range(1, r)))
+    return m + sum(math.comb(m, j) * (j - shift) * unit[m - j] for j in range(1, m))
 
 
 def f_identity_check(imax: int) -> bool:

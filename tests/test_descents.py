@@ -10,7 +10,6 @@ from garside_census.descents import (
     a,
     a_hat,
     composition_of,
-    compositions,
     contingency_count,
     delta_partition,
     format_parts,
@@ -23,6 +22,8 @@ from garside_census.descents import (
 )
 from garside_census.oracle import count_functions, left_right_descent_census
 from garside_census.permutations import d_left, partial_flip
+
+from composition_enumerator import compositions
 
 
 def subset_strategy(n):
@@ -112,12 +113,6 @@ def test_delta_partition():
         for r in range(1, n + 1):
             x = partial_flip(n, n - r)
             assert delta_partition(n, r) == partition_of(d_left(x), n)
-
-
-def test_compositions_count():
-    for n in range(1, 9):
-        assert len(compositions(n)) == 2 ** (n - 1)
-        assert all(sum(c) == n for c in compositions(n))
 
 
 # --- contingency counting ---------------------------------------------------
@@ -263,6 +258,28 @@ def test_refinements_times_orderings_sum_the_signed_subset_pairs(case):
     table = descents._refinements(kappa)
     for lam in partitions_in_order(n):
         assert orderings * table.get(lam, 0) == pairs.get((lam, kappa), 0), (lam, kappa)
+
+
+def _refinements_by_pieces(kappa):
+    """The signed refinement table, splitting each part into every composition of it."""
+    table = {(): 1}
+    for k in kappa:
+        pieces = [(beta, (-1) ** (len(beta) - 1)) for beta in compositions(k)]
+        finer = {}
+        for lam, count in table.items():
+            for beta, sign in pieces:
+                key = tuple(sorted(lam + beta, reverse=True))
+                finer[key] = finer.get(key, 0) + sign * count
+        table = finer
+    return table
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_refinements_match_the_pieces_of_each_part(n):
+    for kappa in partitions_in_order(n):
+        table = descents._refinements(kappa)
+        expected = _refinements_by_pieces(kappa)
+        assert {lam: c for lam, c in table.items() if c} == {lam: c for lam, c in expected.items() if c}, kappa
 
 
 # --- the counting numbers ---------------------------------------------------

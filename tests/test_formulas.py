@@ -25,6 +25,8 @@ from garside_census.formulas import (
 )
 from garside_census.matrices import b_delta, b_of_partition, b_total
 
+from composition_enumerator import compositions
+
 
 def test_b3_closed_examples():
     assert b3_closed(2, (1, 1, 1)) == 6
@@ -125,10 +127,22 @@ def test_b_n3_delta2():
     assert b_n3_delta2(4) == 83
     assert b_n3_delta2(5) == 311
     assert b_n3_delta2(6) == 1075
-    for n in range(3, 11):
-        assert b_n3_delta2(n) == b_n3_delta2_by_sums(n)
+    for n in range(3, matrices.MBAR_CAP + 1):
+        assert b_n3_delta2(n) == b_n3_delta2_by_sums(n) == _b_n3_delta2_by_filtering(n), n
     for n in range(3, 9):
         assert b_n3_delta2(n) == b_delta(n, 3, 2)
+
+
+def _b_n3_delta2_by_filtering(n):
+    # The case sum with the two- and three-block compositions picked out of
+    # the list of all compositions.
+    total = b_n3_delta1(n)
+    for parts in compositions(n):
+        if len(parts) == 3:
+            total += formulas._multinomial(parts) * (2 if parts[1] >= 2 else 1)
+        elif len(parts) == 2:
+            total += formulas._multinomial(parts) * (2 if min(parts) >= 2 else 1)
+    return total
 
 
 def test_b_n4_delta1():
@@ -142,11 +156,28 @@ def test_b_n4_delta1():
         assert b_n4_delta1(n) == b_delta(n, 4, 1), n
 
 
+def _composition_sum_by_listing(m, shift):
+    # _composition_sum term by term over the list of all compositions of m.
+    total = 0
+    for parts in compositions(m):
+        weight = parts[0] if len(parts) == 1 else (parts[0] - shift) * parts[-1]
+        for p in parts[1:-1]:
+            weight *= p - 1
+        total += formulas._multinomial(parts) * weight
+    return total
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_composition_sum_matches_the_listed_compositions(shift):
+    for m in range(1, 15):
+        assert formulas._composition_sum(m, shift) == _composition_sum_by_listing(m, shift), m
+
+
 def _unit_sum_as_fraction(m):
     # The composition unit identity's sum with exact rationals, as it was
     # first checked.
     acc = Fraction(0)
-    for parts in formulas.compositions(m):
+    for parts in compositions(m):
         term = Fraction(parts[-1], math.factorial(parts[-1]))
         for p in parts[:-1]:
             term *= Fraction(p - 1, math.factorial(p))
@@ -173,9 +204,9 @@ def test_multinomial():
 
 
 def test_f_identity_sees_one_missing_composition(monkeypatch):
-    real = formulas.compositions
-    # Only the top index loses a term: the one-part composition (13,).
-    monkeypatch.setattr(formulas, "compositions", lambda m: [c for c in real(m) if c != (13,)])
+    real = formulas._unit_composition_sum
+    # Only the top index is off, by one.
+    monkeypatch.setattr(formulas, "_unit_composition_sum", lambda m: real(m) - (m == 13))
     assert not f_identity_check(12)
     assert f_identity_check(11)
 
