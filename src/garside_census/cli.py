@@ -9,8 +9,9 @@ renders integers as decimal strings, and identical invocations produce
 byte-identical output.  Exit status is 0 on success, 1 on a verification
 mismatch, 2 on usage errors.  count --via Mprime|M22|M23 uses the
 oracle paths and needs --last PERM; --last delta R needs R in 1..n;
-charpoly prints the factored form for --kind Mbar unless --raw is given;
-table, conjecture and verify take --nmax <= MBAR_CAP.
+charpoly prints the factored form for --kind Mbar unless --raw is given,
+and --kind M|Mprime as Mbar(n)'s polynomial times a power of x; table,
+conjecture and verify take --nmax <= MBAR_CAP.
 """
 from __future__ import annotations
 
@@ -117,20 +118,14 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-# Largest n per kind for an exact characteristic polynomial; Mbar is
-# limited by build_Mbar's own cap.
-_CHARPOLY_CAP = {"M": 5, "Mprime": 7}
-
-
 def _cmd_charpoly(args) -> int:
-    cap = _CHARPOLY_CAP.get(args.kind)
-    if cap is not None and args.n > cap:
-        raise ValueError(
-            f"kind {args.kind} is too large for an exact characteristic polynomial "
-            f"beyond n={cap}; its nonzero spectrum equals that of kind Mbar"
-        )
     m = _build_matrix(args.kind, args.n)
-    poly = (spectral.cached_charpoly if args.kind == "Mbar" else spectral.charpoly)(m)
+    # M = Y·F with F·Y = Mprime (Y[x][s] = [s ⊆ D_R(x)], F[s][y] = [D_L(y) = s]), and
+    # Mprime = X·E with E·X = Mbar (X the p(n) distinct columns of Mprime, E[mu][J] =
+    # [J has partition mu]).  Sylvester's identity, det(xI_a - YF) = x^(a-b) det(xI_b - FY)
+    # for YF a x a and FY b x b, makes every kind's polynomial Mbar(n)'s times x^(size - p(n)).
+    mbar = matrices.build_Mbar(args.n)
+    poly = (0,) * (m.size - mbar.size) + spectral.cached_charpoly(mbar)
     factors = None
     if args.kind == "Mbar" and not args.raw:
         polys = [spectral.cached_charpoly(matrices.build_Mbar(k)) for k in range(1, args.n + 1)]

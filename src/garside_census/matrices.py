@@ -291,6 +291,8 @@ def b_total(n: int, d: int) -> int:
     The number of positive n-braids of degree at most d (d = 0 gives 1,
     counting only the trivial braid).
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if d < 0:
         raise ValueError("d must be non-negative")
     if d == 0:

@@ -80,6 +80,21 @@ def test_charpoly(capsys):
     assert obj["factors"] == [["-1", "1"], ["-1", "1"], ["-2", "1"]]
 
 
+@pytest.mark.parametrize(
+    "kind, n", [("M", n) for n in range(1, 5)] + [("Mprime", n) for n in range(1, 8)]
+)
+def test_charpoly_of_the_larger_kinds_keeps_its_zero_coefficients(capsys, kind, n):
+    # the CLI pads Mbar(n)'s polynomial with zeros; spectral.charpoly on the
+    # built matrix counts every zero eigenvalue itself
+    expected = [str(c) for c in spectral.charpoly(cli._build_matrix(kind, n))]
+    code, out, _ = run(capsys, "charpoly", str(n), "--kind", kind)
+    assert code == 0
+    assert out == f"coefficients (constant first): {' '.join(expected)}\n"
+    code, out, _ = run(capsys, "charpoly", str(n), "--kind", kind, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coefficients_constant_first"] == expected
+
+
 def test_normalize(capsys):
     code, out, _ = run(capsys, "normalize", "-n", "3", "s1 s2 s1")
     assert code == 0
@@ -213,7 +228,7 @@ def test_usage_error_exit_code():
         (["conjecture", "--nmax", "3", "--format", "csv"], "invalid choice: 'csv'"),
         (["count", "3", "4", "--via", "M22"], "--via M22 counts by a last permutation"),
         (["count", "3", "4", "--last", "delta", "1", "--via", "M23"], "--via M23 counts by a last permutation"),
-        (["charpoly", "8", "--kind", "Mprime"], "beyond n=7"),
+        (["charpoly", "13", "--kind", "Mprime"], "exceeds the subset-size cap 12"),
         (["charpoly", "4", "--factored"], "unrecognized arguments"),
         (["oracle", "4", "3", "--last", "delta", "0"], "r=0 out of range 1..4"),
         (["oracle", "4", "3", "--last", "delta", "5"], "r=5 out of range 1..4"),
@@ -228,6 +243,8 @@ def test_usage_error_exit_code():
         (["count", "8", "2", "--last", "[8,7,6,5,4,3,2,1]", "--via", "M22"], "exceeds the factorial-size cap 7"),
         (["count", "8", "2", "--last", "[8,7,6,5,4,3,2,1]", "--via", "M23"], "exceeds the factorial-size cap 7"),
         (["oracle", "8", "2"], "exceeds the factorial-size cap 7"),
+        (["charpoly", "8", "--kind", "M"], "exceeds the factorial-size cap 7"),
+        (["count", "0", "0"], "n must be at least 1"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):

@@ -265,6 +265,8 @@ def test_b_total_examples():
         assert b_total(n, 1) == math.factorial(n)
     assert b_total(3, 3) == 48
     assert b_total(4, 5) == 45252
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        b_total(0, 0)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -5,7 +5,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from garside_census import reference, spectral
-from garside_census.matrices import MBAR_CAP, CountMatrix, b_delta, b_total, build_M, build_Mbar, build_Mprime
+from garside_census.descents import partitions_by_mask, partitions_in_order
+from garside_census.matrices import (
+    MBAR_CAP,
+    CountMatrix,
+    b_delta,
+    b_total,
+    build_M,
+    build_Mbar,
+    build_Mprime,
+    descent_masks,
+    vec_times_matrix,
+)
 from garside_census.oracle import m_charpoly_nonzero, naive_charpoly
 from garside_census.spectral import (
     _P,
@@ -185,6 +196,35 @@ def test_strip_equality_compressed(n):
     s_p = strip_x_power(charpoly(build_Mprime(n)))
     s_b = strip_x_power(charpoly(build_Mbar(n)))
     assert s_p == s_b == m_charpoly_nonzero(n)
+
+
+def _product(a, b):
+    return tuple(vec_times_matrix(row, b) for row in a)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_M_factors_through_the_descent_subsets(n):
+    # M = Y·F and F·Y = Mprime, so by Sylvester's identity the polynomial
+    # of M(n) is that of Mprime(n) times x^(n! - 2^(n-1))
+    masks = descent_masks(n)
+    subsets = range(1 << (n - 1))
+    y = [[int(s & ~right == 0) for s in subsets] for _, right in masks]
+    f = [[int(left == s) for left, _ in masks] for s in subsets]
+    assert _product(y, f) == build_M(n).rows
+    assert _product(f, y) == build_Mprime(n).rows
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_Mprime_factors_through_the_partitions(n):
+    # Mprime = X·E and E·X = Mbar, X the p(n) distinct columns of Mprime
+    mprime = build_Mprime(n).rows
+    columns = tuple(zip(*mprime))
+    by_mask = partitions_by_mask(n)
+    labels = partitions_in_order(n)
+    x = tuple(zip(*(columns[by_mask.index(mu)] for mu in labels)))
+    e = [[int(lam == mu) for lam in by_mask] for mu in labels]
+    assert _product(x, e) == mprime
+    assert _product(e, x) == build_Mbar(n).rows
 
 
 # --- divisibility ------------------------------------------------------------
