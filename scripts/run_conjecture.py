@@ -7,8 +7,10 @@ of degree p(n) - p(n-1) and nonzero constant term.
     python3 scripts/run_conjecture.py [--nmax N]
 
 N runs from 2 to matrices.MBAR_CAP (15), the size cap of build_Mbar; a
-larger N is refused before any matrix is built.  The default range
-n <= 10 runs in about a second, the full range n <= 15 in about 10 s.
+larger N is refused before any matrix is built.  On a shared 2-CPU
+host with Python 3.11 the default range n <= 10 runs in about 0.3 s and
+the full range n <= 15 in about 6 s (5.8-6.6 s in four runs), start-up
+included.
 """
 import argparse
 import sys

@@ -119,13 +119,14 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    m = _build_matrix(args.kind, args.n)
+    size = matrices._checked_size(args.kind, args.n)
     # M = Y·F with F·Y = Mprime (Y[x][s] = [s ⊆ D_R(x)], F[s][y] = [D_L(y) = s]), and
     # Mprime = X·E with E·X = Mbar (X the p(n) distinct columns of Mprime, E[mu][J] =
     # [J has partition mu]).  Sylvester's identity, det(xI_a - YF) = x^(a-b) det(xI_b - FY)
-    # for YF a x a and FY b x b, makes every kind's polynomial Mbar(n)'s times x^(size - p(n)).
+    # for YF a x a and FY b x b, makes every kind's polynomial Mbar(n)'s times x^(size - p(n)),
+    # so neither M nor Mprime is built.
     mbar = matrices.build_Mbar(args.n)
-    poly = (0,) * (m.size - mbar.size) + spectral.cached_charpoly(mbar)
+    poly = (0,) * (size - mbar.size) + spectral.cached_charpoly(mbar)
     factors = None
     if args.kind == "Mbar" and not args.raw:
         polys = [spectral.cached_charpoly(matrices.build_Mbar(k)) for k in range(1, args.n + 1)]

@@ -16,10 +16,12 @@ The two counting numbers implemented here are, for subsets I and J:
 a_hat is the number of non-negative integer matrices with row margins the
 composition of I and column margins the composition of J.  That number
 depends only on the two partitions, and by RSK it is sum over shapes nu
-of K(nu, rows) * K(nu, cols), a sum of products of Kostka numbers read
-from _tableaux, which grows each table by one horizontal strip per part.
-contingency_count, a dynamic program over the columns, counts the same
-matrices directly and is kept as the independent check.
+of K(nu, rows) * K(nu, cols).  _a_hat_table(n) holds it for every pair of
+partitions of n at once, as the Gram product K^T K of the dense Kostka
+columns read from _tableaux, which grows each table by one horizontal
+strip per part; every margin count is a lookup in it.  contingency_count,
+a dynamic program over the columns, counts the same matrices directly
+and is kept as the independent check.
 
 Two levels read these margin counts.  At the subset level, a follows by
 inclusion-exclusion over supersets of I, in a_column, the one superset
@@ -27,7 +29,7 @@ transform; partitions_by_mask is the one subset-to-partition table, and
 matrices.build_Mprime and a read both.  At the partition level,
 _refinements holds the signed refinement counts that sum the same
 inclusion-exclusion over every subset with a given partition at once;
-matrices.build_Mbar reads it with _count_by_sorted_margins and never
+matrices.build_Mbar reads it with the rows of _a_hat_table and never
 builds a subset table.  The brute-force oracles, oracle.count_functions
 and the census of all n! permutations (oracle.left_right_descent_census),
 live with the other oracles.
@@ -37,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import mul
 from typing import Iterable, Sequence
 
 Composition = tuple[int, ...]
@@ -226,14 +229,30 @@ def _tableaux(content: tuple[int, ...]) -> dict[PartitionN, int]:
 
 
 @functools.lru_cache(maxsize=None)
+def _a_hat_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """
+    The margin counts of every pair of partitions of n, rows and columns
+    in the order of partitions_in_order(n).  By RSK a matrix with margins
+    kappa and mu is a pair of semistandard tableaux of one shape nu with
+    contents kappa and mu, so the table is the Gram product K^T K of the
+    Kostka columns K(., kappa) from _tableaux; it is symmetric, and only
+    its lower half is summed.
+    """
+    labels = partitions_in_order(n)
+    cols = [[_tableaux(kappa).get(nu, 0) for nu in labels] for kappa in labels]
+    rows = [[0] * len(labels) for _ in labels]
+    for i, col in enumerate(cols):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = sum(map(mul, col, cols[j]))
+    return tuple(map(tuple, rows))
+
+
+@functools.lru_cache(maxsize=None)
 def _count_by_sorted_margins(rows_desc: tuple[int, ...], cols_desc: tuple[int, ...]) -> int:
-    # RSK: a matrix with these margins is a pair of semistandard tableaux
-    # of one shape, with contents rows_desc and cols_desc.  The sum is
-    # symmetric, so walk the table with fewer shapes and probe the other.
-    walk, probe = _tableaux(rows_desc), _tableaux(cols_desc)
-    if len(walk) > len(probe):
-        walk, probe = probe, walk
-    return sum(k * probe.get(shape, 0) for shape, k in walk.items())
+    # One entry of _a_hat_table; benchmark/tracer.py reads this cache's hit ratio.
+    n = sum(rows_desc)
+    labels = partitions_in_order(n)
+    return _a_hat_table(n)[labels.index(rows_desc)][labels.index(cols_desc)]
 
 
 def _multinomial(parts: Sequence[int]) -> int:

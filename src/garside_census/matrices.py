@@ -18,18 +18,21 @@ FACTORIAL_CAP also bounds the n!-sized state of oracle.dp_count and the
 M22 / M23 paths of oracle.b_of_simple_via, which step through M(n) on
 descent_masks(n) alone.  The columns of Mprime come from
 descents.a_column, the subset level; Mbar is built at the partition
-level from the Kostka sums and descents._refinements, with no subset table.
+level from the Kostka Gram table descents._a_hat_table and
+descents._refinements, with no subset table.
 
 b(n, d) counts the positive n-braids of degree at most d; b(n, d, x) those
 whose d-th normal factor equals the square-free braid x, by exact integer
-row-vector iteration through vec_times_matrix, the one product (the Krylov
-rows of spectral.charpoly use it too).  The reduced matrix is the counting
-path; the counts through the larger ones are cross-checks that live in
-oracle.b_of_simple_via.
+row-vector iteration through vec_times_matrix, the one product.  The
+reduced matrix is the counting path; the counts through the larger ones
+are cross-checks that live in oracle.b_of_simple_via.
 
 Every b(...) function and computed_table read count_series(n, dmax), the
-vectors 1 Mbar(n)^(d-1) for d = 1..dmax; Mbar(n) and its characteristic
-polynomial (spectral.cached_charpoly) are computed once per process.
+vectors 1 Mbar(n)^(d-1) for d = 1..dmax.  Its first p(n) + 1 vectors are
+also the Krylov rows of Mbar(n)'s characteristic polynomial, and the
+iterates of the brackets of spectral.rho_max; spectral reads them from
+here.  Mbar(n) and its characteristic polynomial
+(spectral.cached_charpoly) are computed once per process.
 """
 from __future__ import annotations
 
@@ -106,6 +109,22 @@ class CountMatrix:
         return out
 
 
+def _checked_size(kind: str, n: int) -> int:
+    """
+    The size of build_<kind>(n), n!, 2^(n-1) or p(n), behind that
+    builder's cap; build_M and build_Mprime check their caps here, before
+    anything is built, and the size itself needs neither matrix.
+    """
+    if kind == "Mbar":
+        return build_Mbar(n).size
+    cap, what = (FACTORIAL_CAP, "factorial-size") if kind == "M" else (SUBSET_CAP, "subset-size")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > cap:
+        raise ValueError(f"n={n} exceeds the {what} cap {cap}")
+    return math.factorial(n) if kind == "M" else 1 << (n - 1)
+
+
 @functools.lru_cache(maxsize=None)
 def descent_masks(n: int) -> tuple[tuple[int, int], ...]:
     """
@@ -122,10 +141,7 @@ def build_M(n: int) -> CountMatrix:
     """
     The full n! x n! 0/1 normality matrix over the canonical enumeration.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > FACTORIAL_CAP:
-        raise ValueError(f"n={n} exceeds the factorial-size cap {FACTORIAL_CAP}")
+    _checked_size("M", n)
     masks = descent_masks(n)
     lefts = [left for left, _ in masks]
     rows = tuple(tuple(1 if left_y & ~right_x == 0 else 0 for left_y in lefts) for _, right_x in masks)
@@ -194,10 +210,7 @@ def build_Mprime(n: int) -> CountMatrix:
     counts over subsets in binary order; a column depends only on its
     partition, so each of the p(n) distinct columns is built once.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > SUBSET_CAP:
-        raise ValueError(f"n={n} exceeds the subset-size cap {SUBSET_CAP}")
+    _checked_size("Mprime", n)
     columns = {mu: descents.a_column(n, mu) for mu in descents.partitions_in_order(n)}
     rows = tuple(zip(*(columns[mu] for mu in descents.partitions_by_mask(n))))
     labels = tuple(descents.subsets_in_binary_order(n))
@@ -218,15 +231,14 @@ def build_Mbar(n: int) -> CountMatrix:
 
 @functools.lru_cache(maxsize=None)
 def _cached_Mbar(n: int) -> CountMatrix:
-    # Mbar = C·Â at the partition level (Stanley, EC2 §7.23): row kappa of Â
-    # holds the Kostka sums, and C[lam][kappa] = r(kappa)·_refinements(kappa)[lam]
+    # Mbar = C·Â at the partition level (Stanley, EC2 §7.23): Â = KᵀK is the
+    # Kostka Gram table, and C[lam][kappa] = r(kappa)·_refinements(kappa)[lam]
     # is the h-expansion of the summed ribbon Schur functions, the superset
     # inclusion-exclusion of a_column summed over the subsets with partition lam.
     labels = descents.partitions_in_order(n)
     index = {lam: i for i, lam in enumerate(labels)}
     rows_acc = [[0] * len(labels) for _ in labels]
-    for kappa in labels:
-        a_hat_row = [descents._count_by_sorted_margins(kappa, mu) for mu in labels]
+    for kappa, a_hat_row in zip(labels, descents._a_hat_table(n)):
         orderings = descents._multinomial(collections.Counter(kappa).values())
         for lam, count in descents._refinements(kappa).items():
             i = index[lam]

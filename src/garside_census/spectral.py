@@ -1,34 +1,42 @@
 """
 Exact characteristic polynomials of the counting matrices, divisibility of
-consecutive spectra, and the dominant eigenvalue, read exactly off the
-characteristic polynomial and returned as the nearest double.
+consecutive spectra, and the dominant eigenvalue, returned as the double
+nearest its exact value.
 
 Polynomials are dense integer-coefficient tuples with the constant term
 first.  A characteristic polynomial is solved for from the Krylov rows
-v A^k of v = (1, ..., 1), taken by matrices.vec_times_matrix, the one
-product behind the count series too: the Krylov matrix is factored once
-modulo the word-size prime _P and the solution lifted P-adically (Dixon,
-Numer. Math. 40, 1982) until it satisfies the Cayley-Hamilton identity
-for v exactly.  When v is not cyclic for A, or the Krylov matrix is singular
-mod _P, the division-free Berkowitz recursion runs instead; both stay in
-exact integers.  Division, divisibility and gcd stay in integers too
-(Knuth, TAOCP vol. 2, 4.6.1): exact division, pseudo-division, and the
-primitive remainder sequence for the degree of a gcd over Q, which
-coprimality and squarefree tests reach only when a remainder sequence
-mod _P cannot already prove the answer.  Its cross-checks, a naive
-cofactor-expansion determinant and the nonzero spectrum of the full matrix
-M(n), are oracle.naive_charpoly and oracle.m_charpoly_nonzero.  The
-dominant eigenvalue costs one cached characteristic polynomial per matrix
-and a bisection in which every step is an integer Taylor shift; nothing
+v A^k of v = (1, ..., 1).  On the shared build_Mbar(n) those rows are the
+count series itself, read from matrices.count_series; any other matrix
+steps its own with matrices.vec_times_matrix, the one product behind the
+series too.  The Krylov matrix is factored once modulo the word-size
+prime _P and the solution lifted P-adically (Dixon, Numer. Math. 40,
+1982) until it satisfies the Cayley-Hamilton identity for v exactly.
+When v is not cyclic for A, or the Krylov matrix is singular mod _P, the
+division-free Berkowitz recursion runs instead; both stay in exact
+integers.  Division, divisibility and gcd stay in integers too (Knuth,
+TAOCP vol. 2, 4.6.1): exact division, pseudo-division, and the primitive
+remainder sequence for the degree of a gcd over Q, which coprimality and
+squarefree tests reach only when a remainder sequence mod _P cannot
+already prove the answer.  Its cross-checks, a naive cofactor-expansion
+determinant and the nonzero spectrum of the full matrix M(n), are
+oracle.naive_charpoly and oracle.m_charpoly_nonzero.
+
+The dominant eigenvalue is bracketed first, by the Collatz-Wielandt
+bounds on the same rows v A^k (Horn & Johnson, Matrix Analysis, 8.1),
+compared as integer cross-products; on Mbar(n) most of those rows are
+already there as Krylov rows.  When the brackets do not close, or an
+iterate has a zero entry, a bisection on the cached characteristic
+polynomial decides it, every step an integer Taylor shift.  Nothing
 here uses floats until the final, correctly rounded division.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import descents, matrices
 from .matrices import CountMatrix
@@ -159,11 +167,30 @@ def _solve_mod_p(perm: list[int], lu: list[list[int]], r: Sequence[int]) -> list
     return y
 
 
-def _krylov_charpoly(rows: Sequence[Sequence[int]]) -> IntPoly | None:
+def _krylov_rows(m: CountMatrix | Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """
+    The rows v A^k, k = 0, 1, ..., of v = (1, ..., 1).  On the shared
+    build_Mbar(n) they are the count series, read from count_series, which
+    keeps them; any other matrix steps its own, each a
+    matrices.vec_times_matrix product, and keeps none.
+    """
+    if (isinstance(m, CountMatrix) and m.kind == "Mbar" and 1 <= m.n <= matrices.MBAR_CAP
+            and m is matrices.build_Mbar(m.n)):
+        for d in itertools.count(1):
+            yield matrices.count_series(m.n, d)[-1]
+    else:
+        rows = m.rows if isinstance(m, CountMatrix) else m
+        x = (1,) * len(rows)
+        while True:
+            yield x
+            x = matrices.vec_times_matrix(x, rows)
+
+
+def _krylov_charpoly(a: CountMatrix | Sequence[Sequence[int]]) -> IntPoly | None:
     """
     det(xI - A), constant term first, from the Krylov rows K_k = v A^k of
-    v = (1, ..., 1), each a matrices.vec_times_matrix product as in
-    count_series; None when K = (K_0; ...; K_(m-1)) is singular mod _P.
+    v = (1, ..., 1), k = 0..m, taken from _krylov_rows; None when
+    K = (K_0; ...; K_(m-1)) is singular mod _P.
 
     Then K is nonsingular over Q, v's minimal polynomial has degree m and
     is the characteristic polynomial, and its low coefficients c are the
@@ -173,10 +200,9 @@ def _krylov_charpoly(rows: Sequence[Sequence[int]]) -> IntPoly | None:
     when that is.  Every |c_k| <= (1 + R)^m, R the largest absolute row
     sum, so the lifting cannot pass that bound without a bug.
     """
+    rows = a.rows if isinstance(a, CountMatrix) else a
     m = len(rows)
-    krylov = [[1] * m]
-    for _ in range(m):
-        krylov.append(matrices.vec_times_matrix(krylov[-1], rows))
+    krylov = list(itertools.islice(_krylov_rows(a), m + 1))
     # kt[j] = (K_0[j], ..., K_(m-1)[j]): x K is the vector of x . kt[j]
     kt = list(zip(*krylov[:m]))
     factored = _lu_mod_p(kt)
@@ -201,12 +227,16 @@ def charpoly(m: CountMatrix | Sequence[Sequence[int]]) -> IntPoly:
     Exact characteristic polynomial det(xI - m), monic of degree equal to
     the matrix size, constant term first: from the Krylov sequence of
     (1, ..., 1) by P-adic lifting, or by Berkowitz when that sequence does
-    not span (a repeated eigenvalue with a diagonalizable block, say).
+    not span (a repeated eigenvalue with a diagonalizable block, say).  On
+    the shared build_Mbar(n) the Krylov rows are count_series(n, p(n) + 1).
     """
-    rows = m.rows if isinstance(m, CountMatrix) else tuple(tuple(r) for r in m)
+    if isinstance(m, CountMatrix):
+        rows = m.rows
+    else:
+        m = rows = tuple(tuple(r) for r in m)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
-    poly = _krylov_charpoly(rows)
+    poly = _krylov_charpoly(m)
     return tuple(reversed(_berkowitz(rows))) if poly is None else poly
 
 
@@ -402,19 +432,59 @@ def _side_of_rho(p: Sequence, a: int, s: int) -> int:
     return 1 if q[0] else 0
 
 
-def rho_max(m: CountMatrix) -> float:
+# The most iterates the brackets of rho_max step through; they close in
+# 20-40 steps on Mbar(n) for n = 4..15.
+_BRACKET_STEPS = 100
+
+# Orders pairs (p, q), q > 0, by p / q, through integer cross-products.
+_BY_RATIO = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
+def _rho_by_brackets(m: CountMatrix) -> float | None:
     """
-    Spectral radius of a non-negative integer matrix, the double nearest
-    the exact value.  It is read off cached_charpoly(m), so the cost is
-    one cached characteristic polynomial per matrix and a bisection over
-    dyadic points x, each decided exactly by _side_of_rho.  The bisection
-    stops once both ends round to the same double, or when it lands on
-    rho itself.  As a root of a monic integer polynomial rho is an
-    integer, which is a bisection point, or irrational, which is never a
-    tie between doubles; so it stops.
+    The double nearest the spectral radius of a non-negative matrix by
+    Collatz-Wielandt brackets (Horn & Johnson, Matrix Analysis, 8.1) on
+    the iterates x_k = (1, ..., 1) m^k, or None when they do not close.
+
+    For x = x_k > 0 and y = x_(k+1), max_i y_i / x_i bounds rho from
+    above.  For any set S of indices, the minimum of the same ratios for
+    A_SS, the principal submatrix on S, bounds rho(A_SS) <= rho from
+    below; S is the set of entries that moved, so an entry held fixed,
+    like the label (n) of Mbar(n), does not hold the bound at 1.  When
+    none moved, x is a positive eigenvector and rho is 1.  Each end is
+    found by integer cross-products and only then converted, by correctly
+    rounded int/int division; rounding to nearest is monotone, so ends
+    that round to the same double give the double nearest rho.  None when
+    an iterate has a zero entry, or after _BRACKET_STEPS steps: on
+    Mbar(2), a Jordan block, say, where the upper end is 1 + 1/k.
     """
-    if any(e < 0 for row in m.rows for e in row):
-        raise ValueError("rho_max needs a non-negative matrix")
+    iterates = _krylov_rows(m)
+    x = next(iterates)
+    for _ in range(_BRACKET_STEPS):
+        y = next(iterates)
+        if 0 in x:
+            return None
+        if y == x:
+            return 1.0
+        fixed = [j for j, (p, q) in enumerate(zip(y, x)) if p == q]
+        hi = max(zip(y, x), key=_BY_RATIO)
+        lo = min(((p - sum(x[j] * m.rows[j][i] for j in fixed), q)
+                  for i, (p, q) in enumerate(zip(y, x)) if p != q), key=_BY_RATIO)
+        if lo[0] / lo[1] == hi[0] / hi[1]:
+            return hi[0] / hi[1]
+        x = y
+    return None
+
+
+def _rho_by_bisection(m: CountMatrix) -> float:
+    """
+    The double nearest the spectral radius, read off cached_charpoly(m) by
+    a bisection over dyadic points x, each decided exactly by
+    _side_of_rho.  The bisection stops once both ends round to the same
+    double, or when it lands on rho itself.  As a root of a monic integer
+    polynomial rho is an integer, which is a bisection point, or
+    irrational, which is never a tie between doubles; so it stops.
+    """
     p = cached_charpoly(m)
     if _side_of_rho(p, 0, 0) == 0:
         return 0.0
@@ -430,6 +500,23 @@ def rho_max(m: CountMatrix) -> float:
         else:
             lo = mid
     return lo / 2**s
+
+
+def rho_max(m: CountMatrix) -> float:
+    """
+    Spectral radius of a non-negative integer matrix, the double nearest
+    the exact value.  Collatz-Wielandt brackets on the iterates of
+    (1, ..., 1) decide it first, at the cost of about 20-40 iterates; on
+    the shared build_Mbar(n) those are count series rows, most of them
+    already there as the Krylov rows of its characteristic polynomial.
+    When the brackets do not close, a bisection on cached_charpoly(m)
+    decides it, at one cached characteristic polynomial and about 50
+    integer Taylor shifts of its degree.
+    """
+    if any(e < 0 for row in m.rows for e in row):
+        raise ValueError("rho_max needs a non-negative matrix")
+    rho = _rho_by_brackets(m)
+    return _rho_by_bisection(m) if rho is None else rho
 
 
 def spectral_radius_table(nmax: int) -> list[dict]:

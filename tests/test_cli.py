@@ -95,6 +95,28 @@ def test_charpoly_of_the_larger_kinds_keeps_its_zero_coefficients(capsys, kind, 
     assert json.loads(out)["coefficients_constant_first"] == expected
 
 
+def test_charpoly_of_the_larger_kinds_builds_neither(capsys, monkeypatch):
+    def forbidden(n):
+        raise AssertionError(f"a larger matrix was built at n={n}")
+
+    monkeypatch.setattr(matrices, "build_M", forbidden)
+    monkeypatch.setattr(matrices, "build_Mprime", forbidden)
+    for kind, n, size in (("M", 7, 5040), ("Mprime", 12, 2048), ("M", 1, 1), ("Mprime", 1, 1)):
+        code, out, _ = run(capsys, "charpoly", str(n), "--kind", kind, "--format", "json")
+        assert code == 0
+        mbar = spectral.cached_charpoly(matrices.build_Mbar(n))
+        expected = ["0"] * (size - len(mbar) + 1) + [str(c) for c in mbar]
+        assert json.loads(out)["coefficients_constant_first"] == expected
+    for argv, message in (
+        (["charpoly", "8", "--kind", "M"], "exceeds the factorial-size cap 7"),
+        (["charpoly", "13", "--kind", "Mprime"], "exceeds the subset-size cap 12"),
+        (["charpoly", "0", "--kind", "M"], "n must be at least 1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
 def test_normalize(capsys):
     code, out, _ = run(capsys, "normalize", "-n", "3", "s1 s2 s1")
     assert code == 0

@@ -219,6 +219,7 @@ def test_library_counts_never_run_the_dp():
     for cached in (
         descents._fill_columns,
         descents._count_by_sorted_margins,
+        descents._a_hat_table,
         descents._tableaux,
         matrices._cached_Mbar,
     ):

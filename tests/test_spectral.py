@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from garside_census import reference, spectral
+from garside_census import matrices, reference, spectral
 from garside_census.descents import partitions_by_mask, partitions_in_order
 from garside_census.matrices import (
     MBAR_CAP,
@@ -166,6 +166,25 @@ def test_charpoly_of_Mbar_never_falls_back(n, monkeypatch):
 
     monkeypatch.setattr(spectral, "_berkowitz", no_berkowitz)
     assert charpoly(rows) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_charpoly_of_the_shared_Mbar_equals_that_of_its_rows(n):
+    # build_Mbar(n) itself takes its Krylov rows from count_series; its rows step their own
+    assert charpoly(build_Mbar(n)) == charpoly(build_Mbar(n).rows)
+
+
+@pytest.mark.parametrize("n", (1, 5, 9, 12))
+def test_the_Krylov_rows_of_Mbar_are_the_count_series(n, monkeypatch):
+    matrices._SERIES.pop(n, None)
+    cached_charpoly.cache_clear()
+    cached_charpoly(build_Mbar(n))
+
+    def no_product(v, m):
+        raise AssertionError("vec_times_matrix called after the Krylov rows")
+
+    monkeypatch.setattr(matrices, "vec_times_matrix", no_product)
+    assert len(matrices.count_series(n, len(partitions_in_order(n)) + 1)) == len(partitions_in_order(n)) + 1
 
 
 def test_charpoly_mbar3():
@@ -440,6 +459,36 @@ def test_rho_max_special_spectra():
     assert rho_max(_matrix(((0, 0), (0, 0)))) == 0.0
     assert rho_max(_matrix(((0, 1, 0), (0, 0, 1), (1, 0, 0)))) == 1.0
     assert rho_max(_matrix(((2, 0), (0, 7)))) == 7.0
+
+
+_entry_or_zero = st.one_of(st.just(0), st.integers(0, 50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.tuples(*[st.tuples(*[_entry_or_zero] * k)] * k)
+    )
+)
+@example(rows=((0, 1), (0, 0)))  # nilpotent
+@example(rows=((0, 1, 0), (0, 0, 1), (1, 0, 0)))  # a permutation: no iterate moves
+@example(rows=((2, 0), (0, 7)))  # reducible: the lower end stays at 2
+@example(rows=((1, 1), (0, 1)))  # a Jordan block: the upper end is 1 + 1/k
+@example(rows=((3, 1), (1, 3)))  # rho = 4 exactly
+def test_rho_max_equals_the_bisection(rows):
+    m = _matrix(rows)
+    assert rho_max(m) == spectral._rho_by_bisection(m)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_rho_max_of_Mbar_closes_by_the_brackets(n, monkeypatch):
+    expected = spectral._rho_by_bisection(build_Mbar(n))
+
+    def no_bisection(m):
+        raise AssertionError("the brackets did not close")
+
+    monkeypatch.setattr(spectral, "_rho_by_bisection", no_bisection)
+    assert rho_max(build_Mbar(n)) == expected
 
 
 def test_charpoly_cache_holds_at_most_one_entry_per_Mbar():
