@@ -17,9 +17,13 @@ a_hat is the number of non-negative integer matrices with row margins the
 composition of I and column margins the composition of J.  That number
 depends only on the two partitions, and by RSK it is sum over shapes nu
 of K(nu, rows) * K(nu, cols).  _a_hat_table(n) holds it for every pair of
-partitions of n at once, as the Gram product K^T K of the dense Kostka
-columns read from _tableaux, which grows each table by one horizontal
-strip per part; every margin count is a lookup in it.  contingency_count,
+partitions of n at once, as the Gram product K^T K of the Kostka columns
+read from _tableaux, which grows each table by one horizontal strip per
+part (the strips of each shape and size are cached).  K(nu, kappa) is
+zero unless nu dominates kappa, so with the shapes in decreasing
+lexicographic order each column is truncated after kappa's own row, and
+the Gram product sums about a third of the products a dense one would.
+Every margin count is a lookup in the table.  contingency_count,
 a dynamic program over the columns, counts the same matrices directly
 and is kept as the independent check.
 
@@ -183,13 +187,15 @@ def _fill_columns(rows_sorted: tuple[int, ...], cols: tuple[int, ...]) -> int:
     return total
 
 
-def _horizontal_strips(shape: PartitionN, k: int) -> list[PartitionN]:
+@functools.lru_cache(maxsize=None)
+def _horizontal_strips(shape: PartitionN, k: int) -> tuple[PartitionN, ...]:
     """
     Every partition nu containing shape whose skew nu/shape is a horizontal
-    strip of k boxes: row i grows by at most shape[i-1] - shape[i].
+    strip of k boxes: row i grows by at most shape[i-1] - shape[i].  The
+    same (shape, k) recurs for many contents, so the tuple is cached.
 
     >>> _horizontal_strips((2,), 1)
-    [(2, 1), (3,)]
+    ((2, 1), (3,))
     """
     rows = shape + (0,)
     out = []
@@ -204,7 +210,7 @@ def _horizontal_strips(shape: PartitionN, k: int) -> list[PartitionN]:
             grow(i + 1, left - add, grown + (rows[i] + add,))
 
     grow(0, k, ())
-    return out
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,10 +242,19 @@ def _a_hat_table(n: int) -> tuple[tuple[int, ...], ...]:
     kappa and mu is a pair of semistandard tableaux of one shape nu with
     contents kappa and mu, so the table is the Gram product K^T K of the
     Kostka columns K(., kappa) from _tableaux; it is symmetric, and only
-    its lower half is summed.
+    its lower half is summed.  With the shapes in decreasing
+    lexicographic order, column kappa is truncated after kappa's own row,
+    below which it is zero, so an entry sums only the common support of
+    its two columns.
     """
     labels = partitions_in_order(n)
-    cols = [[_tableaux(kappa).get(nu, 0) for nu in labels] for kappa in labels]
+    # K(nu, kappa) != 0 needs nu to dominate kappa, hence nu >= kappa
+    # lexicographically; map stops at the shorter of two columns.
+    shapes = sorted(labels, reverse=True)
+    cols = []
+    for kappa in labels:
+        table = _tableaux(kappa)
+        cols.append([table.get(nu, 0) for nu in shapes[: shapes.index(kappa) + 1]])
     rows = [[0] * len(labels) for _ in labels]
     for i, col in enumerate(cols):
         for j in range(i + 1):

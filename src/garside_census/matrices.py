@@ -237,14 +237,14 @@ def _cached_Mbar(n: int) -> CountMatrix:
     # inclusion-exclusion of a_column summed over the subsets with partition lam.
     labels = descents.partitions_in_order(n)
     index = {lam: i for i, lam in enumerate(labels)}
-    rows_acc = [[0] * len(labels) for _ in labels]
+    terms = [([], []) for _ in labels]
     for kappa, a_hat_row in zip(labels, descents._a_hat_table(n)):
         orderings = descents._multinomial(collections.Counter(kappa).values())
         for lam, count in descents._refinements(kappa).items():
-            i = index[lam]
-            weight = orderings * count
-            rows_acc[i] = [acc + weight * x for acc, x in zip(rows_acc[i], a_hat_row)]
-    rows = tuple(tuple(r) for r in rows_acc)
+            weights, a_rows = terms[index[lam]]
+            weights.append(orderings * count)
+            a_rows.append(a_hat_row)
+    rows = tuple(tuple(sum(map(mul, weights, col)) for col in zip(*a_rows)) for weights, a_rows in terms)
     return CountMatrix(kind="Mbar", n=n, labels=labels, rows=rows)
 
 

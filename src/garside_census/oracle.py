@@ -22,8 +22,8 @@ import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
-from . import descents
-from .matrices import FACTORIAL_CAP, CountMatrix, build_Mprime, descent_masks, vec_times_matrix
+from . import descents, matrices
+from .matrices import CountMatrix, build_Mprime, descent_masks, vec_times_matrix
 from .permutations import Perm, d_left, enumeration_index, is_normal_pair
 from .spectral import IntPoly, charpoly, poly_mul, poly_trim, strip_x_power
 
@@ -84,10 +84,7 @@ def _through_M(n: int, steps: int, start: Callable[[int], list[int]]) -> list[in
     and gives braid y the sum at its left-descent mask.  Refuses n beyond
     matrices.FACTORIAL_CAP before building anything.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > FACTORIAL_CAP:
-        raise ValueError(f"n={n} exceeds the factorial-size cap {FACTORIAL_CAP}")
+    matrices._checked_size("M", n)
     masks = descent_masks(n)
     v = start(len(masks))
     size = 1 << (n - 1)

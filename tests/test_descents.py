@@ -196,6 +196,15 @@ def test_tableaux_against_brute(n):
         assert descents._tableaux(content) == {s: k for s, k in brute.items() if k}, content
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_kostka_columns_are_unitriangular_in_lex_order(n):
+    # the truncated columns of descents._a_hat_table rest on this
+    for kappa in partitions_in_order(n):
+        table = descents._tableaux(kappa)
+        assert table[kappa] == 1, kappa
+        assert all(nu >= kappa for nu in table), kappa
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_kostka_sum_equals_contingency_count(n):
     parts = partitions_in_order(n)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from garside_census import oracle
+from garside_census import matrices, oracle
 from garside_census.matrices import b_delta, b_of_simple, b_total, build_M, descent_masks
 from garside_census.oracle import b_of_simple_via, brute_count, dp_count
 from garside_census.permutations import flip, identity, partial_flip
@@ -196,6 +196,17 @@ def test_full_matrix_paths_at_n_6_and_7(n, d, x, via):
 def test_full_matrix_paths_share_the_dp_cap(via):
     with pytest.raises(ValueError, match="exceeds the factorial-size cap 7"):
         b_of_simple_via(8, 3, flip(8), via)
+
+
+def test_the_dp_reads_the_cap_from_matrices(monkeypatch):
+    monkeypatch.setattr(matrices, "FACTORIAL_CAP", 5)
+    with pytest.raises(ValueError, match="^n=6 exceeds the factorial-size cap 5$"):
+        dp_count(6, 2)
+    with pytest.raises(ValueError, match="^n=6 exceeds the factorial-size cap 5$"):
+        b_of_simple_via(6, 2, flip(6), "M23")
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        oracle._through_M(0, 1, lambda size: [1] * size)
+    assert dp_count(5, 3) == b_total(5, 3)
 
 
 def test_b_of_simple_via_validation():
