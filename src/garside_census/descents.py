@@ -30,7 +30,8 @@ and is kept as the independent check.
 Two levels read these margin counts.  At the subset level, a follows by
 inclusion-exclusion over supersets of I, in a_column, the one superset
 transform; partitions_by_mask is the one subset-to-partition table, and
-matrices.build_Mprime and a read both.  At the partition level,
+a and matrices.mprime_columns, the p(n) distinct columns of Mprime(n),
+read both.  At the partition level,
 _refinements holds the signed refinement counts that sum the same
 inclusion-exclusion over every subset with a given partition at once;
 matrices.build_Mbar reads it with the rows of _a_hat_table and never

@@ -16,8 +16,10 @@ and the exact big-integer counting pipeline built on them.
 Each has its own size cap: FACTORIAL_CAP, SUBSET_CAP and MBAR_CAP.
 FACTORIAL_CAP also bounds the n!-sized state of oracle.dp_count and the
 M22 / M23 paths of oracle.b_of_simple_via, which step through M(n) on
-descent_masks(n) alone.  The columns of Mprime come from
-descents.a_column, the subset level; Mbar is built at the partition
+descent_masks(n) alone.  The p(n) distinct columns of Mprime,
+mprime_columns(n), come from descents.a_column, the subset level;
+build_Mprime and the Mprime path of oracle.b_of_simple_via read them,
+and that path never builds the matrix.  Mbar is built at the partition
 level from the Kostka Gram table descents._a_hat_table and
 descents._refinements, with no subset table.
 
@@ -112,8 +114,8 @@ class CountMatrix:
 def _checked_size(kind: str, n: int) -> int:
     """
     The size of build_<kind>(n), n!, 2^(n-1) or p(n), behind that
-    builder's cap; build_M and build_Mprime check their caps here, before
-    anything is built, and the size itself needs neither matrix.
+    builder's cap; build_M and mprime_columns check their caps here,
+    before anything is built, and the size itself needs neither matrix.
     """
     if kind == "Mbar":
         return build_Mbar(n).size
@@ -204,14 +206,26 @@ def structural_check_M(n: int) -> MStructureReport:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def mprime_columns(n: int) -> dict[PartitionN, tuple[int, ...]]:
+    """
+    The p(n) distinct columns of Mprime(n): partition mu maps to
+    a(n, I, J) for every subset mask I, at any J with partition mu (the
+    count depends on J only through it).  The cap is checked before any
+    column is computed.  The dict is shared by every caller and must not
+    be changed.
+    """
+    _checked_size("Mprime", n)
+    return {mu: tuple(descents.a_column(n, mu)) for mu in descents.partitions_in_order(n)}
+
+
 def build_Mprime(n: int) -> CountMatrix:
     """
     The 2^(n-1) square matrix of exact-left / contained-right descent
-    counts over subsets in binary order; a column depends only on its
-    partition, so each of the p(n) distinct columns is built once.
+    counts over subsets in binary order: column J is mprime_columns(n)
+    at the partition of J.
     """
-    _checked_size("Mprime", n)
-    columns = {mu: descents.a_column(n, mu) for mu in descents.partitions_in_order(n)}
+    columns = mprime_columns(n)
     rows = tuple(zip(*(columns[mu] for mu in descents.partitions_by_mask(n))))
     labels = tuple(descents.subsets_in_binary_order(n))
     return CountMatrix(kind="Mprime", n=n, labels=labels, rows=rows)

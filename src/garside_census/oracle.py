@@ -11,8 +11,8 @@ and taking superset sums over the masks, reading only
 matrices.descent_masks, so it stays independent of the Mbar pipeline.
 left_right_descent_census tallies the descent masks of all n! braids, and
 sweep_Mbar builds Mbar(n) from it.  count_functions checks a / a_hat,
-b_of_simple_via counts through Mprime(n) or M(n) instead of Mbar(n),
-naive_charpoly checks charpoly by cofactors, and m_charpoly_nonzero
+b_of_simple_via counts through Mprime(n) or M(n) instead of Mbar(n) and
+builds neither, naive_charpoly checks charpoly by cofactors, and m_charpoly_nonzero
 gives the nonzero spectrum of M(n) without building it.
 """
 from __future__ import annotations
@@ -20,10 +20,11 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import descents, matrices
-from .matrices import CountMatrix, build_Mprime, descent_masks, vec_times_matrix
+from .matrices import CountMatrix, descent_masks
 from .permutations import Perm, d_left, enumeration_index, is_normal_pair
 from .spectral import IntPoly, charpoly, poly_mul, poly_trim, strip_x_power
 
@@ -99,6 +100,27 @@ def _through_M(n: int, steps: int, start: Callable[[int], list[int]]) -> list[in
                     w[s] += w[s | bit]
             bit <<= 1
         v = [w[left] for left, _ in masks]
+    return v
+
+
+def _through_Mprime(n: int, steps: int, start: Callable[[int], Sequence[int]]) -> tuple[int, ...]:
+    """
+    The row vector start(2^(n-1)), indexed by subset mask, times
+    Mprime(n)^steps, without building Mprime(n).  Column J of Mprime(n)
+    depends on J only through its partition, so a step takes the dot
+    product of the whole vector with each of the p(n) distinct columns of
+    matrices.mprime_columns(n) and gives subset J the one at J's
+    partition.  The vector keeps all 2^(n-1) entries: summing it by
+    partition first would turn the step into Mbar(n)'s and end the
+    cross-check.  Refuses n beyond matrices.SUBSET_CAP before any
+    column is computed.
+    """
+    columns = matrices.mprime_columns(n)
+    by_mask = descents.partitions_by_mask(n)
+    v = tuple(start(len(by_mask)))
+    for _ in range(steps):
+        sums = {mu: sum(map(mul, v, col)) for mu, col in columns.items()}
+        v = tuple(sums[mu] for mu in by_mask)
     return v
 
 
@@ -182,21 +204,19 @@ def count_functions(n: int, I: Iterable[int], J: Iterable[int], exact: bool) -> 
 def b_of_simple_via(n: int, d: int, x: Perm, via: str) -> int:
     """
     matrices.b_of_simple(n, d, x) through a larger matrix: "Mprime", or
-    "M22" and "M23" over the full matrix M(n).  M22 is the row vector
-    1 M(n)^(d-1), which is dp_count with x pinned; M23 is the corner
-    vector e_Delta M(n)^d.  Both step through M(n) by _through_M, within
-    matrices.FACTORIAL_CAP.  Mprime(n) is rebuilt on every call.
+    "M22" and "M23" over the full matrix M(n).  Mprime is the row vector
+    1 Mprime(n)^(d-1) by _through_Mprime, within matrices.SUBSET_CAP.  M22
+    is the row vector 1 M(n)^(d-1), which is dp_count with x pinned; M23
+    is the corner vector e_Delta M(n)^d.  Both step through M(n) by
+    _through_M, within matrices.FACTORIAL_CAP.  No path builds its matrix.
     """
     if len(x) != n:
         raise ValueError(f"permutation {x} does not live on {n} strands")
     if d < 1:
         raise ValueError("d must be at least 1")
     if via == "Mprime":
-        m = build_Mprime(n)
-        v = (1,) * m.size
-        for _ in range(d - 1):
-            v = vec_times_matrix(v, m)
-        return v[m.label_index(d_left(x))]
+        v = _through_Mprime(n, d - 1, lambda size: (1,) * size)
+        return v[descents.mask_of(d_left(x))]
     if via == "M22":
         return dp_count(n, d, last=x)
     if via != "M23":

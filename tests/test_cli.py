@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import garside_census
-from garside_census import cli, matrices, spectral
+from garside_census import cli, descents, matrices, spectral
 from garside_census.cli import main
 
 
@@ -30,6 +30,21 @@ def test_count_explicit_permutation_and_paths(capsys):
         code, out, _ = run(capsys, "count", "3", "4", "--last", "[3,2,1]", "--via", via)
         assert code == 0
         assert out.strip() == "1"
+
+
+def test_count_via_Mprime_builds_no_matrix(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Mprime(n) was built or multiplied")
+
+    monkeypatch.setattr(matrices, "build_Mprime", forbidden)
+    monkeypatch.setattr(matrices, "vec_times_matrix", forbidden)
+    code, out, _ = run(capsys, "count", "9", "11", "--last", "[9,8,7,6,5,4,3,1,2]", "--via", "Mprime")
+    assert (code, out) == (0, "37932946510323320174309988516887119\n")
+
+    monkeypatch.setattr(descents, "a_column", forbidden)
+    code, out, err = run(capsys, "count", "13", "2", "--last", "[13,12,11,10,9,8,7,6,5,4,3,1,2]", "--via", "Mprime")
+    assert (code, out) == (2, "")
+    assert "exceeds the subset-size cap 12" in err
 
 
 def test_count_json(capsys):

@@ -231,6 +231,7 @@ def test_library_counts_never_run_the_dp():
         descents._a_hat_table,
         descents._tableaux,
         matrices._cached_Mbar,
+        matrices.mprime_columns,
     ):
         cached.cache_clear()
     matrices.build_Mbar(9)

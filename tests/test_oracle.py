@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from garside_census import matrices, oracle
-from garside_census.matrices import b_delta, b_of_simple, b_total, build_M, descent_masks
+from garside_census.matrices import (
+    b_delta,
+    b_of_simple,
+    b_total,
+    build_M,
+    build_Mprime,
+    descent_masks,
+    vec_times_matrix,
+)
 from garside_census.oracle import b_of_simple_via, brute_count, dp_count
 from garside_census.permutations import flip, identity, partial_flip
 
@@ -174,6 +182,42 @@ def test_b_of_simple_matches_every_via(case):
     value = b_of_simple(n, d, x)
     for via in ("Mprime", "M22", "M23"):
         assert b_of_simple_via(n, d, x, via) == value, via
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.integers(0, 3),
+            st.lists(st.integers(-(10**6), 10**6), min_size=1 << (n - 1), max_size=1 << (n - 1)),
+        )
+    )
+)
+def test_the_distinct_column_step_is_the_dense_Mprime_product(case):
+    # the dense product through the built Mprime(n) is the slow reference
+    steps, v = case
+    n = len(v).bit_length()
+    expected = tuple(v)
+    for _ in range(steps):
+        expected = vec_times_matrix(expected, build_Mprime(n))
+    assert oracle._through_Mprime(n, steps, lambda size: v) == expected
+
+
+@pytest.mark.parametrize(
+    "n, d, x",
+    [
+        (6, 1, identity(6)),
+        (6, 7, partial_flip(6, 2)),
+        (7, 4, flip(7)),
+        (7, 9, (7, 6, 5, 4, 3, 1, 2)),
+        (8, 2, partial_flip(8, 5)),
+        (8, 6, (8, 6, 7, 4, 5, 2, 3, 1)),
+        (9, 3, identity(9)),
+        (9, 11, (9, 8, 7, 6, 5, 4, 3, 1, 2)),  # also compared end to end in CI
+    ],
+)
+def test_Mprime_path_at_n_6_to_9(n, d, x):
+    assert b_of_simple_via(n, d, x, "Mprime") == b_of_simple(n, d, x)
 
 
 @pytest.mark.parametrize("via", ["M22", "M23"])
