@@ -22,9 +22,8 @@ from .matrices import (
     build_Mbar,
     build_Mprime,
     count_series,
-    structural_check_M,
 )
-from .oracle import brute_count, count_functions, dp_count
+from .oracle import brute_count, count_functions, dp_count, structural_check_M
 from .permutations import (
     compose,
     d_left,

@@ -22,7 +22,7 @@ import io
 import json
 import sys
 
-from . import formulas, matrices, oracle, permutations, reference, spectral, words
+from . import descents, formulas, matrices, oracle, permutations, reference, spectral, words
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -102,17 +102,20 @@ def _build_matrix(kind: str, n: int):
 
 def _cmd_matrix(args) -> int:
     m = _build_matrix(args.kind, args.n)
+    label_str = {"M": permutations.format_permutation, "Mprime": permutations.format_descent_set,
+                 "Mbar": descents.format_parts}[m.kind]
+    labels = [label_str(label) for label in m.labels]
     if args.format == "json":
-        _emit_json(m.to_json_obj(), args.out)
+        obj = {"n": m.n, "kind": m.kind, "labels": labels, "rows": [list(map(str, row)) for row in m.rows]}
+        _emit_json(obj, args.out)
     elif args.format == "csv":
-        _emit_csv(m.to_csv_rows(), args.out)
+        _emit_csv([["label", *labels]] + [[label, *map(str, row)] for label, row in zip(labels, m.rows)], args.out)
     else:
-        labels = m.label_strings()
-        width = max(len(s) for s in labels)
-        cols = [max(len(str(m.rows[i][j])) for i in range(m.size)) for j in range(m.size)]
+        width = max(map(len, labels))
+        cols = [len(str(max(col))) for col in zip(*m.rows)]  # the widest entry, as entries are non-negative
         lines = []
         for label, row in zip(labels, m.rows):
-            cells = " ".join(str(e).rjust(cols[j]) for j, e in enumerate(row))
+            cells = " ".join(str(e).rjust(w) for e, w in zip(row, cols))
             lines.append(f"{label.ljust(width)}  {cells}")
         _emit("\n".join(lines), args.out)
     return 0

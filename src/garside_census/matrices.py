@@ -1,6 +1,7 @@
 """
 The three incidence matrices controlling the counts of normal sequences,
-and the exact big-integer counting pipeline built on them.
+their caps, the descent-mask table and the exact big-integer counting
+pipeline built on them; cli prints them, oracle checks M(n)'s laws.
 
   M(n)      n! x n!, 0/1, indexed by the canonical enumeration of
             square-free braids; entry 1 when the row braid may precede the
@@ -88,28 +89,6 @@ class CountMatrix:
             rows=tuple(zip(*self.rows)),
         )
 
-    def label_strings(self) -> tuple[str, ...]:
-        if self.kind == "M":
-            return tuple(permutations.format_permutation(x) for x in self.labels)
-        if self.kind == "Mprime":
-            return tuple(permutations.format_descent_set(s) for s in self.labels)
-        return tuple(descents.format_parts(p) for p in self.labels)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind,
-            "labels": list(self.label_strings()),
-            "rows": [[str(e) for e in row] for row in self.rows],
-        }
-
-    def to_csv_rows(self) -> list[list[str]]:
-        header = ["label"] + list(self.label_strings())
-        out = [header]
-        for label, row in zip(self.label_strings(), self.rows):
-            out.append([label] + [str(e) for e in row])
-        return out
-
 
 def _checked_size(kind: str, n: int) -> int:
     """
@@ -131,7 +110,7 @@ def _checked_size(kind: str, n: int) -> int:
 def descent_masks(n: int) -> tuple[tuple[int, int], ...]:
     """
     (left, right) descent bitmasks of simple_enumeration(n), in its order;
-    build_M, structural_check_M and the oracles all read this one table.
+    build_M and the oracles, structural_check_M too, read this one table.
     """
     return tuple(
         (permutations.descent_mask(permutations.inverse(x)), permutations.descent_mask(x))
@@ -148,62 +127,6 @@ def build_M(n: int) -> CountMatrix:
     lefts = [left for left, _ in masks]
     rows = tuple(tuple(1 if left_y & ~right_x == 0 else 0 for left_y in lefts) for _, right_x in masks)
     return CountMatrix(kind="M", n=n, labels=permutations.simple_enumeration(n), rows=rows)
-
-
-@dataclasses.dataclass(frozen=True)
-class MStructureReport:
-    """Pass/fail record for the three structural laws of M(n)."""
-
-    n: int
-    boundary_ok: bool        # first column and last row all ones, first row and last column almost all zeros
-    stacked_blocks_ok: bool  # first (n-1)! columns are n stacked copies of M(n-1)
-    class_collapse_ok: bool  # equal right-descent rows coincide, equal left-descent columns coincide
-
-    @property
-    def all_ok(self) -> bool:
-        return self.boundary_ok and self.stacked_blocks_ok and self.class_collapse_ok
-
-
-def structural_check_M(n: int) -> MStructureReport:
-    m = build_M(n)
-    size = m.size
-    rows = m.rows
-
-    boundary = (
-        all(rows[i][0] == 1 for i in range(size))
-        and all(rows[size - 1][j] == 1 for j in range(size))
-        and all(rows[0][j] == 0 for j in range(1, size))
-        and all(rows[i][size - 1] == 0 for i in range(size - 1))
-    )
-
-    if n == 1:
-        stacked = True
-    else:
-        prev = build_M(n - 1)
-        block = math.factorial(n - 1)
-        stacked = all(
-            rows[copy * block + i][j] == prev.rows[i][j]
-            for copy in range(n)
-            for i in range(block)
-            for j in range(block)
-        )
-
-    # each row equals the first row with its right-descent mask, each
-    # column the first column with its left-descent mask
-    cols = tuple(zip(*rows))
-    first_by_dr: dict[int, int] = {}
-    first_by_dl: dict[int, int] = {}
-    collapse = all(
-        rows[first_by_dr.setdefault(right, k)] == rows[k] and cols[first_by_dl.setdefault(left, k)] == cols[k]
-        for k, (left, right) in enumerate(descent_masks(n))
-    )
-
-    return MStructureReport(
-        n=n,
-        boundary_ok=boundary,
-        stacked_blocks_ok=stacked,
-        class_collapse_ok=collapse,
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,8 +230,6 @@ def b_of_simple(n: int, d: int, x: Perm) -> int:
     """
     if len(x) != n:
         raise ValueError(f"permutation {x} does not live on {n} strands")
-    if d < 1:
-        raise ValueError("d must be at least 1")
     return b_of_partition(n, d, descents.partition_of(permutations.d_left(x), n))
 
 
@@ -330,8 +251,6 @@ def b_delta(n: int, d: int, r: int) -> int:
     """
     The count with d-th factor the half twist on the first n-r strands.
     """
-    if not 1 <= r <= n:
-        raise ValueError(f"r={r} out of range 1..{n}")
     return b_of_partition(n, d, descents.delta_partition(n, r))
 
 

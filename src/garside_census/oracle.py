@@ -12,19 +12,21 @@ matrices.descent_masks, so it stays independent of the Mbar pipeline.
 left_right_descent_census tallies the descent masks of all n! braids, and
 sweep_Mbar builds Mbar(n) from it.  count_functions checks a / a_hat,
 b_of_simple_via counts through Mprime(n) or M(n) instead of Mbar(n) and
-builds neither, naive_charpoly checks charpoly by cofactors, and m_charpoly_nonzero
-gives the nonzero spectrum of M(n) without building it.
+builds neither, naive_charpoly checks charpoly by cofactors, m_charpoly_nonzero
+gives the nonzero spectrum of M(n) without building it, and
+structural_check_M tests the structural laws of M(n).
 """
 from __future__ import annotations
 
 import collections
+import dataclasses
 import itertools
 import math
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import descents, matrices
-from .matrices import CountMatrix, descent_masks
+from .matrices import CountMatrix, build_M, descent_masks
 from .permutations import Perm, d_left, enumeration_index, is_normal_pair
 from .spectral import IntPoly, charpoly, poly_mul, poly_trim, strip_x_power
 
@@ -271,3 +273,59 @@ def m_charpoly_nonzero(n: int) -> IntPoly:
             if left & ~s == 0:
                 prod[s][right] += count
     return strip_x_power(charpoly(prod))
+
+
+@dataclasses.dataclass(frozen=True)
+class MStructureReport:
+    """Pass/fail record for the three structural laws of M(n)."""
+
+    n: int
+    boundary_ok: bool        # first column and last row all ones, first row and last column almost all zeros
+    stacked_blocks_ok: bool  # first (n-1)! columns are n stacked copies of M(n-1)
+    class_collapse_ok: bool  # equal right-descent rows coincide, equal left-descent columns coincide
+
+    @property
+    def all_ok(self) -> bool:
+        return self.boundary_ok and self.stacked_blocks_ok and self.class_collapse_ok
+
+
+def structural_check_M(n: int) -> MStructureReport:
+    m = build_M(n)
+    size = m.size
+    rows = m.rows
+
+    boundary = (
+        all(rows[i][0] == 1 for i in range(size))
+        and all(rows[size - 1][j] == 1 for j in range(size))
+        and all(rows[0][j] == 0 for j in range(1, size))
+        and all(rows[i][size - 1] == 0 for i in range(size - 1))
+    )
+
+    if n == 1:
+        stacked = True
+    else:
+        prev = build_M(n - 1)
+        block = math.factorial(n - 1)
+        stacked = all(
+            rows[copy * block + i][j] == prev.rows[i][j]
+            for copy in range(n)
+            for i in range(block)
+            for j in range(block)
+        )
+
+    # each row equals the first row with its right-descent mask, each
+    # column the first column with its left-descent mask
+    cols = tuple(zip(*rows))
+    first_by_dr: dict[int, int] = {}
+    first_by_dl: dict[int, int] = {}
+    collapse = all(
+        rows[first_by_dr.setdefault(right, k)] == rows[k] and cols[first_by_dl.setdefault(left, k)] == cols[k]
+        for k, (left, right) in enumerate(descent_masks(n))
+    )
+
+    return MStructureReport(
+        n=n,
+        boundary_ok=boundary,
+        stacked_blocks_ok=stacked,
+        class_collapse_ok=collapse,
+    )

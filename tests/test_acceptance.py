@@ -45,10 +45,9 @@ from garside_census.matrices import (
     build_M,
     build_Mbar,
     build_Mprime,
-    structural_check_M,
     vec_times_matrix,
 )
-from garside_census.oracle import brute_count, dp_count, m_charpoly_nonzero
+from garside_census.oracle import brute_count, dp_count, m_charpoly_nonzero, structural_check_M
 from garside_census.permutations import (
     compose,
     d_left,

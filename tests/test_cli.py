@@ -54,6 +54,12 @@ def test_count_json(capsys):
     assert obj == {"n": "4", "d": "3", "value": "1380"}
     code, out, _ = run(capsys, "count", "4", "3", "--last", "[1,2,3,4]", "--format", "json")
     assert json.loads(out)["value"] == "211"
+    for last, expected in (
+        ([], "n,d,last,value\n4,3,,1380\n"),
+        (["--last", "delta", "2"], "n,d,last,value\n4,3,delta 2,83\n"),
+        (["--last", "[4,1,2,3]"], 'n,d,last,value\n4,3,"[4,1,2,3]",83\n'),
+    ):
+        assert run(capsys, "count", "4", "3", *last, "--format", "csv") == (0, expected, "")
 
 
 def test_matrix_formats(capsys):
@@ -61,7 +67,18 @@ def test_matrix_formats(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["kind"] == "Mbar"
+    assert obj["labels"] == ["(1,1,1)", "(2,1)", "(3)"]
     assert obj["rows"] == [["1", "0", "0"], ["4", "2", "0"], ["1", "1", "1"]]
+
+    code, out, _ = run(capsys, "matrix", "Mbar", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == 'label,"(1,1,1)","(2,1)",(3)'
+    assert out.splitlines()[2] == '"(2,1)",4,2,0'
+
+    for kind, labels in (("Mprime", ["{}", "{1}"]), ("M", ["[1,2]", "[2,1]"])):
+        code, out, _ = run(capsys, "matrix", kind, "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["labels"] == labels
 
     code, out, _ = run(capsys, "matrix", "M", "2")
     assert code == 0
@@ -71,6 +88,18 @@ def test_matrix_formats(capsys):
     assert code == 0
     assert out.splitlines()[0] == 'label,{},{1},{2},"{1,2}"'
     assert out.splitlines()[2] == "{1},2,1,1,0"
+
+    # each column as wide as its largest entry, labels padded to the widest
+    expected = (
+        "(1,1,1,1,1)   1  0 0  0 0 0 0\n"
+        "(2,1,1,1)    26  8 0  2 0 0 0\n"
+        "(3,1,1)      23 12 4  5 0 1 0\n"
+        "(2,2,1)      43 21 5 10 0 2 0\n"
+        "(4,1)         8  6 4  4 2 2 0\n"
+        "(3,2)        18 12 6  8 2 4 0\n"
+        "(5)           1  1 1  1 1 1 1\n"
+    )
+    assert run(capsys, "matrix", "Mbar", "5") == (0, expected, "")
 
 
 def test_matrix_cap_is_an_error(capsys):
@@ -159,6 +188,13 @@ def test_oracle(capsys):
     code, out, _ = run(capsys, "oracle", "6", "4", "--last", "delta", "1", "--engine", "dp")
     assert code == 0
     assert out.strip() == "1956"
+    json_head = '{\n  "n": "3",\n  "d": "2",\n  "engine": "dp",\n'
+    for last, tail in (
+        ([], '  "value": "19"\n}\n'),
+        (["--last", "[2,1,3]"], '  "value": "3",\n  "last": "[2,1,3]"\n}\n'),
+        (["--last", "delta", "1"], '  "value": "3",\n  "last": "[2,1,3]"\n}\n'),
+    ):
+        assert run(capsys, "oracle", "3", "2", *last, "--format", "json") == (0, json_head + tail, "")
 
 
 def test_table_flags(capsys):
@@ -176,6 +212,21 @@ def test_table_flags(capsys):
     code, out, _ = run(capsys, "table", "--nmax", "3", "--dmax", "4")
     assert code == 0
     assert "b_{3,d}(Delta_2)" in out
+
+    expected = (
+        "label,d=1,d=2,flags\n"
+        '"b_{2,d}(1)",1,2,\n'
+        '"b_{3,d}(1)",1,6,\n'
+        '"b_{3,d}(Delta_2)",1,3,\n'
+        '"b_{4,d}(1)",1,24,\n'
+        '"b_{4,d}(Delta_2)",1,12,\n'
+        '"b_{4,d}(Delta_3)",1,4,\n'
+        '"b_{5,d}(1)",1,120,\n'
+        '"b_{5,d}(Delta_2)",1,60,\n'
+        '"b_{5,d}(Delta_3)",1,20,\n'
+        '"b_{5,d}(Delta_4)",1,5,row is printed with braid index 4 but carries the 5-strand values\n'
+    )
+    assert run(capsys, "table", "--nmax", "5", "--dmax", "2", "--format", "csv") == (0, expected, "")
 
 
 def test_conjecture(capsys):
@@ -205,6 +256,16 @@ def test_verify(capsys):
     code, _, err = run(capsys, "verify", "--formula", "no-such")
     assert code == 2
     assert "unknown formula" in err
+
+    expected = (
+        "formula,label,expected,computed,status\n"
+        "bn3-delta1,n=2,3,3,ok\n"
+        "bn3-delta1,printed n=2,3,2,flagged\n"
+        "bn3-delta1,n=3,7,7,ok\n"
+        "bn3-delta1,printed n=3,7,4,flagged\n"
+    )
+    argv = ["verify", "--formula", "bn3-delta1", "--nmax", "3", "--dmax", "3", "--format", "csv"]
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 def test_deterministic_output(capsys):
@@ -282,6 +343,8 @@ def test_usage_error_exit_code():
         (["oracle", "8", "2"], "exceeds the factorial-size cap 7"),
         (["charpoly", "8", "--kind", "M"], "exceeds the factorial-size cap 7"),
         (["count", "0", "0"], "n must be at least 1"),
+        (["count", "4", "3", "--last", "delta", "1", "2"], "--last delta takes exactly one integer argument"),
+        (["count", "4", "3", "--last", "[1,2]", "[2,1]"], "--last takes one permutation or 'delta R'"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):

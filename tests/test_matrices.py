@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -16,10 +15,9 @@ from garside_census.matrices import (
     build_Mprime,
     computed_table,
     count_series,
-    structural_check_M,
     vec_times_matrix,
 )
-from garside_census.oracle import b_of_simple_via, sweep_Mbar
+from garside_census.oracle import b_of_simple_via, structural_check_M, sweep_Mbar
 from garside_census.permutations import (
     d_left,
     d_right,
@@ -286,8 +284,33 @@ def test_b_delta_examples():
     for n in range(2, 7):
         for d in range(1, 5):
             assert b_delta(n, d, n) == b_total(n, d - 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^r=6 out of range 1\.\.5$"):
         b_delta(5, 2, 6)
+
+
+_PAST_CAP = matrices.MBAR_CAP + 1
+_PAST_CAP_MESSAGE = f"n={_PAST_CAP} exceeds the Mbar size cap {matrices.MBAR_CAP}"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: b_of_simple(3, 0, (2, 1)), r"permutation \(2, 1\) does not live on 3 strands"),
+        (lambda: b_of_simple(3, 0, (2, 1, 3)), "d must be at least 1"),
+        (lambda: b_of_simple(_PAST_CAP, 0, identity(_PAST_CAP)), "d must be at least 1"),
+        (lambda: b_of_simple(_PAST_CAP, 1, identity(_PAST_CAP)), _PAST_CAP_MESSAGE),
+        (lambda: b_delta(5, 0, 6), r"r=6 out of range 1\.\.5"),
+        (lambda: b_delta(0, 1, 1), r"r=1 out of range 1\.\.0"),
+        (lambda: b_delta(5, 0, 2), "d must be at least 1"),
+        (lambda: b_delta(_PAST_CAP, 0, 2), "d must be at least 1"),
+        (lambda: b_delta(_PAST_CAP, 1, 2), _PAST_CAP_MESSAGE),
+    ],
+)
+def test_count_errors_come_in_argument_order(call, message):
+    # b_of_simple and b_delta leave the d and r checks to b_of_partition and
+    # descents.delta_partition; the first bad argument still names itself
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -317,24 +340,6 @@ def test_computed_table_matches_reference_outside_flags():
 
 
 # --- serialization -----------------------------------------------------------
-
-
-def test_matrix_serialization():
-    m = build_Mbar(3)
-    obj = m.to_json_obj()
-    assert obj["kind"] == "Mbar"
-    assert obj["labels"] == ["(1,1,1)", "(2,1)", "(3)"]
-    assert obj["rows"][1] == ["4", "2", "0"]
-    json.dumps(obj)
-
-    csv_rows = m.to_csv_rows()
-    assert csv_rows[0] == ["label", "(1,1,1)", "(2,1)", "(3)"]
-    assert csv_rows[2] == ["(2,1)", "4", "2", "0"]
-
-    mp = build_Mprime(2)
-    assert mp.label_strings() == ("{}", "{1}")
-    mm = build_M(2)
-    assert mm.label_strings() == ("[1,2]", "[2,1]")
 
 
 def test_entry_lookup_and_transpose():
