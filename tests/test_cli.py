@@ -67,18 +67,7 @@ def test_matrix_formats(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["kind"] == "Mbar"
-    assert obj["labels"] == ["(1,1,1)", "(2,1)", "(3)"]
     assert obj["rows"] == [["1", "0", "0"], ["4", "2", "0"], ["1", "1", "1"]]
-
-    code, out, _ = run(capsys, "matrix", "Mbar", "3", "--format", "csv")
-    assert code == 0
-    assert out.splitlines()[0] == 'label,"(1,1,1)","(2,1)",(3)'
-    assert out.splitlines()[2] == '"(2,1)",4,2,0'
-
-    for kind, labels in (("Mprime", ["{}", "{1}"]), ("M", ["[1,2]", "[2,1]"])):
-        code, out, _ = run(capsys, "matrix", kind, "2", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["labels"] == labels
 
     code, out, _ = run(capsys, "matrix", "M", "2")
     assert code == 0

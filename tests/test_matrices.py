@@ -1,9 +1,10 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from garside_census import descents, matrices, reference
+from garside_census import cli, descents, matrices, reference
 from garside_census.descents import partition_of, partitions_in_order, subsets_in_binary_order
 from garside_census.matrices import (
     b_delta,
@@ -340,6 +341,25 @@ def test_computed_table_matches_reference_outside_flags():
 
 
 # --- serialization -----------------------------------------------------------
+
+
+def test_matrix_serialization(capsys):
+    # the matrix command owns the JSON and CSV forms of a CountMatrix
+    def out(*argv):
+        assert cli.main(["matrix", *argv]) == 0
+        return capsys.readouterr().out
+
+    obj = json.loads(out("Mbar", "3", "--format", "json"))
+    assert obj["kind"] == "Mbar"
+    assert obj["labels"] == ["(1,1,1)", "(2,1)", "(3)"]
+    assert obj["rows"][1] == ["4", "2", "0"]
+
+    csv_lines = out("Mbar", "3", "--format", "csv").splitlines()
+    assert csv_lines[0] == 'label,"(1,1,1)","(2,1)",(3)'
+    assert csv_lines[2] == '"(2,1)",4,2,0'
+
+    assert json.loads(out("Mprime", "2", "--format", "json"))["labels"] == ["{}", "{1}"]
+    assert json.loads(out("M", "2", "--format", "json"))["labels"] == ["[1,2]", "[2,1]"]
 
 
 def test_entry_lookup_and_transpose():
