@@ -5,9 +5,10 @@ Command-line front end.
 
 Commands: count, matrix, charpoly, normalize, oracle, table, conjecture,
 verify; only count, matrix, table and verify offer --format csv.  JSON
-renders integers as decimal strings, and identical invocations produce
-byte-identical output.  Exit status is 0 on success, 1 on a verification
-mismatch, 2 on usage errors.  count --via Mprime|M22|M23 uses the
+renders integers as decimal strings, counts print in full however many
+digits they have, and identical invocations produce byte-identical
+output.  Exit status is 0 on success, 1 on a verification mismatch, 2 on
+usage errors.  count --via Mprime|M22|M23 uses the
 oracle paths and needs --last PERM; --last delta R needs R in 1..n;
 charpoly prints the factored form for --kind Mbar unless --raw is given,
 and --kind M|Mprime as Mbar(n)'s polynomial times a power of x; table,
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -37,11 +39,20 @@ def _emit(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
 
 
+def _strings(obj):
+    """obj with every int as its decimal string; bools stay bools."""
+    if isinstance(obj, dict):
+        return {k: str(v) if type(v) is int else _strings(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [str(v) if type(v) is int else _strings(v) for v in obj]
+    return obj
+
+
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2), out)
+    _emit(json.dumps(_strings(obj), indent=2), out)
 
 
-def _emit_csv(rows: list[list[str]], out: str | None) -> None:
+def _emit_csv(rows: list[list], out: str | None) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -85,12 +96,12 @@ def _cmd_count(args) -> int:
         value = matrices.b_total(args.n, args.d)
         label = None
     if args.format == "json":
-        obj = {"n": str(args.n), "d": str(args.d), "value": str(value)}
+        obj = {"n": args.n, "d": args.d, "value": value}
         if label is not None:
             obj["last"] = label
         _emit_json(obj, args.out)
     elif args.format == "csv":
-        _emit_csv([["n", "d", "last", "value"], [str(args.n), str(args.d), label or "", str(value)]], args.out)
+        _emit_csv([["n", "d", "last", "value"], [args.n, args.d, label, value]], args.out)
     else:
         _emit(str(value), args.out)
     return 0
@@ -106,10 +117,9 @@ def _cmd_matrix(args) -> int:
                  "Mbar": descents.format_parts}[m.kind]
     labels = [label_str(label) for label in m.labels]
     if args.format == "json":
-        obj = {"n": m.n, "kind": m.kind, "labels": labels, "rows": [list(map(str, row)) for row in m.rows]}
-        _emit_json(obj, args.out)
+        _emit_json({"n": m.n, "kind": m.kind, "labels": labels, "rows": m.rows}, args.out)
     elif args.format == "csv":
-        _emit_csv([["label", *labels]] + [[label, *map(str, row)] for label, row in zip(labels, m.rows)], args.out)
+        _emit_csv([["label", *labels]] + [[label, *row] for label, row in zip(labels, m.rows)], args.out)
     else:
         width = max(map(len, labels))
         cols = [len(str(max(col))) for col in zip(*m.rows)]  # the widest entry, as entries are non-negative
@@ -136,13 +146,9 @@ def _cmd_charpoly(args) -> int:
         chain = polys[:1] + [spectral.exact_quotient(p, q) for p, q in zip(polys, polys[1:])]
         factors = None if None in chain else chain
     if args.format == "json":
-        obj = {
-            "n": str(args.n),
-            "kind": args.kind,
-            "coefficients_constant_first": [str(c) for c in poly],
-        }
+        obj = {"n": args.n, "kind": args.kind, "coefficients_constant_first": poly}
         if factors is not None:
-            obj["factors"] = [[str(c) for c in f] for f in factors]
+            obj["factors"] = factors
         _emit_json(obj, args.out)
     else:
         lines = [f"coefficients (constant first): {' '.join(str(c) for c in poly)}"]
@@ -159,14 +165,14 @@ def _cmd_normalize(args) -> int:
     seq = words.normalize(word)
     if args.format == "json":
         obj = {
-            "n": str(args.n),
+            "n": args.n,
             "word": args.word,
-            "degree": str(words.degree(seq)),
+            "degree": words.degree(seq),
             "factors": [
                 {
-                    "permutation": [str(v) for v in x],
-                    "d_left": [str(i) for i in sorted(permutations.d_left(x))],
-                    "d_right": [str(i) for i in sorted(permutations.d_right(x))],
+                    "permutation": x,
+                    "d_left": sorted(permutations.d_left(x)),
+                    "d_right": sorted(permutations.d_right(x)),
                 }
                 for x in seq.factors
             ],
@@ -193,12 +199,7 @@ def _cmd_oracle(args) -> int:
     else:
         value = oracle.dp_count(args.n, args.d, last=last_perm)
     if args.format == "json":
-        obj = {
-            "n": str(args.n),
-            "d": str(args.d),
-            "engine": args.engine,
-            "value": str(value),
-        }
+        obj = {"n": args.n, "d": args.d, "engine": args.engine, "value": value}
         if last_perm is not None:
             obj["last"] = permutations.format_permutation(last_perm)
         _emit_json(obj, args.out)
@@ -211,7 +212,7 @@ def _table_rows(nmax: int, dmax: int):
     rows = []
     for (n, rho), values in matrices.computed_table(nmax, dmax).items():
         flags = [
-            {"d": str(d), "flag": reference.PAPER_DISCREPANCY, "note": note}
+            {"d": d, "flag": reference.PAPER_DISCREPANCY, "note": note}
             for (fn, frho, d), note in sorted(reference.TABLE1_FLAGGED_CELLS.items())
             if (fn, frho) == (n, rho) and d <= dmax
         ]
@@ -226,22 +227,12 @@ def _table_rows(nmax: int, dmax: int):
 def _cmd_table(args) -> int:
     rows = _table_rows(args.nmax, args.dmax)
     if args.format == "json":
-        obj = [
-            {
-                "n": str(r["n"]),
-                "rho": str(r["rho"]),
-                "label": r["label"],
-                "values": [str(v) for v in r["values"]],
-                "flags": r["flags"],
-            }
-            for r in rows
-        ]
-        _emit_json(obj, args.out)
+        _emit_json(rows, args.out)
     elif args.format == "csv":
         out = [["label"] + [f"d={d}" for d in range(1, args.dmax + 1)] + ["flags"]]
         for r in rows:
             notes = "; ".join(f["note"] for f in r["flags"])
-            out.append([r["label"]] + [str(v) for v in r["values"]] + [notes])
+            out.append([r["label"], *r["values"], notes])
         _emit_csv(out, args.out)
     else:
         width = max(len(r["label"]) for r in rows)
@@ -271,10 +262,10 @@ def _cmd_conjecture(args) -> int:
     if args.format == "json":
         obj = [
             {
-                "n": str(rep.n),
+                "n": rep.n,
                 "divides": rep.divides,
-                "quotient_constant_first": [str(c) for c in (rep.quotient or ())],
-                "expected_degree": str(rep.expected_degree),
+                "quotient_constant_first": rep.quotient or (),
+                "expected_degree": rep.expected_degree,
                 "degree_ok": rep.degree_ok,
                 "constant_nonzero": rep.constant_nonzero,
                 "squarefree": rep.squarefree,
@@ -311,16 +302,7 @@ def _cmd_verify(args) -> int:
             {
                 "formula": r.formula,
                 "ok": r.ok,
-                "checks": [
-                    {
-                        "label": c.label,
-                        "expected": c.expected,
-                        "computed": c.computed,
-                        "match": c.match,
-                        **({"flag": c.flag} if c.flag else {}),
-                    }
-                    for c in r.checks
-                ],
+                "checks": [{k: v for k, v in dataclasses.asdict(c).items() if v is not None} for c in r.checks],
             }
             for r in reports
         ]
@@ -432,11 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # counts outgrow CPython's 4300-digit default limit on str(int); lift it for this
+    # call only (Python 3.10.0-3.10.6 has no limit), so an in-process caller keeps its own
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

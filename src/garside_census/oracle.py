@@ -42,7 +42,8 @@ def brute_count(n: int, d: int, last: Perm | None = None) -> int:
     adjacent pair, so every prefix of a normal sequence is normal, and
     skipping the extensions of a non-normal prefix loses no normal
     sequence.  Refuses to start when the worst-case number of pair checks
-    over all tuples exceeds BRUTE_BUDGET.
+    over all tuples exceeds BRUTE_BUDGET; past that check, n = 1 is answered
+    directly, as every pair of S_1's one braid is normal.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
@@ -57,9 +58,11 @@ def brute_count(n: int, d: int, last: Perm | None = None) -> int:
         raise ValueError(
             f"budget exceeded: {checks} pair checks needed, budget is {BRUTE_BUDGET}"
         )
+    if n == 1:
+        return 1
     perms = list(itertools.permutations(range(1, n + 1)))
     slots = [perms] * free + [tail] * len(tail)
-    # an explicit stack, not recursion: at n = 1 the budget admits d far beyond the recursion limit
+    # an explicit stack: recursion would pay a Python call for every prefix it extends
     count = 0
     prefix: list[Perm] = []
     pending = [iter(slots[0])]  # pending[k] yields the candidates left for slot k

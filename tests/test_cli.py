@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import garside_census
-from garside_census import cli, descents, matrices, spectral
+from garside_census import cli, descents, formulas, matrices, spectral
 from garside_census.cli import main
 
 
@@ -60,6 +61,70 @@ def test_count_json(capsys):
         (["--last", "[4,1,2,3]"], 'n,d,last,value\n4,3,"[4,1,2,3]",83\n'),
     ):
         assert run(capsys, "count", "4", "3", *last, "--format", "csv") == (0, expected, "")
+
+
+@contextlib.contextmanager
+def int_str_digits(limit):
+    """CPython's limit on the digits of str(int) set to limit inside the block
+    (Python 3.10.0-3.10.6 has no limit, and then the block runs unchanged)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_counts_print_in_full(capsys):
+    code, out, err = run(capsys, "count", "3", "20000")
+    with int_str_digits(0):
+        expected = str(formulas.b3_total_closed(20000))
+    assert len(expected) == 6022
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on str(int) here")
+def test_main_keeps_the_callers_int_str_limit(capsys):
+    with int_str_digits(5000):
+        assert run(capsys, "count", "3", "20000")[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert run(capsys, "count", "0", "0")[0] == 2
+        assert sys.get_int_max_str_digits() == 5000
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for v in obj:
+            yield from _leaves(v)
+    else:
+        yield obj
+
+
+def test_json_writes_integers_as_strings(capsys):
+    for argv in (
+        ["count", "4", "3", "--last", "delta", "2"],
+        ["matrix", "Mbar", "4"],
+        ["charpoly", "4"],
+        ["normalize", "-n", "3", "s1 s2 s1 s1"],
+        ["oracle", "3", "2", "--last", "[2,1,3]"],
+        ["table", "--nmax", "6", "--dmax", "4"],
+        ["conjecture", "--nmax", "4"],
+        ["verify", "--formula", "bn3-delta1", "--nmax", "3", "--dmax", "3"],
+    ):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        leaves = list(_leaves(json.loads(out)))
+        assert leaves and all(type(v) in (str, bool) for v in leaves), argv
+    # verify's verdicts stay JSON booleans, and only a flagged check carries a flag
+    (report,) = json.loads(out)
+    assert report["ok"] is True
+    assert [c["match"] for c in report["checks"]] == [True, False, True, False]
+    assert ["flag" in c for c in report["checks"]] == [False, True, False, True]
 
 
 def test_matrix_formats(capsys):
@@ -334,6 +399,7 @@ def test_usage_error_exit_code():
         (["count", "0", "0"], "n must be at least 1"),
         (["count", "4", "3", "--last", "delta", "1", "2"], "--last delta takes exactly one integer argument"),
         (["count", "4", "3", "--last", "[1,2]", "[2,1]"], "--last takes one permutation or 'delta R'"),
+        (["oracle", "1", "100000002", "--engine", "brute"], "budget exceeded"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):

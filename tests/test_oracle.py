@@ -25,6 +25,8 @@ def test_brute_examples():
 
 def test_brute_degenerate():
     assert brute_count(1, 4) == 1
+    # S_1 is answered directly, without a stack level per factor
+    assert brute_count(1, 10**6) == brute_count(1, 10**6, last=(1,)) == 1
     assert brute_count(3, 1) == 6
     assert brute_count(3, 1, last=identity(3)) == 1
 
