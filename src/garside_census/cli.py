@@ -302,7 +302,12 @@ def _cmd_verify(args) -> int:
             {
                 "formula": r.formula,
                 "ok": r.ok,
-                "checks": [{k: v for k, v in dataclasses.asdict(c).items() if v is not None} for c in r.checks],
+                # expected and computed as text, so the bool checks print "True" like the ints
+                "checks": [
+                    {k: str(v) if k in ("expected", "computed") else v
+                     for k, v in dataclasses.asdict(c).items() if v is not None}
+                    for c in r.checks
+                ],
             }
             for r in reports
         ]

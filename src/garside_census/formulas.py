@@ -27,8 +27,8 @@ from .reference import PAPER_DISCREPANCY
 @dataclasses.dataclass(frozen=True)
 class Check:
     label: str
-    expected: str
-    computed: str
+    expected: int | bool
+    computed: int | bool
     match: bool
     flag: str | None = None
 
@@ -48,13 +48,7 @@ class FormulaReport:
 
 
 def _check(label: str, expected, computed, flag: str | None = None) -> Check:
-    return Check(
-        label=label,
-        expected=str(expected),
-        computed=str(computed),
-        match=expected == computed,
-        flag=flag,
-    )
+    return Check(label=label, expected=expected, computed=computed, match=expected == computed, flag=flag)
 
 
 def b3_closed(d: int, lam: PartitionN) -> int:

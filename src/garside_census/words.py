@@ -29,6 +29,21 @@ values changes only the order of those two values, so a descent bit of
 the other list flips only when they are consecutive.  A move therefore
 updates a few bits instead of rescanning the factor, and a factor is
 trivial exactly when its R is 0.
+
+The normal form is Δ^k x_1 ... x_r, and the power of the half twist Δ is
+held apart from the prefix.  Since x Δ = Δ τ(x), where τ is the Garside
+automorphism s_i -> s_(n-i), a Δ that appears inside the prefix would
+otherwise walk left through every factor before it, one move per
+generator.  Instead the prefix is stored in a frame t in {0, 1}: the
+factor actually standing there is τ^t of the stored one, and an incoming
+factor y is stored as τ^t(y).  When the factor at the current slot of a
+pass becomes Δ (its R is the full mask), it is deleted and counted as one
+more leading Δ, t flips, and τ is applied to the stored factors to its
+right, the ones the pass has already walked; the pass ends there, since
+the result is what walking Δ to the front would give, and τ keeps pairs
+normal.  τ on the carried values reverses and complements p and q and
+reverses the bits of R and L, so a carry costs O(n) per factor it
+restores instead of a move per generator it passes.
 """
 from __future__ import annotations
 
@@ -39,11 +54,12 @@ from typing import Callable
 from .permutations import (
     Perm,
     descent_mask,
+    flip,
     identity,
     inverse,
     inversion_number,
     is_normal_pair,
-    transposition,
+    phi,
 )
 
 
@@ -124,25 +140,99 @@ def normalize_factors(
     strands (permutations of 1..n), in one left-to-right pass.  Each
     factor is appended to a normal prefix, and adjacent pairs are then
     fixed leftwards (smallest transferable generator first) until a pair
-    needs no move; trailing trivial factors are popped before the next
-    factor.  on_step, if given, receives the whole sequence (fixed prefix,
-    then the factors not yet taken) after every move.  An already-normal
-    sequence comes back unchanged with no moves made.
+    needs no move or a half twist appears, which is carried to the front
+    in one step; trailing trivial factors are popped before the next
+    factor.  on_step, if given, receives the whole sequence (the leading
+    half twists, the rest of the fixed prefix, then the factors not yet
+    taken) after every move and after every carry that passes a factor.
+    An already-normal sequence comes back unchanged with no moves made.
     """
-    factors = tuple(factors)
+    return _normal_form(n, tuple(factors), _seed_factor, on_step)
+
+
+def normalize(
+    word: PositiveWord,
+    on_step: Callable[[tuple[Perm, ...]], None] | None = None,
+) -> NormalSequence:
+    """
+    The normal form of a positive word: the rewriting of normalize_factors
+    on one square-free factor per letter, so each letter is multiplied on
+    the right of the normal form of the letters before it.  A letter s_i
+    is seeded directly, with no permutation built for it.
+    """
+    return _normal_form(word.n, word.letters, _seed_letter, on_step)
+
+
+def _seed_factor(n: int, y: Perm, t: int) -> tuple[list[int], list[int], int, int]:
+    """The four carried values of the factor y, stored in frame t."""
+    if t:
+        y = phi(y)
+    y_inv = inverse(y)
+    return [0, *y, n + 1], [0, *y_inv, n + 1], descent_mask(y), descent_mask(y_inv)
+
+
+def _seed_letter(n: int, i: int, t: int) -> tuple[list[int], list[int], int, int]:
+    """The four carried values of the generator s_i, stored in frame t."""
+    if t:
+        i = n - i
+    p = list(range(n + 2))
+    p[i], p[i + 1] = i + 1, i
+    bit = 1 << (i - 1)
+    return p, p[:], bit, bit
+
+
+def _tau(p: list[int]) -> list[int]:
+    """τ on a padded one-line list: reversed and complemented."""
+    top = len(p) - 1
+    return [top - v for v in reversed(p)]
+
+
+def _reverse_bits(mask: int, width: int) -> int:
+    """mask with bit j moved to bit width-1-j, for a mask below 2**width."""
+    return int(bin(mask)[:1:-1], 2) << (width - mask.bit_length())
+
+
+def _normal_form(n, items, seed, on_step) -> NormalSequence:
+    """
+    The one rewrite loop behind normalize and normalize_factors: items
+    are taken one by one, seed(n, item, t) giving the four carried values
+    of an item stored in frame t (see the module docstring).
+    """
+    full = (1 << (n - 1)) - 1 if n > 1 else -1  # R of the half twist; none at n = 1
+    deltas = 0
+    t = 0
     # the prefix, one entry per factor in each list: see the module docstring
     ps: list[list[int]] = []
     qs: list[list[int]] = []
     rs: list[int] = []
     ls: list[int] = []
-    for pos, y in enumerate(factors):
-        y_inv = inverse(y)
-        ps.append([0, *y, n + 1])
-        qs.append([0, *y_inv, n + 1])
-        rs.append(descent_mask(y))
-        ls.append(descent_mask(y_inv))
+    # the items as factors, for the reports of on_step only
+    pending = tuple(tuple(seed(n, y, 0)[0][1:-1]) for y in items) if on_step is not None else ()
+    for pos, y in enumerate(items):
+        p, q, r, l = seed(n, y, t)
+        ps.append(p)
+        qs.append(q)
+        rs.append(r)
+        ls.append(l)
         k = len(rs) - 1
-        while k > 0 and (movable := ls[k] & ~rs[k - 1]):
+        while True:
+            if rs[k] == full:
+                # x Δ = Δ τ(x): the half twist joins the leading ones, the
+                # frame flips, and the factors to its right, the ones this
+                # pass has walked, are restored in the new frame
+                del ps[k], qs[k], rs[k], ls[k]
+                deltas += 1
+                t ^= 1
+                for j in range(k, len(rs)):
+                    ps[j] = _tau(ps[j])
+                    qs[j] = _tau(qs[j])
+                    rs[j] = _reverse_bits(rs[j], n - 1)
+                    ls[j] = _reverse_bits(ls[j], n - 1)
+                if k and on_step is not None:
+                    on_step(_braid(n, deltas, t, ps) + pending[pos + 1 :])
+                break
+            if not k or not (movable := ls[k] & ~rs[k - 1]):
+                break
             px, qx, rx, lx = ps[k - 1], qs[k - 1], rs[k - 1], ls[k - 1]
             py, qy, ry, ly = ps[k], qs[k], rs[k], ls[k]
             while movable:
@@ -167,26 +257,18 @@ def normalize_factors(
                 if u == v + 1:
                     ry &= ~(1 << (v - 1))
                 if on_step is not None:
-                    on_step(tuple(tuple(p[1:-1]) for p in ps) + factors[pos + 1 :])
+                    on_step(_braid(n, deltas, t, ps) + pending[pos + 1 :])
                 movable = ly & ~rx
             rs[k - 1], ls[k - 1], rs[k], ls[k] = rx, lx, ry, ly
             k -= 1
         while rs and rs[-1] == 0:
             del ps[-1], qs[-1], rs[-1], ls[-1]
-    return NormalSequence(n=n, factors=tuple(tuple(p[1:-1]) for p in ps))
+    return NormalSequence(n=n, factors=_braid(n, deltas, t, ps))
 
 
-def normalize(
-    word: PositiveWord,
-    on_step: Callable[[tuple[Perm, ...]], None] | None = None,
-) -> NormalSequence:
-    """
-    The normal form of a positive word: normalize_factors on one
-    square-free factor per letter, so each letter is multiplied on the
-    right of the normal form of the letters before it.
-    """
-    n = word.n
-    return normalize_factors(n, [transposition(n, i) for i in word.letters], on_step)
+def _braid(n: int, deltas: int, t: int, ps: list[list[int]]) -> tuple[Perm, ...]:
+    """The factors in actual terms: the leading half twists, then τ^t of the stored ones."""
+    return (flip(n),) * deltas + tuple(tuple((_tau(p) if t else p)[1:-1]) for p in ps)
 
 
 def degree(seq: NormalSequence) -> int:

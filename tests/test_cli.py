@@ -321,6 +321,16 @@ def test_verify(capsys):
     argv = ["verify", "--formula", "bn3-delta1", "--nmax", "3", "--dmax", "3", "--format", "csv"]
     assert run(capsys, *argv) == (0, expected, "")
 
+    # the yes/no checks print as text in every format
+    argv = ["verify", "--formula", "bessel-reciprocal-gf", "--nmax", "3", "--dmax", "3"]
+    (report,) = json.loads(run(capsys, *argv, "--format", "json")[1])
+    assert report["checks"] == [
+        {"label": "order<=12 coefficients vanish", "expected": "True", "computed": "True", "match": True}
+    ]
+    assert run(capsys, *argv, "--format", "csv")[1].splitlines()[1] == (
+        "bessel-reciprocal-gf,order<=12 coefficients vanish,True,True,ok"
+    )
+
 
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "table", "--nmax", "5", "--dmax", "5", "--format", "json")

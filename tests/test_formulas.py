@@ -228,8 +228,18 @@ def test_cor47():
     # the printed increment 2n - 1 overshoots from the first step on
     assert all(not c.match for c in printed)
     assert all(c.flag == "paper-discrepancy" for c in printed)
-    assert printed[0].computed == "5"
-    assert printed[0].expected == "4"
+    assert printed[0].computed == 5
+    assert printed[0].expected == 4
+
+
+def test_checks_keep_their_values_as_numbers():
+    # text is made only at output, so a check of values past CPython's
+    # 4300-digit str(int) limit is built and compared in process
+    big = 10**5000 + 1
+    check = formulas._check("big", big, big)
+    assert check.expected is big and check.computed is big and check.match
+    (report,) = (r for r in verify_all(nmax=3, dmax=3) if r.formula == "bessel-reciprocal-gf")
+    assert report.checks[0].expected is True and report.checks[0].computed is True
 
 
 def test_verify_all_green():

@@ -16,6 +16,7 @@ from garside_census.permutations import (
     inversion_number,
     is_normal_pair,
     perm_of_letters,
+    phi,
     simple_enumeration,
     transposition,
 )
@@ -50,21 +51,60 @@ def _reference_normalize_factors(n, factors, on_step=None):
     """
     The normal form move by move on permutation tuples and frozenset
     descents: the slow reference for normalize_factors, with the same
-    moves in the same order and the same on_step reports.
+    moves, carries and on_step reports in the same order.  The prefix is
+    stored in frame t (the factor standing there is phi^t of the stored
+    one), and a half twist arising at the current slot is counted apart.
     """
     factors = tuple(factors)
+    one, delta = identity(n), flip(n)
+    deltas, t = 0, 0
+    prefix: list[Perm] = []
+
+    def braid():
+        return (delta,) * deltas + tuple(phi(x) if t else x for x in prefix)
+
+    for pos, y in enumerate(factors):
+        prefix.append(phi(y) if t else y)
+        k = len(prefix) - 1
+        while True:
+            if n > 1 and prefix[k] == delta:
+                del prefix[k]
+                deltas, t = deltas + 1, 1 - t
+                prefix[k:] = [phi(x) for x in prefix[k:]]
+                if k and on_step is not None:
+                    on_step(braid() + factors[pos + 1 :])
+                break
+            if k == 0 or not (movable := d_left(prefix[k]) - d_right(prefix[k - 1])):
+                break
+            while movable:
+                s_i = transposition(n, min(movable))
+                prefix[k - 1] = compose(prefix[k - 1], s_i)
+                prefix[k] = compose(s_i, prefix[k])
+                if on_step is not None:
+                    on_step(braid() + factors[pos + 1 :])
+                movable = d_left(prefix[k]) - d_right(prefix[k - 1])
+            k -= 1
+        while prefix and prefix[-1] == one:
+            prefix.pop()
+    return NormalSequence(n=n, factors=braid())
+
+
+def _carry_free_normalize_factors(n, factors):
+    """
+    The normal form by local moves alone, a half twist walking left one
+    move per generator: the second reference, which shares no frame or
+    carry with normalize_factors.
+    """
     one = identity(n)
     prefix: list[Perm] = []
-    for pos, y in enumerate(factors):
+    for y in factors:
         prefix.append(y)
         k = len(prefix) - 1
         while k > 0 and (movable := d_left(prefix[k]) - d_right(prefix[k - 1])):
             while movable:
-                t = transposition(n, min(movable))
-                prefix[k - 1] = compose(prefix[k - 1], t)
-                prefix[k] = compose(t, prefix[k])
-                if on_step is not None:
-                    on_step(tuple(prefix) + factors[pos + 1 :])
+                s_i = transposition(n, min(movable))
+                prefix[k - 1] = compose(prefix[k - 1], s_i)
+                prefix[k] = compose(s_i, prefix[k])
                 movable = d_left(prefix[k]) - d_right(prefix[k - 1])
             k -= 1
         while prefix and prefix[-1] == one:
@@ -170,7 +210,7 @@ def test_normalize_soundness(data):
     assert product == perm_of_letters(letters, n)
     assert sum(inversion_number(x) for x in seq.factors) == len(letters)
 
-    # each local move lowers the termination measure strictly
+    # each move lowers the termination measure by one, each carry by more
     trail = [rewrite_potential(tuple(perm_of_letters([i], n) for i in letters))] + potentials
     assert all(b < a for a, b in zip(trail, trail[1:]))
 
@@ -229,18 +269,20 @@ def test_normalize_matches_the_reference_on_words(data):
     st.integers(1, 6).flatmap(
         lambda n: st.tuples(
             st.just(n),
-            st.lists(st.sampled_from(simple_enumeration(n)), max_size=10),
+            st.lists(st.one_of(st.sampled_from(simple_enumeration(n)), st.just(flip(n))), max_size=10),
             st.lists(st.integers(0, 10), max_size=3),
         )
     )
 )
 def test_normalize_factors_matches_the_reference(data):
-    # identity factors are inserted anywhere, the middle included, and the
-    # normal form itself is fed back in as an already-normal list
+    # half twists are drawn often and identity factors are inserted
+    # anywhere, the middle included, and the normal form itself is fed
+    # back in as an already-normal list
     n, factors, slots = data
     for slot in slots:
         factors.insert(min(slot, len(factors)), identity(n))
     assert_matches_reference(n, factors)
+    assert normalize_factors(n, factors) == _carry_free_normalize_factors(n, factors)
     normal = _reference_normalize_factors(n, factors).factors
     assert_matches_reference(n, normal)
     assert normalize_factors(n, normal).factors == normal
@@ -260,9 +302,76 @@ def test_normalize_long_word():
     assert product == perm_of_letters(letters, n)
     assert sum(inversion_number(x) for x in seq.factors) == len(letters)
 
-    # each move lowers the measure by one and the pops never raise it
+    # each report lowers the measure by at least one and the pops never raise it
     start = rewrite_potential(tuple(perm_of_letters([i], n) for i in letters))
     assert 0 < len(moves) <= start - rewrite_potential(seq.factors)
+
+
+def test_normalize_long_word_reports_at_most_one_step_per_letter():
+    # at n = 3 almost every move of the carry-free rewriting walks a half
+    # twist to the front (about 409 000 for this word); a carry is one report
+    rng = random.Random(3000)
+    n = 3
+    letters = tuple(rng.randint(1, n - 1) for _ in range(3000))
+    reports = []
+    seq = normalize(PositiveWord(n=n, letters=letters), on_step=lambda fs: reports.append(1))
+
+    product = functools.reduce(compose, seq.factors, identity(n))
+    assert product == perm_of_letters(letters, n)
+    assert sum(inversion_number(x) for x in seq.factors) == len(letters)
+    assert 0 < len(reports) <= len(letters)
+
+
+@st.composite
+def delta_rich_words(draw, max_letters=200):
+    """A word on 2..5 strands of tokens s<i> and D^e, at most max_letters letters."""
+    n = draw(st.integers(2, 5))
+    budget = draw(st.integers(0, max_letters))
+    dlen = n * (n - 1) // 2
+    tokens, letters = [], 0
+    while letters < budget:
+        # a negative token -e stands for D^e, one that overshoots for s1
+        token = draw(st.one_of(st.integers(1, n - 1), st.integers(-3, -1)))
+        if token < 0 and letters - token * dlen > budget:
+            token = 1
+        tokens.append(f"s{token}" if token > 0 else "D" if token == -1 else f"D^{-token}")
+        letters += 1 if token > 0 else -token * dlen
+    return n, " ".join(tokens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(delta_rich_words())
+def test_normalize_matches_the_carry_free_reference_on_delta_rich_words(data):
+    n, text = data
+    word = parse_word(text, n)
+    factors = [transposition(n, i) for i in word.letters]
+    via_letters, via_factors = [], []
+    seq = normalize(word, via_letters.append)
+    assert seq == normalize_factors(n, factors, via_factors.append)
+    assert seq == _carry_free_normalize_factors(n, factors)
+    assert via_letters == via_factors
+    assert_matches_reference(n, factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, 2),
+            st.lists(st.sampled_from(simple_enumeration(n)), max_size=12),
+        )
+    )
+)
+def test_odd_delta_power_then_factors(data):
+    # after an odd power of the half twist every later factor is stored
+    # twisted; the result still obeys D^e W = phi^e(W) D^e
+    n, m, rest = data
+    delta = (flip(n),) * (2 * m + 1)
+    seq = normalize_factors(n, delta + tuple(rest))
+    assert seq == _carry_free_normalize_factors(n, delta + tuple(rest))
+    assert seq == normalize_factors(n, tuple(phi(x) for x in rest) + delta)
+    assert_matches_reference(n, delta + tuple(rest))
 
 
 @settings(max_examples=100, deadline=None)
