@@ -291,6 +291,7 @@ def dth_factor(seq: NormalSequence, d: int) -> Perm:
 def rewrite_potential(factors: tuple[Perm, ...]) -> int:
     """
     The termination measure of the rewriting: the crossing count of each
-    factor weighted by its slot.  Each local move decreases it by one.
+    factor weighted by its slot.  Each move decreases it by one, each
+    carry of a half twist past at least one factor by more.
     """
     return sum((k + 1) * inversion_number(x) for k, x in enumerate(factors))
