@@ -19,13 +19,14 @@ depends only on the two partitions, and by RSK it is sum over shapes nu
 of K(nu, rows) * K(nu, cols).  _a_hat_table(n) holds it for every pair of
 partitions of n at once, as the Gram product K^T K of the Kostka columns
 read from _tableaux, which grows each table by one horizontal strip per
-part (the strips of each shape and size are cached).  K(nu, kappa) is
-zero unless nu dominates kappa, so with the shapes in decreasing
-lexicographic order each column is truncated after kappa's own row, and
-the Gram product sums about a third of the products a dense one would.
-Every margin count is a lookup in the table.  contingency_count,
-a dynamic program over the columns, counts the same matrices directly
-and is kept as the independent check.
+part (the strips of each shape and size are cached).  Each row of K^T K
+is summed as one integer: the rows of K are packed into byte-aligned
+slots wide enough for n! (_pack, _unpack; every entry counts square-free
+braids), and row kappa is the sum of K(nu, kappa) times packed row nu
+over the nonzero Kostka numbers of column kappa, one big-integer
+multiply-add each.  Every margin count is a lookup in the table.
+contingency_count, a dynamic program over the columns, counts the same
+matrices directly and is kept as the independent check.
 
 Two levels read these margin counts.  At the subset level, a follows by
 inclusion-exclusion over supersets of I, in a_column, the one superset
@@ -34,8 +35,8 @@ a and matrices.mprime_columns, the p(n) distinct columns of Mprime(n),
 read both.  At the partition level,
 _refinements holds the signed refinement counts that sum the same
 inclusion-exclusion over every subset with a given partition at once;
-matrices.build_Mbar reads it with the rows of _a_hat_table and never
-builds a subset table.  The brute-force oracles, oracle.count_functions
+matrices.build_Mbar reads it with the packed rows of _a_hat_table and
+never builds a subset table.  The brute-force oracles, oracle.count_functions
 and the census of all n! permutations (oracle.left_right_descent_census),
 live with the other oracles.
 """
@@ -44,7 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import mul
 from typing import Iterable, Sequence
 
 Composition = tuple[int, ...]
@@ -235,6 +235,52 @@ def _tableaux(content: tuple[int, ...]) -> dict[PartitionN, int]:
     return out
 
 
+def _pack(values: Iterable[int], width: int) -> int:
+    """
+    One integer holding the non-negative values in slots of width bytes,
+    the first value in the lowest slot: the inverse of _unpack.
+
+    >>> _pack((1, 2), 1)
+    513
+    """
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+def _unpack(packed: int, count: int, width: int) -> tuple[int, ...]:
+    """
+    The count slots of width bytes of a packed row.  A sum of packed rows
+    with signed weights is exact, and unpacks to the weighted sums of
+    their slots as long as each lies in [0, 2**(8 width)); a negative or
+    too-wide total raises OverflowError instead of returning wrong slots.
+
+    >>> _unpack(513, 2, 1)
+    (1, 2)
+    """
+    data = packed.to_bytes(count * width, "little")
+    return tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width))
+
+
+def _packed_a_hat_rows(n: int) -> tuple[list[int], int]:
+    """
+    The rows of _a_hat_table(n), each packed into one integer in slots of
+    the returned width in bytes, wide enough for n!: every entry counts
+    square-free n-braids.  Row kappa of K^T K is the sum over shapes nu
+    of K(nu, kappa) times row nu of K, so each row is one big-integer
+    multiply-add per Kostka number K(nu, kappa) != 0.  Not cached:
+    _a_hat_table keeps the unpacked table, and matrices.build_Mbar needs
+    the packed rows once per n.
+    """
+    labels = partitions_in_order(n)
+    width = (math.factorial(n).bit_length() + 7) // 8
+    kostka_rows: dict[PartitionN, list[int]] = {nu: [0] * len(labels) for nu in labels}
+    tables = [_tableaux(kappa) for kappa in labels]
+    for j, table in enumerate(tables):
+        for nu, count in table.items():
+            kostka_rows[nu][j] = count
+    packed = {nu: _pack(row, width) for nu, row in kostka_rows.items()}
+    return [sum(count * packed[nu] for nu, count in table.items()) for table in tables], width
+
+
 @functools.lru_cache(maxsize=None)
 def _a_hat_table(n: int) -> tuple[tuple[int, ...], ...]:
     """
@@ -242,25 +288,11 @@ def _a_hat_table(n: int) -> tuple[tuple[int, ...], ...]:
     in the order of partitions_in_order(n).  By RSK a matrix with margins
     kappa and mu is a pair of semistandard tableaux of one shape nu with
     contents kappa and mu, so the table is the Gram product K^T K of the
-    Kostka columns K(., kappa) from _tableaux; it is symmetric, and only
-    its lower half is summed.  With the shapes in decreasing
-    lexicographic order, column kappa is truncated after kappa's own row,
-    below which it is zero, so an entry sums only the common support of
-    its two columns.
+    Kostka columns K(., kappa) from _tableaux, summed on packed rows by
+    _packed_a_hat_rows and unpacked here.
     """
-    labels = partitions_in_order(n)
-    # K(nu, kappa) != 0 needs nu to dominate kappa, hence nu >= kappa
-    # lexicographically; map stops at the shorter of two columns.
-    shapes = sorted(labels, reverse=True)
-    cols = []
-    for kappa in labels:
-        table = _tableaux(kappa)
-        cols.append([table.get(nu, 0) for nu in shapes[: shapes.index(kappa) + 1]])
-    rows = [[0] * len(labels) for _ in labels]
-    for i, col in enumerate(cols):
-        for j in range(i + 1):
-            rows[i][j] = rows[j][i] = sum(map(mul, col, cols[j]))
-    return tuple(map(tuple, rows))
+    rows, width = _packed_a_hat_rows(n)
+    return tuple(_unpack(row, len(rows), width) for row in rows)
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,7 +21,8 @@ descent_masks(n) alone.  The p(n) distinct columns of Mprime,
 mprime_columns(n), come from descents.a_column, the subset level;
 build_Mprime and the Mprime path of oracle.b_of_simple_via read them,
 and that path never builds the matrix.  Mbar is built at the partition
-level from the Kostka Gram table descents._a_hat_table and
+level from the packed rows of the Kostka Gram table
+(descents._packed_a_hat_rows, which descents._a_hat_table unpacks) and
 descents._refinements, with no subset table.
 
 b(n, d) counts the positive n-braids of degree at most d; b(n, d, x) those
@@ -172,16 +173,18 @@ def _cached_Mbar(n: int) -> CountMatrix:
     # Kostka Gram table, and C[lam][kappa] = r(kappa)·_refinements(kappa)[lam]
     # is the h-expansion of the summed ribbon Schur functions, the superset
     # inclusion-exclusion of a_column summed over the subsets with partition lam.
+    # Row lam is summed as one integer over the packed rows of Â: C is signed,
+    # but the sum is exact, and its slots, entries of Mbar, count at most n!
+    # braids each, so they fit the slot width of Â.
     labels = descents.partitions_in_order(n)
     index = {lam: i for i, lam in enumerate(labels)}
-    terms = [([], []) for _ in labels]
-    for kappa, a_hat_row in zip(labels, descents._a_hat_table(n)):
+    a_hat_rows, width = descents._packed_a_hat_rows(n)
+    packed = [0] * len(labels)
+    for kappa, a_hat_row in zip(labels, a_hat_rows):
         orderings = descents._multinomial(collections.Counter(kappa).values())
         for lam, count in descents._refinements(kappa).items():
-            weights, a_rows = terms[index[lam]]
-            weights.append(orderings * count)
-            a_rows.append(a_hat_row)
-    rows = tuple(tuple(sum(map(mul, weights, col)) for col in zip(*a_rows)) for weights, a_rows in terms)
+            packed[index[lam]] += orderings * count * a_hat_row
+    rows = tuple(descents._unpack(row, len(labels), width) for row in packed)
     return CountMatrix(kind="Mbar", n=n, labels=labels, rows=rows)
 
 

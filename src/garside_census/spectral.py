@@ -9,8 +9,13 @@ v A^k of v = (1, ..., 1).  On the shared build_Mbar(n) those rows are the
 count series itself, read from matrices.count_series; any other matrix
 steps its own with matrices.vec_times_matrix, the one product behind the
 series too.  The Krylov matrix is factored once modulo the word-size
-prime _P and the solution lifted P-adically (Dixon, Numer. Math. 40,
-1982) until it satisfies the Cayley-Hamilton identity for v exactly.
+prime _P, each row packed into one integer so that a row update is one
+big-integer multiply-add (Kronecker substitution; Harvey, J. Symbolic
+Comput. 44, 2009), in slots of 2 _P.bit_length() + m.bit_length() bits
+rounded up to bytes: in an m x m matrix a slot starts below _P and takes
+at most m - 1 updates, each below _P**2, so it stays below m _P**2.  The
+solution is lifted P-adically (Dixon, Numer. Math. 40, 1982) until it
+satisfies the Cayley-Hamilton identity for v exactly.
 When v is not cyclic for A, or the Krylov matrix is singular mod _P, the
 division-free Berkowitz recursion runs instead; both stay in exact
 integers.  Division, divisibility and gcd stay in integers too (Knuth,
@@ -137,23 +142,38 @@ def _lu_mod_p(a: Sequence[Sequence[int]]):
     LU factorisation of a square integer matrix mod _P with row pivoting:
     (perm, lu), row k of lu holding the multipliers of L left of the
     diagonal and U from it on.  None when the matrix is singular mod _P.
+
+    Each row still to be reduced is one integer, its entries from the
+    current column on in byte-aligned slots (descents._pack), so a row
+    update is one big-integer multiply-add: (row + (_P - f) U) >> w drops
+    the slot of the current column, which the update makes a multiple of
+    _P, and adds (_P - f) u_j < _P**2 to every other slot.  A slot starts
+    below _P and takes at most m - 1 updates, so it stays below m _P**2,
+    and a width of 2 _P.bit_length() + m.bit_length() bits, rounded up to
+    bytes, never carries into the next.  Only the pivot row is unpacked,
+    reduced mod _P and repacked as U, once per step.
     """
-    a = [[e % _P for e in row] for row in a]
-    perm = list(range(len(a)))
-    for k in range(len(a)):
-        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+    m = len(a)
+    width = (2 * _P.bit_length() + m.bit_length() + 7) // 8
+    shift, mask = 8 * width, (1 << 8 * width) - 1
+    rows = [descents._pack([e % _P for e in row], width) for row in a]
+    lu: list[list[int]] = [[] for _ in range(m)]
+    perm = list(range(m))
+    for k in range(m):
+        piv = next((i for i in range(k, m) if (rows[i] & mask) % _P), None)
         if piv is None:
             return None
-        a[k], a[piv] = a[piv], a[k]
-        perm[k], perm[piv] = perm[piv], perm[k]
-        inv = pow(a[k][k], -1, _P)
-        tail = a[k][k + 1:]
-        for row in a[k + 1:]:
-            f = row[k] * inv % _P
-            row[k] = f
-            if f:
-                row[k + 1:] = [(x - f * y) % _P for x, y in zip(row[k + 1:], tail)]
-    return perm, a
+        for seq in (rows, lu, perm):
+            seq[k], seq[piv] = seq[piv], seq[k]
+        u = [e % _P for e in descents._unpack(rows[k], m - k, width)]
+        lu[k].extend(u)
+        packed_u = descents._pack(u, width)
+        inv = pow(u[0], -1, _P)
+        for i in range(k + 1, m):
+            f = (rows[i] & mask) * inv % _P
+            lu[i].append(f)
+            rows[i] = (rows[i] + (_P - f) * packed_u if f else rows[i]) >> shift
+    return perm, lu
 
 
 def _solve_mod_p(perm: list[int], lu: list[list[int]], r: Sequence[int]) -> list[int]:

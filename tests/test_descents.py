@@ -198,11 +198,50 @@ def test_tableaux_against_brute(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_kostka_columns_are_unitriangular_in_lex_order(n):
-    # the truncated columns of descents._a_hat_table rest on this
+    # K is unitriangular in decreasing lexicographic order
     for kappa in partitions_in_order(n):
         table = descents._tableaux(kappa)
         assert table[kappa] == 1, kappa
         assert all(nu >= kappa for nu in table), kappa
+
+
+def _reference_a_hat_table(n):
+    """The dense Gram product K^T K, one sum over every shape per entry."""
+    labels = partitions_in_order(n)
+    tables = [descents._tableaux(kappa) for kappa in labels]
+    return tuple(
+        tuple(sum(t1.get(nu, 0) * t2.get(nu, 0) for nu in labels) for t2 in tables) for t1 in tables
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_packed_a_hat_table_equals_the_dense_gram_product(n):
+    assert descents._a_hat_table(n) == _reference_a_hat_table(n)
+
+
+@pytest.mark.parametrize("n", range(1, matrices.MBAR_CAP + 1))
+def test_a_hat_entries_fit_the_slot_width(n):
+    # _packed_a_hat_rows sizes its slots for n!, which bounds every entry
+    bound = math.factorial(n)
+    assert all(0 <= e <= bound for row in descents._a_hat_table(n) for e in row)
+    assert descents._packed_a_hat_rows(n)[1] == (bound.bit_length() + 7) // 8
+
+
+def test_pack_round_trip_and_unpack_overflow():
+    row = (0, 255, 1, 254)
+    assert descents._unpack(descents._pack(row, 1), 4, 1) == row
+    assert descents._unpack(descents._pack(row, 3), 4, 3) == row
+    assert descents._unpack(0, 0, 2) == ()
+    # a signed sum with slots in range unpacks exactly
+    assert descents._unpack(3 * descents._pack((5, 7), 2) - descents._pack((4, 2), 2), 2, 2) == (11, 19)
+    with pytest.raises(OverflowError):
+        descents._unpack(-1, 4, 1)
+    with pytest.raises(OverflowError):
+        descents._unpack(descents._pack((5, 7), 2) - 2 * descents._pack((0, 4), 2), 2, 2)
+    with pytest.raises(OverflowError):
+        descents._unpack(1 << 32, 4, 1)
+    with pytest.raises(OverflowError):
+        descents._unpack(descents._pack((1, 256), 2), 2, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -116,6 +116,13 @@ def test_Mbar_equals_the_subset_level_regrouping(n):
     assert matrices._cached_Mbar(n).rows == _Mbar_from_subsets(n)
 
 
+@pytest.mark.parametrize("n", range(1, matrices.MBAR_CAP + 1))
+def test_Mbar_entries_fit_the_slot_width(n):
+    # _cached_Mbar unpacks its rows in slots sized for n!, which bounds every entry
+    bound = math.factorial(n)
+    assert all(0 <= e <= bound for row in build_Mbar(n).rows for e in row)
+
+
 def test_Mbar_build_never_touches_the_subset_level(monkeypatch):
     def forbidden(n, mu):
         raise AssertionError("a_column called on the Mbar path")

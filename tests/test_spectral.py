@@ -104,6 +104,54 @@ def test_krylov_prime_is_prime():
     assert all(_P % d for d in range(2, math.isqrt(_P) + 1))
 
 
+def _reference_lu_mod_p(a):
+    """The LU mod _P entry by entry, the check on the packed rows of _lu_mod_p."""
+    a = [[e % _P for e in row] for row in a]
+    perm = list(range(len(a)))
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        perm[k], perm[piv] = perm[piv], perm[k]
+        inv = pow(a[k][k], -1, _P)
+        tail = a[k][k + 1:]
+        for row in a[k + 1:]:
+            f = row[k] * inv % _P
+            row[k] = f
+            if f:
+                row[k + 1:] = [(x - f * y) % _P for x, y in zip(row[k + 1:], tail)]
+    return perm, a
+
+
+# Zeros and multiples of _P make matrices singular mod _P and zero pivots.
+_lu_entry = st.one_of(
+    st.sampled_from((0, 1, -1, _P - 1)),
+    st.integers(-3, 3).map(lambda k: k * _P),
+    st.integers(-(10**40), 10**40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 20).flatmap(
+        lambda k: st.lists(st.lists(_lu_entry, min_size=k, max_size=k), min_size=k, max_size=k)
+    )
+)
+@example(rows=[[0, 1], [1, 0]])  # a zero pivot: rows swap
+@example(rows=[[_P, 1], [2 * _P, 3]])  # a zero column mod _P
+@example(rows=[[1, 2], [2, 4 + _P]])  # singular mod _P after one step
+def test_packed_lu_matches_the_reference(rows):
+    assert spectral._lu_mod_p(rows) == _reference_lu_mod_p(rows)
+
+
+def test_packed_lu_near_the_slot_bound():
+    # residues P - 1 and P - 2 make every update add close to P**2 to a slot
+    rng = random.Random(130)
+    rows = [[rng.choice((_P - 1, _P - 2)) for _ in range(130)] for _ in range(130)]
+    assert spectral._lu_mod_p(rows) == _reference_lu_mod_p(rows)
+
+
 def _berkowitz_charpoly(rows):
     return tuple(reversed(_berkowitz(rows)))
 
