@@ -21,26 +21,34 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import sys
+from typing import Iterable, Iterator
 
 from . import descents, formulas, matrices, oracle, permutations, reference, spectral, words
 
 
 def _emit(text: str, out: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
+    _write([text if text.endswith("\n") else text + "\n"], out)
+
+
+def _write(pieces: Iterable[str], out: str | None) -> None:
+    """Write the pieces of a text in turn to stdout, or to the file out."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
 
 
 def _strings(obj):
     """obj with every int as its decimal string; bools stay bools."""
+    if type(obj) is int:
+        return str(obj)
     if isinstance(obj, dict):
         return {k: str(v) if type(v) is int else _strings(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -48,8 +56,29 @@ def _strings(obj):
     return obj
 
 
+def _json_pieces(obj, pad: str = "") -> Iterator[str]:
+    """
+    The text of json.dumps(_strings(obj), indent=2) in pieces, obj nested
+    at indent pad: a dict or list that holds a dict or list goes out item
+    by item, anything else whole, so a matrix goes out one row at a time.
+    """
+    items = []
+    if isinstance(obj, dict):
+        items, brackets = [(json.dumps(k) + ": ", v) for k, v in obj.items()], "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = [("", v) for v in obj], "[]"
+    if not any(isinstance(v, (dict, list, tuple)) for _, v in items):
+        yield json.dumps(_strings(obj), indent=2).replace("\n", "\n" + pad)
+        return
+    yield brackets[0]
+    for k, (key, v) in enumerate(items):
+        yield f"{',' if k else ''}\n{pad}  {key}"
+        yield from _json_pieces(v, pad + "  ")
+    yield f"\n{pad}{brackets[1]}"
+
+
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(_strings(obj), indent=2), out)
+    _write(itertools.chain(_json_pieces(obj), "\n"), out)
 
 
 def _emit_csv(rows: list[list], out: str | None) -> None:

@@ -4,46 +4,60 @@ consecutive spectra, and the dominant eigenvalue, returned as the double
 nearest its exact value.
 
 Polynomials are dense integer-coefficient tuples with the constant term
-first.  A characteristic polynomial is solved for from the Krylov rows
-v A^k of v = (1, ..., 1).  On the shared build_Mbar(n) those rows are the
-count series itself, read from matrices.count_series; any other matrix
-steps its own with matrices.vec_times_matrix, the one product behind the
-series too.  The Krylov matrix is factored once modulo the word-size
-prime _P, each row packed into one integer so that a row update is one
-big-integer multiply-add (Kronecker substitution; Harvey, J. Symbolic
-Comput. 44, 2009), in slots of 2 _P.bit_length() + m.bit_length() bits
-rounded up to bytes: in an m x m matrix a slot starts below _P and takes
-at most m - 1 updates, each below _P**2, so it stays below m _P**2.  The
-solution is lifted P-adically (Dixon, Numer. Math. 40, 1982) until it
-satisfies the Cayley-Hamilton identity for v exactly.
+first.  charpoly, the full route on any matrix, solves for the
+characteristic polynomial from the Krylov rows v A^k of v = (1, ..., 1),
+which the matrix's rows step with matrices.vec_times_matrix, the one
+product behind the count series too.  The Krylov matrix is factored once
+modulo the word-size prime _P, each row packed into one integer so that a
+row update is one big-integer multiply-add (Kronecker substitution;
+Harvey, J. Symbolic Comput. 44, 2009), in slots of 2 _P.bit_length() +
+m.bit_length() bits rounded up to bytes: in an m x m matrix a slot starts
+below _P and takes at most m - 1 updates, each below _P**2, so it stays
+below m _P**2.  The solution is lifted P-adically (Dixon, Numer. Math. 40,
+1982) until it satisfies the Cayley-Hamilton identity for v exactly.
 When v is not cyclic for A, or the Krylov matrix is singular mod _P, the
 division-free Berkowitz recursion runs instead; both stay in exact
-integers.  Division, divisibility and gcd stay in integers too (Knuth,
-TAOCP vol. 2, 4.6.1): exact division, pseudo-division, and the primitive
-remainder sequence for the degree of a gcd over Q, which coprimality and
+integers.
+
+cached_charpoly does not take that route on the shared build_Mbar(n).
+It multiplies one new factor per n, each the characteristic polynomial
+of Mbar(n) on the kernel of an explicit integer intertwiner D_n with
+Mbar(n) D_n = D_n Mbar(n-1) (see _new_factor), lifted the same way from
+q + 1 Krylov rows of length q = p(n) - p(n-1).  An n whose identity
+check fails, or whose Krylov matrices are all singular mod _P, takes the
+full route.
+
+Division, divisibility and gcd stay in integers too (Knuth, TAOCP vol.
+2, 4.6.1): exact division, pseudo-division, and the primitive remainder
+sequence for the degree of a gcd over Q, which coprimality and
 squarefree tests reach only when a remainder sequence mod _P cannot
-already prove the answer.  Its cross-checks, a naive cofactor-expansion
-determinant and the nonzero spectrum of the full matrix M(n), are
-oracle.naive_charpoly and oracle.m_charpoly_nonzero.
+already prove the answer.  The cross-checks of this module, a naive
+cofactor-expansion determinant and the nonzero spectrum of the full
+matrix M(n), are oracle.naive_charpoly and oracle.m_charpoly_nonzero.
 
 The dominant eigenvalue is bracketed first, by the Collatz-Wielandt
 bounds on the same rows v A^k (Horn & Johnson, Matrix Analysis, 8.1),
-compared as integer cross-products; on Mbar(n) most of those rows are
-already there as Krylov rows.  When the brackets do not close, or an
-iterate has a zero entry, a bisection on the cached characteristic
-polynomial decides it, every step an integer Taylor shift.  Nothing
-here uses floats until the final, correctly rounded division.
+compared as integer cross-products.  On the shared Mbar(n) they are the
+count series, read from matrices.count_series; at n = 4..15 the
+brackets read its first 21-41 vectors, and nothing here reads further.
+When the brackets do not close, or an iterate has a zero entry, a
+bisection on the cached characteristic polynomial decides it, every step
+an integer Taylor shift.  Nothing here uses floats until the final,
+correctly rounded division.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
 import math
+import random
 from operator import mul
 from typing import Iterator, Sequence
 
 from . import descents, matrices
+from .descents import PartitionN
 from .matrices import CountMatrix
 
 IntPoly = tuple[int, ...]
@@ -187,15 +201,20 @@ def _solve_mod_p(perm: list[int], lu: list[list[int]], r: Sequence[int]) -> list
     return y
 
 
+def _is_shared_Mbar(m) -> bool:
+    return (isinstance(m, CountMatrix) and m.kind == "Mbar" and 1 <= m.n <= matrices.MBAR_CAP
+            and m is matrices.build_Mbar(m.n))
+
+
 def _krylov_rows(m: CountMatrix | Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
     """
     The rows v A^k, k = 0, 1, ..., of v = (1, ..., 1).  On the shared
-    build_Mbar(n) they are the count series, read from count_series, which
-    keeps them; any other matrix steps its own, each a
-    matrices.vec_times_matrix product, and keeps none.
+    build_Mbar(n), which only the brackets of rho_max pass, they are the
+    count series, read from count_series, which keeps them; any other
+    matrix, and any plain rows, step their own, each a
+    matrices.vec_times_matrix product, and keep none.
     """
-    if (isinstance(m, CountMatrix) and m.kind == "Mbar" and 1 <= m.n <= matrices.MBAR_CAP
-            and m is matrices.build_Mbar(m.n)):
+    if _is_shared_Mbar(m):
         for d in itertools.count(1):
             yield matrices.count_series(m.n, d)[-1]
     else:
@@ -206,23 +225,22 @@ def _krylov_rows(m: CountMatrix | Sequence[Sequence[int]]) -> Iterator[tuple[int
             x = matrices.vec_times_matrix(x, rows)
 
 
-def _krylov_charpoly(a: CountMatrix | Sequence[Sequence[int]]) -> IntPoly | None:
+def _lift_charpoly(krylov: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]) -> IntPoly | None:
     """
-    det(xI - A), constant term first, from the Krylov rows K_k = v A^k of
-    v = (1, ..., 1), k = 0..m, taken from _krylov_rows; None when
-    K = (K_0; ...; K_(m-1)) is singular mod _P.
+    The monic polynomial of degree m annihilating a Krylov sequence of the
+    matrix rows, from its m + 1 rows K_k = w A^k of length m, constant term
+    first; None when K = (K_0; ...; K_(m-1)) is singular mod _P.
 
-    Then K is nonsingular over Q, v's minimal polynomial has degree m and
-    is the characteristic polynomial, and its low coefficients c are the
-    unique solution of c K = -K_m.  Dixon lifting finds c mod P^i for
-    i = 1, 2, ...; the symmetric residue is c itself once P^i > 2 max|c_k|,
-    and the exact identity c K + K_m = 0, which holds for c alone, decides
-    when that is.  Every |c_k| <= (1 + R)^m, R the largest absolute row
-    sum, so the lifting cannot pass that bound without a bug.
+    Then K is nonsingular over Q, w's minimal polynomial has degree m, and
+    its low coefficients c are the unique solution of c K = -K_m.  Dixon
+    lifting finds c mod P^i for i = 1, 2, ...; the symmetric residue is c
+    itself once P^i > 2 max|c_k|, and the exact identity c K + K_m = 0,
+    which holds for c alone, decides when that is.  That polynomial
+    divides the characteristic polynomial of A, whose roots have modulus
+    at most R, the largest absolute row sum, so every |c_k| <= (1 + R)^m
+    and the lifting cannot pass that bound without a bug.
     """
-    rows = a.rows if isinstance(a, CountMatrix) else a
-    m = len(rows)
-    krylov = list(itertools.islice(_krylov_rows(a), m + 1))
+    m = len(krylov) - 1
     # kt[j] = (K_0[j], ..., K_(m-1)[j]): x K is the vector of x . kt[j]
     kt = list(zip(*krylov[:m]))
     factored = _lu_mod_p(kt)
@@ -242,31 +260,156 @@ def _krylov_charpoly(a: CountMatrix | Sequence[Sequence[int]]) -> IntPoly | None
     raise ArithmeticError("Krylov lifting passed the coefficient bound")
 
 
+def _krylov_charpoly(rows: Sequence[Sequence[int]]) -> IntPoly | None:
+    """
+    det(xI - A), constant term first, lifted from the Krylov rows v A^k of
+    v = (1, ..., 1), k = 0..m, that the rows of A step on their own; None
+    when the m x m Krylov matrix is singular mod _P.  When it is not, v's
+    minimal polynomial has degree m and is the characteristic polynomial.
+    """
+    krylov = list(itertools.islice(_krylov_rows(rows), len(rows) + 1))
+    return _lift_charpoly(krylov, rows)
+
+
 def charpoly(m: CountMatrix | Sequence[Sequence[int]]) -> IntPoly:
     """
     Exact characteristic polynomial det(xI - m), monic of degree equal to
     the matrix size, constant term first: from the Krylov sequence of
     (1, ..., 1) by P-adic lifting, or by Berkowitz when that sequence does
-    not span (a repeated eigenvalue with a diagonalizable block, say).  On
-    the shared build_Mbar(n) the Krylov rows are count_series(n, p(n) + 1).
+    not span (a repeated eigenvalue with a diagonalizable block, say).
+    This is the full route on any matrix; cached_charpoly assembles the
+    polynomial of the shared build_Mbar(n) from its new factors instead.
     """
-    if isinstance(m, CountMatrix):
-        rows = m.rows
-    else:
-        m = rows = tuple(tuple(r) for r in m)
+    rows = m.rows if isinstance(m, CountMatrix) else tuple(tuple(r) for r in m)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
-    poly = _krylov_charpoly(m)
+    poly = _krylov_charpoly(rows)
     return tuple(reversed(_berkowitz(rows))) if poly is None else poly
+
+
+# Seeds of the kernel vectors _new_factor tries before it falls back.
+_KERNEL_SEEDS = range(3)
+
+
+# The intertwiner D_n, p(n) x p(n-1) in the labels' order, of Mbar(n) and
+# Mbar(n-1): Mbar(n) D_n = D_n Mbar(n-1).  Its entries are
+#   D[lam][mu] = k m_(k-1)(mu)    when mu is lam with one part k >= 2 lowered by one,
+#   D[lam][mu] = -(l(lam) - 2)    when mu is lam with one part 1 removed,
+# and 0 elsewhere, m_j(mu) the number of parts of mu equal to j and l(lam)
+# the number of parts.  The formula was read off an LLL-reduced basis of
+# the exact intertwiner space at n = 4, 5, 6; _new_factor checks the
+# identity exactly at every n before it trusts what follows from it.
+# With sigma(mu) = mu with its largest part raised by one, column mu is
+# nonzero at row sigma(mu), where it is (mu_1 + 1) m_(mu_1)(mu), and
+# otherwise only at rows whose first part is mu_1; sigma is a bijection
+# onto the lam with lam_1 > lam_2, so D_n has full column rank.
+# Then W_n = {w : w D_n = 0}, of dimension q = p(n) - p(n-1), is invariant
+# under v -> v Mbar(n), the quotient by it carries Mbar(n-1), and the
+# characteristic polynomial of Mbar(n) on W_n is the new factor:
+# charpoly(Mbar(n-1)) divides charpoly(Mbar(n)) by construction.  A vector
+# of W_n is fixed by its entries at the q free labels (_is_free): column mu
+# gives the entry at sigma(mu) from entries with a smaller first part.
+@functools.lru_cache(maxsize=None)
+def _new_factor(n: int) -> IntPoly | None:
+    """
+    charpoly(Mbar(n)) / charpoly(Mbar(n-1)) for 2 <= n <= MBAR_CAP, from a
+    kernel vector of D_n and only once Mbar(n) D_n == D_n Mbar(n-1) has
+    been checked; None when the check fails or every seed's Krylov matrix
+    is singular mod _P.
+    """
+    if not _intertwines(n):
+        return None
+    for seed in _KERNEL_SEEDS:
+        factor = _factor_on_kernel(n, _kernel_vector(n, seed))
+        if factor is not None:
+            return factor
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _intertwiner_columns(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """
+    The columns of D_n, one per partition mu of n - 1 in the labels'
+    order, as (row index, entry) pairs, the pair of sigma(mu) first.
+    """
+    index = {lam: i for i, lam in enumerate(descents.partitions_in_order(n))}
+    columns = []
+    for mu in descents.partitions_in_order(n - 1):
+        column = []
+        for j, mult in collections.Counter(mu).items():  # largest part first: sigma(mu)
+            i = mu.index(j)
+            column.append((index[mu[:i] + (j + 1,) + mu[i + 1:]], (j + 1) * mult))
+        if len(mu) > 1:
+            column.append((index[mu + (1,)], 1 - len(mu)))
+        columns.append(tuple(column))
+    return tuple(columns)
+
+
+def _intertwines(n: int) -> bool:
+    """Whether Mbar(n) D_n == D_n Mbar(n-1), exactly."""
+    big, small = matrices.build_Mbar(n).rows, matrices.build_Mbar(n - 1).rows
+    big_columns = list(zip(*big))
+    left = [[0] * len(big)] * len(small)  # Mbar(n) D_n, column by column
+    right = [[0] * len(small)] * len(big)  # D_n Mbar(n-1), row by row
+    for k, (column, small_row) in enumerate(zip(_intertwiner_columns(n), small)):
+        for i, e in column:
+            left[k] = [x + e * y for x, y in zip(left[k], big_columns[i])]
+            right[i] = [x + e * y for x, y in zip(right[i], small_row)]
+    return left == [list(c) for c in zip(*right)]
+
+
+def _is_free(lam: PartitionN) -> bool:
+    """Whether lam's first two parts are equal: the labels that fix a vector of W_n."""
+    return len(lam) > 1 and lam[0] == lam[1]
+
+
+def _kernel_vector(n: int, seed: int) -> tuple[int, ...]:
+    """
+    A primitive integer w with w D_n = 0: entries 1..9 drawn from seed at
+    the free labels, then the entry at each sigma(mu) from column mu, in
+    increasing order of mu_1, scaling w whenever a quotient is not integral.
+    """
+    rng = random.Random(seed)
+    w = [rng.randint(1, 9) if _is_free(lam) else 0 for lam in descents.partitions_in_order(n)]
+    mus = descents.partitions_in_order(n - 1)
+    for _, ((top, diag), *rest) in sorted(zip(mus, _intertwiner_columns(n)), key=lambda t: t[0][0]):
+        s = sum(w[i] * e for i, e in rest)
+        scale = diag // math.gcd(s, diag)
+        if scale > 1:
+            w, s = [x * scale for x in w], s * scale
+        w[top] = -s // diag
+    g = math.gcd(*w)
+    return tuple(x // g for x in w)
+
+
+def _factor_on_kernel(n: int, w: Sequence[int]) -> IntPoly | None:
+    """
+    The characteristic polynomial of v -> v Mbar(n) on W_n, from the rows
+    w Mbar(n)^k, k = 0..q, restricted to the q free labels, for w in W_n;
+    None when they are singular mod _P (w not cyclic, say).
+    """
+    rows = matrices.build_Mbar(n).rows
+    free = [i for i, lam in enumerate(descents.partitions_in_order(n)) if _is_free(lam)]
+    iterates = itertools.accumulate(itertools.repeat(rows, len(free)), matrices.vec_times_matrix, initial=w)
+    krylov = [[x[i] for i in free] for x in iterates]
+    return _lift_charpoly(krylov, rows)
 
 
 @functools.lru_cache(maxsize=matrices.MBAR_CAP)
 def cached_charpoly(m: CountMatrix) -> IntPoly:
     """
-    charpoly memoized per matrix; on build_Mbar(n), charpoly runs once per
-    n.  The cache holds one entry per possible Mbar(n), so other matrices
-    passed to rho_max do not stay in memory for good.
+    charpoly memoized per matrix.  On the shared build_Mbar(n) it is
+    (x - 1) _new_factor(2) ... _new_factor(n), Mbar(1) being (1), and an n
+    whose factor is None falls back to charpoly on the full matrix.  The
+    cache holds one entry per possible Mbar(n), so other matrices passed
+    to rho_max do not stay in memory for good.
     """
+    if _is_shared_Mbar(m):
+        if m.n == 1:
+            return (-1, 1)
+        factor = _new_factor(m.n)
+        if factor is not None:
+            return poly_mul(cached_charpoly(matrices.build_Mbar(m.n - 1)), factor)
     return charpoly(m)
 
 
@@ -406,7 +549,9 @@ def new_factor_simple_roots(n: int) -> NewFactorReport:
     Divide the partition-matrix characteristic polynomial at n by the one
     at n-1 and examine the quotient: its degree should be p(n) - p(n-1),
     its constant term nonzero, and its roots simple and new.  n runs up to
-    build_Mbar's cap, matrices.MBAR_CAP.
+    build_Mbar's cap, matrices.MBAR_CAP.  Both polynomials come from
+    cached_charpoly, so the exact division checks its product of
+    intertwiner factors once more.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -527,8 +672,7 @@ def rho_max(m: CountMatrix) -> float:
     Spectral radius of a non-negative integer matrix, the double nearest
     the exact value.  Collatz-Wielandt brackets on the iterates of
     (1, ..., 1) decide it first, at the cost of about 20-40 iterates; on
-    the shared build_Mbar(n) those are count series rows, most of them
-    already there as the Krylov rows of its characteristic polynomial.
+    the shared build_Mbar(n) those are count series rows.
     When the brackets do not close, a bisection on cached_charpoly(m)
     decides it, at one cached characteristic polynomial and about 50
     integer Taylor shifts of its degree.

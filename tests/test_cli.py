@@ -127,6 +127,31 @@ def test_json_writes_integers_as_strings(capsys):
     assert ["flag" in c for c in report["checks"]] == [False, True, False, True]
 
 
+@pytest.mark.parametrize("argv", (
+    ["matrix", "M", "4"], ["matrix", "Mprime", "5"], ["matrix", "Mbar", "6"], ["matrix", "Mbar", "1"],
+    ["charpoly", "5"], ["table", "--nmax", "4", "--dmax", "3"], ["conjecture", "--nmax", "4"],
+    ["verify", "--nmax", "3", "--dmax", "3"], ["normalize", "-n", "3", "s1 s2 s1 s1"],
+), ids=" ".join)
+def test_json_streams_the_bytes_of_one_dumps(argv, capsys, monkeypatch):
+    objs = []
+    emit_json = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda obj, out: objs.append(obj) or emit_json(obj, out))
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    (obj,) = objs
+    assert out == json.dumps(cli._strings(obj), indent=2) + "\n"
+
+
+def test_json_pieces_of_edge_cases():
+    for obj in (7, "a\nb", None, True, [], {}, [[]], [{}], {"a": []}, {"a": [[1, 2], [], [True, None]]},
+                [[1, [2, [3]]], {"b": {"c": 4}}, "x"], (("1", 2),)):
+        assert "".join(cli._json_pieces(obj)) == json.dumps(cli._strings(obj), indent=2), obj
+    # a matrix goes out one row at a time
+    rows = tuple(tuple(range(k, k + 3)) for k in range(4))
+    pieces = list(cli._json_pieces({"rows": rows}))
+    assert max(piece.count('"') for piece in pieces) == 2 * len(rows[0])  # a row's quoted entries
+
+
 def test_matrix_formats(capsys):
     code, out, _ = run(capsys, "matrix", "Mbar", "3", "--format", "json")
     assert code == 0
@@ -449,14 +474,20 @@ def test_each_Mbar_and_charpoly_built_once(capsys, monkeypatch):
     info = matrices._cached_Mbar.cache_info()
     assert info.misses == info.currsize == 8  # n = 1..8, each built once
 
-    berkowitz_runs = []
+    full_runs = []
     charpoly = spectral.charpoly
 
     def counting_charpoly(m):
-        berkowitz_runs.append(m.n)
+        full_runs.append(m.n)
         return charpoly(m)
 
     monkeypatch.setattr(spectral, "charpoly", counting_charpoly)
     spectral.cached_charpoly.cache_clear()
+    spectral._new_factor.cache_clear()
     assert run(capsys, "conjecture", "--nmax", "12")[0] == 0
-    assert sorted(berkowitz_runs) == list(range(1, 13))
+    # each polynomial is the one before times one intertwiner factor, each computed
+    # once, and the full route runs for no n
+    assert full_runs == []
+    assert spectral.cached_charpoly.cache_info().misses == 12
+    info = spectral._new_factor.cache_info()
+    assert info.misses == info.currsize == 11  # n = 2..12

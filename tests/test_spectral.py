@@ -218,21 +218,106 @@ def test_charpoly_of_Mbar_never_falls_back(n, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_charpoly_of_the_shared_Mbar_equals_that_of_its_rows(n):
-    # build_Mbar(n) itself takes its Krylov rows from count_series; its rows step their own
-    assert charpoly(build_Mbar(n)) == charpoly(build_Mbar(n).rows)
+    # the cached polynomial of build_Mbar(n) is a product of intertwiner factors; its rows take the full route
+    assert cached_charpoly(build_Mbar(n)) == charpoly(build_Mbar(n)) == charpoly(build_Mbar(n).rows)
 
 
 @pytest.mark.parametrize("n", (1, 5, 9, 12))
-def test_the_Krylov_rows_of_Mbar_are_the_count_series(n, monkeypatch):
-    matrices._SERIES.pop(n, None)
+def test_the_charpoly_of_Mbar_leaves_the_count_series_alone(n):
+    for k in range(1, n + 1):
+        matrices._SERIES.pop(k, None)
+    spectral._new_factor.cache_clear()
     cached_charpoly.cache_clear()
     cached_charpoly(build_Mbar(n))
+    assert not any(k in matrices._SERIES for k in range(1, n + 1))
 
-    def no_product(v, m):
-        raise AssertionError("vec_times_matrix called after the Krylov rows")
 
-    monkeypatch.setattr(matrices, "vec_times_matrix", no_product)
-    assert len(matrices.count_series(n, len(partitions_in_order(n)) + 1)) == len(partitions_in_order(n)) + 1
+# --- the intertwiner D_n and the new factors ------------------------------------
+
+
+def _dense_intertwiner(n):
+    d = [[0] * len(partitions_in_order(n - 1)) for _ in partitions_in_order(n)]
+    for j, column in enumerate(spectral._intertwiner_columns(n)):
+        for i, e in column:
+            d[i][j] = e
+    return d
+
+
+def _matmul(a, b):
+    return [list(vec_times_matrix(row, b)) for row in a]
+
+
+@pytest.mark.parametrize("n", range(2, MBAR_CAP + 1))
+def test_the_intertwiner_identity_and_its_triangular_rows(n):
+    d = _dense_intertwiner(n)
+    assert _matmul(build_Mbar(n).rows, d) == _matmul(d, build_Mbar(n - 1).rows)
+    assert spectral._intertwines(n)
+    # row sigma(mu), mu with its largest part raised, is nonzero at column mu and
+    # otherwise only at columns whose largest part is larger than mu's
+    index = {lam: i for i, lam in enumerate(partitions_in_order(n))}
+    mus = partitions_in_order(n - 1)
+    for j, mu in enumerate(mus):
+        row = d[index[(mu[0] + 1,) + mu[1:]]]
+        assert row[j] == (mu[0] + 1) * mu.count(mu[0])
+        assert all(e == 0 or nu[0] > mu[0] for k, (e, nu) in enumerate(zip(row, mus)) if k != j)
+
+
+def test_the_intertwiner_entries_by_hand():
+    # D_3 in the labels' order (1,1,1), (2,1), (3) by (1,1), (2): raising a part
+    # of (1,1) gives 2 m_1 = 4, adding a 1 gives -(3 - 2); (2,1) minus its 1 gives -(2 - 2)
+    assert partitions_in_order(3) == ((1, 1, 1), (2, 1), (3,))
+    assert _dense_intertwiner(3) == [[-1, 0], [4, 0], [0, 3]]
+
+
+@pytest.mark.parametrize("n", range(2, MBAR_CAP + 1))
+def test_the_kernel_vector_is_in_the_kernel(n):
+    for seed in (0, 1, 12345):
+        w = spectral._kernel_vector(n, seed)
+        assert any(w) and math.gcd(*w) == 1
+        assert vec_times_matrix(w, _dense_intertwiner(n)) == (0,) * len(partitions_in_order(n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32))
+def test_new_factor_equals_the_full_route_quotient(n, seed):
+    full = exact_quotient(charpoly(build_Mbar(n - 1).rows), charpoly(build_Mbar(n).rows))
+    assert spectral._factor_on_kernel(n, spectral._kernel_vector(n, seed)) == full
+    assert spectral._new_factor(n) == full
+
+
+@pytest.fixture
+def fresh_factor_caches():
+    def clear():
+        spectral._new_factor.cache_clear()
+        cached_charpoly.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+@pytest.mark.parametrize("n", (2, 7, 11))
+def test_a_kernel_vector_singular_mod_P_falls_back_to_the_full_route(n, monkeypatch, fresh_factor_caches):
+    # w times P is in W_n and cyclic, but its Krylov matrix is zero mod P
+    kernel_vector = spectral._kernel_vector
+    monkeypatch.setattr(spectral, "_kernel_vector", lambda n, seed: tuple(_P * x for x in kernel_vector(n, seed)))
+    full_runs = []
+    full = spectral.charpoly
+    monkeypatch.setattr(spectral, "charpoly", lambda m: full_runs.append(m.n) or full(m))
+    assert spectral._new_factor(n) is None
+    assert cached_charpoly(build_Mbar(n)) == full(build_Mbar(n).rows)
+    assert full_runs == [n]
+
+
+def test_a_failed_identity_check_falls_back_without_a_factor(monkeypatch, fresh_factor_caches):
+    n = 6
+    columns = spectral._intertwiner_columns(n)
+    (top, diag), *rest = columns[0]
+    monkeypatch.setattr(spectral, "_intertwiner_columns", lambda k: (((top, diag + 1), *rest),) + columns[1:])
+    monkeypatch.setattr(spectral, "_factor_on_kernel", lambda *args: pytest.fail("a factor was computed"))
+    assert not spectral._intertwines(n)
+    assert spectral._new_factor(n) is None
+    assert cached_charpoly(build_Mbar(n)) == charpoly(build_Mbar(n).rows)
 
 
 def test_charpoly_mbar3():
