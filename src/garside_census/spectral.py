@@ -35,15 +35,16 @@ already prove the answer.  The cross-checks of this module, a naive
 cofactor-expansion determinant and the nonzero spectrum of the full
 matrix M(n), are oracle.naive_charpoly and oracle.m_charpoly_nonzero.
 
-The dominant eigenvalue is bracketed first, by the Collatz-Wielandt
-bounds on the same rows v A^k (Horn & Johnson, Matrix Analysis, 8.1),
-compared as integer cross-products.  On the shared Mbar(n) they are the
-count series, read from matrices.count_series; at n = 4..15 the
-brackets read its first 21-41 vectors, and nothing here reads further.
-When the brackets do not close, or an iterate has a zero entry, a
-bisection on the cached characteristic polynomial decides it, every step
-an integer Taylor shift.  Nothing here uses floats until the final,
-correctly rounded division.
+The dominant eigenvalue is the largest real root of the characteristic
+polynomial, which on the shared Mbar(n) the nested-spectrum check has
+already built.  Newton's method finds it from above, starting at the
+Collatz-Wielandt bound on a few rows v A^k (Horn & Johnson, Matrix
+Analysis, 8.1); by Perron-Frobenius no step goes below the root.  Each
+iterate is a dyadic rational, rounded up and evaluated by Horner's rule
+in integers, and the double it settles on is certified at the midpoint
+to the double below, by the sign of the polynomial there or by an
+integer Taylor shift.  No count series is read, and floats are only the
+correctly rounded images of exact dyadics.
 """
 from __future__ import annotations
 
@@ -208,21 +209,14 @@ def _is_shared_Mbar(m) -> bool:
 
 def _krylov_rows(m: CountMatrix | Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
     """
-    The rows v A^k, k = 0, 1, ..., of v = (1, ..., 1).  On the shared
-    build_Mbar(n), which only the brackets of rho_max pass, they are the
-    count series, read from count_series, which keeps them; any other
-    matrix, and any plain rows, step their own, each a
-    matrices.vec_times_matrix product, and keep none.
+    The rows v A^k, k = 0, 1, ..., of v = (1, ..., 1), each a
+    matrices.vec_times_matrix product; none is kept.
     """
-    if _is_shared_Mbar(m):
-        for d in itertools.count(1):
-            yield matrices.count_series(m.n, d)[-1]
-    else:
-        rows = m.rows if isinstance(m, CountMatrix) else m
-        x = (1,) * len(rows)
-        while True:
-            yield x
-            x = matrices.vec_times_matrix(x, rows)
+    rows = m.rows if isinstance(m, CountMatrix) else m
+    x = (1,) * len(rows)
+    while True:
+        yield x
+        x = matrices.vec_times_matrix(x, rows)
 
 
 def _lift_charpoly(krylov: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]) -> IntPoly | None:
@@ -597,60 +591,26 @@ def _side_of_rho(p: Sequence, a: int, s: int) -> int:
     return 1 if q[0] else 0
 
 
-# The most iterates the brackets of rho_max step through; they close in
-# 20-40 steps on Mbar(n) for n = 4..15.
-_BRACKET_STEPS = 100
-
-# Orders pairs (p, q), q > 0, by p / q, through integer cross-products.
-_BY_RATIO = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
-
-
-def _rho_by_brackets(m: CountMatrix) -> float | None:
+def _charpoly_of(m: CountMatrix) -> IntPoly:
     """
-    The double nearest the spectral radius of a non-negative matrix by
-    Collatz-Wielandt brackets (Horn & Johnson, Matrix Analysis, 8.1) on
-    the iterates x_k = (1, ..., 1) m^k, or None when they do not close.
-
-    For x = x_k > 0 and y = x_(k+1), max_i y_i / x_i bounds rho from
-    above.  For any set S of indices, the minimum of the same ratios for
-    A_SS, the principal submatrix on S, bounds rho(A_SS) <= rho from
-    below; S is the set of entries that moved, so an entry held fixed,
-    like the label (n) of Mbar(n), does not hold the bound at 1.  When
-    none moved, x is a positive eigenvector and rho is 1.  Each end is
-    found by integer cross-products and only then converted, by correctly
-    rounded int/int division; rounding to nearest is monotone, so ends
-    that round to the same double give the double nearest rho.  None when
-    an iterate has a zero entry, or after _BRACKET_STEPS steps: on
-    Mbar(2), a Jordan block, say, where the upper end is 1 + 1/k.
+    The characteristic polynomial that the dominant eigenvalue is read off:
+    cached_charpoly on the shared build_Mbar(n), charpoly on any other
+    matrix, which so never takes the place of an Mbar(n) in the cache.
     """
-    iterates = _krylov_rows(m)
-    x = next(iterates)
-    for _ in range(_BRACKET_STEPS):
-        y = next(iterates)
-        if 0 in x:
-            return None
-        if y == x:
-            return 1.0
-        fixed = [j for j, (p, q) in enumerate(zip(y, x)) if p == q]
-        hi = max(zip(y, x), key=_BY_RATIO)
-        lo = min(((p - sum(x[j] * m.rows[j][i] for j in fixed), q)
-                  for i, (p, q) in enumerate(zip(y, x)) if p != q), key=_BY_RATIO)
-        if lo[0] / lo[1] == hi[0] / hi[1]:
-            return hi[0] / hi[1]
-        x = y
-    return None
+    return cached_charpoly(m) if _is_shared_Mbar(m) else charpoly(m)
 
 
 def _rho_by_bisection(m: CountMatrix) -> float:
     """
-    The double nearest the spectral radius, read off cached_charpoly(m) by
+    The double nearest the spectral radius, read off _charpoly_of(m) by
     a bisection over dyadic points x, each decided exactly by
     _side_of_rho.  The bisection stops once both ends round to the same
     double, or when it lands on rho itself.  As a root of a monic integer
     polynomial rho is an integer, which is a bisection point, or
     irrational, which is never a tie between doubles; so it stops.
+    The reference that the tests and CI compare rho_max with.
     """
-    p = cached_charpoly(m)
+    p = _charpoly_of(m)
     if _side_of_rho(p, 0, 0) == 0:
         return 0.0
     # rho <= the largest row sum < hi; a power of two, so every integer below is a bisection point
@@ -667,20 +627,93 @@ def _rho_by_bisection(m: CountMatrix) -> float:
     return lo / 2**s
 
 
+def _scaled_value(p: Sequence[int], a: int, s: int) -> int:
+    """2**(s deg p) p(a / 2**s) by Horner's rule in integers: the sign of p(a / 2**s)."""
+    acc = 0
+    for k, c in enumerate(reversed(p)):
+        acc = acc * a + (c << (s * k))
+    return acc
+
+
+# Orders pairs (p, q), q > 0, by p / q, through integer cross-products.
+_BY_RATIO = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+# The Collatz-Wielandt start of rho_max stops once its bound falls by less
+# than 2**-_START_BITS of itself in a step: after 6-9 iterates on Mbar(n), n >= 4.
+_START_BITS = 10
+
+
+def _collatz_wielandt_start(m: CountMatrix) -> tuple[int, int]:
+    """
+    An upper bound num / den on the spectral radius of a non-negative
+    matrix: max_j y_j / x_j for y = x m and x = x_k = (1, ..., 1) m^k > 0
+    (Horn & Johnson, Matrix Analysis, 8.1), which never rises with k, at
+    the first k where it falls by less than 2**-_START_BITS of itself.  A
+    zero entry of y is a zero column of m and stops it at k = 0, where the
+    bound is the largest column sum.
+    """
+    iterates = _krylov_rows(m)
+    x, hi = next(iterates), None
+    for y in iterates:
+        bound = max(zip(y, x), key=_BY_RATIO)
+        settled = hi is not None and (hi[0] * bound[1] - bound[0] * hi[1]) << _START_BITS < hi[0] * bound[1]
+        hi, x = bound, y
+        if settled or 0 in y:
+            return hi
+
+
 def rho_max(m: CountMatrix) -> float:
     """
     Spectral radius of a non-negative integer matrix, the double nearest
-    the exact value.  Collatz-Wielandt brackets on the iterates of
-    (1, ..., 1) decide it first, at the cost of about 20-40 iterates; on
-    the shared build_Mbar(n) those are count series rows.
-    When the brackets do not close, a bisection on cached_charpoly(m)
-    decides it, at one cached characteristic polynomial and about 50
-    integer Taylor shifts of its degree.
+    the exact value: the largest real root of its characteristic
+    polynomial p, _charpoly_of(m) stripped of its power of x, found by
+    Newton's method from the Collatz-Wielandt bound above it and then
+    certified exactly.  On the shared build_Mbar(n) p is the cached one
+    that new_factor_simple_roots reads too; at n >= 4 the start takes 6-9
+    vector products and Newton 4 steps.
+
+    Every iterate x is a dyadic a / 2**s at or above rho: each Newton step
+    is rounded up, by less than 2**-32 of the step.  Once the double
+    nearest x stops changing, x is certified: rho <= x, which rounds to
+    that double, and rho lies above the midpoint to the double below,
+    which p < 0 there shows, or else _side_of_rho (when rho is a root of
+    even multiplicity, as in the (x - 1)**2 of Mbar(2)).  Then that double
+    is the nearest to rho: a tie would need rho = x, where p(x) = 0
+    returns x itself, correctly rounded.
     """
     if any(e < 0 for row in m.rows for e in row):
         raise ValueError("rho_max needs a non-negative matrix")
-    rho = _rho_by_brackets(m)
-    return _rho_by_bisection(m) if rho is None else rho
+    p = strip_x_power(_charpoly_of(m))
+    if len(p) == 1:
+        return 0.0  # m is nilpotent
+    dp = poly_derivative(p)
+    num, den = _collatz_wielandt_start(m)
+    a, s, last = -((-num << 64) // den), 64, None
+    # Why no step goes below rho: by Perron-Frobenius every root w of p has
+    # Re w <= rho, so for x > rho every term 1/(x - w) of p'/p(x) has a
+    # non-negative real part, the imaginary parts of a conjugate pair cancel,
+    # and the term of rho gives p'/p(x) >= 1/(x - rho): x - p/p'(x) >= rho.
+    # As also |x - w| >= x - rho, p'/p(x) <= deg/(x - rho), so a step takes
+    # at least (x - rho)/deg off x, less its rounding.  Even at that rate the
+    # step bound below brings x - rho from the start under 2**-128, far inside
+    # half an ulp of rho >= 1 (the nonzero roots multiply to a nonzero integer).
+    for _ in range(len(dp) * (a.bit_length() - s + 128)):
+        value, x = _scaled_value(p, a, s), a / (1 << s)
+        if value == 0:
+            return x  # a real root at or above rho is rho
+        if value < 0:
+            raise ArithmeticError("a Newton iterate fell below rho")
+        if x == last:
+            (lo, lo_den), (hi, hi_den) = math.nextafter(x, 0.0).as_integer_ratio(), x.as_integer_ratio()
+            mid, t = lo * hi_den + hi * lo_den, (2 * lo_den * hi_den).bit_length() - 1
+            if _scaled_value(p, mid, t) < 0 or _side_of_rho(p, mid, t) < 0:
+                return x
+        last = x
+        slope = _scaled_value(dp, a, s)
+        # x - p/p'(x) = (a slope - value) / (slope 2**s), rounded up to a multiple of a 2**-s below 2**-32 of the step
+        shift = max(0, 33 + slope.bit_length() - value.bit_length())
+        a, s = -(((value - a * slope) << shift) // slope), s + shift
+    raise ArithmeticError("Newton's method passed its step bound")
 
 
 def spectral_radius_table(nmax: int) -> list[dict]:

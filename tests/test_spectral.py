@@ -224,12 +224,16 @@ def test_charpoly_of_the_shared_Mbar_equals_that_of_its_rows(n):
 
 @pytest.mark.parametrize("n", (1, 5, 9, 12))
 def test_the_charpoly_of_Mbar_leaves_the_count_series_alone(n):
-    for k in range(1, n + 1):
-        matrices._SERIES.pop(k, None)
+    # the nested-spectrum check and rho_max, as conjecture runs them, step no count series
+    matrices._SERIES.clear()
     spectral._new_factor.cache_clear()
     cached_charpoly.cache_clear()
     cached_charpoly(build_Mbar(n))
-    assert not any(k in matrices._SERIES for k in range(1, n + 1))
+    for k in range(2, n + 1):
+        new_factor_simple_roots(k)
+    for k in range(1, n + 1):
+        rho_max(build_Mbar(k))
+    assert matrices._SERIES == {}
 
 
 # --- the intertwiner D_n and the new factors ------------------------------------
@@ -603,33 +607,45 @@ _entry_or_zero = st.one_of(st.just(0), st.integers(0, 50))
         lambda k: st.tuples(*[st.tuples(*[_entry_or_zero] * k)] * k)
     )
 )
-@example(rows=((0, 1), (0, 0)))  # nilpotent
-@example(rows=((0, 1, 0), (0, 0, 1), (1, 0, 0)))  # a permutation: no iterate moves
-@example(rows=((2, 0), (0, 7)))  # reducible: the lower end stays at 2
-@example(rows=((1, 1), (0, 1)))  # a Jordan block: the upper end is 1 + 1/k
-@example(rows=((3, 1), (1, 3)))  # rho = 4 exactly
+@example(rows=((0, 1), (0, 0)))  # nilpotent: p is a power of x
+@example(rows=((0, 1, 0), (0, 0, 1), (1, 0, 0)))  # a permutation: every eigenvalue on the unit circle
+@example(rows=((2, 0), (0, 7)))  # reducible
+@example(rows=((1, 1), (0, 1)))  # a Jordan block: (x - 1)^2, certified by _side_of_rho
+@example(rows=((1, 2, 0, 0), (3, 1, 0, 0), (0, 0, 1, 2), (0, 0, 3, 1)))  # two equal blocks: a double rho = 1 + sqrt(6)
+@example(rows=((0, 4, 1), (0, 2, 3), (0, 5, 1)))  # a zero column: the start is the largest column sum
+@example(rows=((3, 1), (1, 3)))  # rho = 4, a Newton iterate exactly
 def test_rho_max_equals_the_bisection(rows):
     m = _matrix(rows)
     assert rho_max(m) == spectral._rho_by_bisection(m)
 
 
-@pytest.mark.parametrize("n", range(4, 13))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_rho_max_of_Mbar_closes_by_the_brackets(n, monkeypatch):
+    # the brackets are the Newton iterate above rho and the certified midpoint below it
     expected = spectral._rho_by_bisection(build_Mbar(n))
 
     def no_bisection(m):
-        raise AssertionError("the brackets did not close")
+        raise AssertionError("rho_max called the bisection")
 
     monkeypatch.setattr(spectral, "_rho_by_bisection", no_bisection)
     assert rho_max(build_Mbar(n)) == expected
 
 
 def test_charpoly_cache_holds_at_most_one_entry_per_Mbar():
+    # other matrices take charpoly, so they evict no Mbar(n) from cached_charpoly
+    shared = [build_Mbar(k) for k in range(1, 9)]
+    for m in shared:
+        cached_charpoly(m)
     rng = random.Random(7)
     for _ in range(300):
         k = rng.randint(1, 4)
         rho_max(_matrix(tuple(tuple(rng.randint(0, 9) for _ in range(k)) for _ in range(k))))
-    assert cached_charpoly.cache_info().currsize <= MBAR_CAP
+    before = cached_charpoly.cache_info()
+    for m in shared:
+        cached_charpoly(m)
+    after = cached_charpoly.cache_info()
+    assert (after.hits - before.hits, after.misses) == (len(shared), before.misses)
+    assert after.currsize <= MBAR_CAP
 
 
 def test_rho_max_rejects_a_negative_entry():
