@@ -168,10 +168,10 @@ def _cmd_charpoly(args) -> int:
     # for YF a x a and FY b x b, makes every kind's polynomial Mbar(n)'s times x^(size - p(n)),
     # so neither M nor Mprime is built.
     mbar = matrices.build_Mbar(args.n)
-    poly = (0,) * (size - mbar.size) + spectral.cached_charpoly(mbar)
+    poly = (0,) * (size - mbar.size) + spectral.charpoly(mbar)
     factors = None
     if args.kind == "Mbar" and not args.raw:
-        polys = [spectral.cached_charpoly(matrices.build_Mbar(k)) for k in range(1, args.n + 1)]
+        polys = [spectral.charpoly(matrices.build_Mbar(k)) for k in range(1, args.n + 1)]
         chain = polys[:1] + [spectral.exact_quotient(p, q) for p, q in zip(polys, polys[1:])]
         factors = None if None in chain else chain
     if args.format == "json":

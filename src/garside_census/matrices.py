@@ -32,11 +32,8 @@ reduced matrix is the counting path; the counts through the larger ones
 are cross-checks that live in oracle.b_of_simple_via.
 
 Every b(...) function and computed_table read count_series(n, dmax), the
-vectors 1 Mbar(n)^(d-1) for d = 1..dmax, and nothing else reads it:
-spectral.rho_max steps and drops its own 6-9 such vectors at n >= 4, and
-the characteristic polynomial reads none.
-Mbar(n) and its characteristic polynomial (spectral.cached_charpoly, from
-one intertwiner factor per n) are computed once per process.
+vectors 1 Mbar(n)^(d-1) for d = 1..dmax, and nothing else reads it.
+build_Mbar builds each shared Mbar(n) once per process.
 """
 from __future__ import annotations
 

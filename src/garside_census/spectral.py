@@ -4,28 +4,29 @@ consecutive spectra, and the dominant eigenvalue, returned as the double
 nearest its exact value.
 
 Polynomials are dense integer-coefficient tuples with the constant term
-first.  charpoly, the full route on any matrix, solves for the
-characteristic polynomial from the Krylov rows v A^k of v = (1, ..., 1),
-which the matrix's rows step with matrices.vec_times_matrix, the one
-product behind the count series too.  The Krylov matrix is factored once
-modulo the word-size prime _P, each row packed into one integer so that a
-row update is one big-integer multiply-add (Kronecker substitution;
-Harvey, J. Symbolic Comput. 44, 2009), in slots of 2 _P.bit_length() +
-m.bit_length() bits rounded up to bytes: in an m x m matrix a slot starts
-below _P and takes at most m - 1 updates, each below _P**2, so it stays
-below m _P**2.  The solution is lifted P-adically (Dixon, Numer. Math. 40,
-1982) until it satisfies the Cayley-Hamilton identity for v exactly.
-When v is not cyclic for A, or the Krylov matrix is singular mod _P, the
+first.  charpoly is the one entry point, with two routes.  The full
+route, on any matrix, solves for the characteristic polynomial from the
+Krylov rows v A^k of v = (1, ..., 1), which the matrix's rows step with
+matrices.vec_times_matrix, the one product behind the count series too.
+The Krylov matrix is factored once modulo the word-size prime _P, each
+row packed into one integer so that a row update is one big-integer
+multiply-add (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
+2009), in slots of 2 _P.bit_length() + m.bit_length() bits rounded up
+to bytes: in an m x m matrix a slot starts below _P and takes at most
+m - 1 updates, each below _P**2, so it stays below m _P**2.  The
+solution is lifted P-adically (Dixon, Numer. Math. 40, 1982) until it
+satisfies the Cayley-Hamilton identity for v exactly.  When v is not
+cyclic for A, or the Krylov matrix is singular mod _P, the
 division-free Berkowitz recursion runs instead; both stay in exact
 integers.
 
-cached_charpoly does not take that route on the shared build_Mbar(n).
-It multiplies one new factor per n, each the characteristic polynomial
-of Mbar(n) on the kernel of an explicit integer intertwiner D_n with
-Mbar(n) D_n = D_n Mbar(n-1) (see _new_factor), lifted the same way from
-q + 1 Krylov rows of length q = p(n) - p(n-1).  An n whose identity
-check fails, or whose Krylov matrices are all singular mod _P, takes the
-full route.
+The shared build_Mbar(n) takes the other route, once per n: one new
+factor per n, each the characteristic polynomial of Mbar(n) on the
+kernel of an explicit integer intertwiner D_n with Mbar(n) D_n =
+D_n Mbar(n-1) (see _new_factor), lifted the same way from q + 1 Krylov
+rows of length q = p(n) - p(n-1).  An n whose identity check fails, or
+whose Krylov matrices are all singular mod _P, takes the full route on
+the rows of Mbar(n), as does any equal matrix that is not the shared one.
 
 Division, divisibility and gcd stay in integers too (Knuth, TAOCP vol.
 2, 4.6.1): exact division, pseudo-division, and the primitive remainder
@@ -207,13 +208,11 @@ def _is_shared_Mbar(m) -> bool:
             and m is matrices.build_Mbar(m.n))
 
 
-def _krylov_rows(m: CountMatrix | Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+def _krylov_rows(rows: Sequence[Sequence[int]], x: Sequence[int]) -> Iterator[Sequence[int]]:
     """
-    The rows v A^k, k = 0, 1, ..., of v = (1, ..., 1), each a
+    The rows x A^k, k = 0, 1, ..., of the matrix rows A, each a
     matrices.vec_times_matrix product; none is kept.
     """
-    rows = m.rows if isinstance(m, CountMatrix) else m
-    x = (1,) * len(rows)
     while True:
         yield x
         x = matrices.vec_times_matrix(x, rows)
@@ -254,31 +253,38 @@ def _lift_charpoly(krylov: Sequence[Sequence[int]], rows: Sequence[Sequence[int]
     raise ArithmeticError("Krylov lifting passed the coefficient bound")
 
 
-def _krylov_charpoly(rows: Sequence[Sequence[int]]) -> IntPoly | None:
-    """
-    det(xI - A), constant term first, lifted from the Krylov rows v A^k of
-    v = (1, ..., 1), k = 0..m, that the rows of A step on their own; None
-    when the m x m Krylov matrix is singular mod _P.  When it is not, v's
-    minimal polynomial has degree m and is the characteristic polynomial.
-    """
-    krylov = list(itertools.islice(_krylov_rows(rows), len(rows) + 1))
-    return _lift_charpoly(krylov, rows)
-
-
 def charpoly(m: CountMatrix | Sequence[Sequence[int]]) -> IntPoly:
     """
     Exact characteristic polynomial det(xI - m), monic of degree equal to
-    the matrix size, constant term first: from the Krylov sequence of
-    (1, ..., 1) by P-adic lifting, or by Berkowitz when that sequence does
-    not span (a repeated eigenvalue with a diagonalizable block, say).
-    This is the full route on any matrix; cached_charpoly assembles the
-    polynomial of the shared build_Mbar(n) from its new factors instead.
+    the matrix size, constant term first.  The shared build_Mbar(n) gets
+    _mbar_charpoly(n).  Any other matrix, its rows included, takes the
+    full route: the Krylov sequence of (1, ..., 1) by P-adic lifting, or
+    Berkowitz when that sequence does not span (a repeated eigenvalue
+    with a diagonalizable block, say).
     """
+    if _is_shared_Mbar(m):
+        return _mbar_charpoly(m.n)
     rows = m.rows if isinstance(m, CountMatrix) else tuple(tuple(r) for r in m)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
-    poly = _krylov_charpoly(rows)
+    krylov = list(itertools.islice(_krylov_rows(rows, (1,) * len(rows)), len(rows) + 1))
+    poly = _lift_charpoly(krylov, rows)  # v's minimal polynomial; of degree len(rows), it is det(xI - m)
     return tuple(reversed(_berkowitz(rows))) if poly is None else poly
+
+
+@functools.lru_cache(maxsize=None)
+def _mbar_charpoly(n: int) -> IntPoly:
+    """
+    charpoly(build_Mbar(n)): (x - 1) _new_factor(2) ... _new_factor(n),
+    Mbar(1) being (1); an n whose factor is None takes the full route on
+    the rows of Mbar(n).
+    """
+    if n == 1:
+        return (-1, 1)
+    factor = _new_factor(n)
+    if factor is None:
+        return charpoly(matrices.build_Mbar(n).rows)
+    return poly_mul(_mbar_charpoly(n - 1), factor)
 
 
 # Seeds of the kernel vectors _new_factor tries before it falls back.
@@ -384,27 +390,8 @@ def _factor_on_kernel(n: int, w: Sequence[int]) -> IntPoly | None:
     """
     rows = matrices.build_Mbar(n).rows
     free = [i for i, lam in enumerate(descents.partitions_in_order(n)) if _is_free(lam)]
-    iterates = itertools.accumulate(itertools.repeat(rows, len(free)), matrices.vec_times_matrix, initial=w)
-    krylov = [[x[i] for i in free] for x in iterates]
+    krylov = [[x[i] for i in free] for x in itertools.islice(_krylov_rows(rows, w), len(free) + 1)]
     return _lift_charpoly(krylov, rows)
-
-
-@functools.lru_cache(maxsize=matrices.MBAR_CAP)
-def cached_charpoly(m: CountMatrix) -> IntPoly:
-    """
-    charpoly memoized per matrix.  On the shared build_Mbar(n) it is
-    (x - 1) _new_factor(2) ... _new_factor(n), Mbar(1) being (1), and an n
-    whose factor is None falls back to charpoly on the full matrix.  The
-    cache holds one entry per possible Mbar(n), so other matrices passed
-    to rho_max do not stay in memory for good.
-    """
-    if _is_shared_Mbar(m):
-        if m.n == 1:
-            return (-1, 1)
-        factor = _new_factor(m.n)
-        if factor is not None:
-            return poly_mul(cached_charpoly(matrices.build_Mbar(m.n - 1)), factor)
-    return charpoly(m)
 
 
 def strip_x_power(p: Sequence) -> tuple:
@@ -543,14 +530,14 @@ def new_factor_simple_roots(n: int) -> NewFactorReport:
     Divide the partition-matrix characteristic polynomial at n by the one
     at n-1 and examine the quotient: its degree should be p(n) - p(n-1),
     its constant term nonzero, and its roots simple and new.  n runs up to
-    build_Mbar's cap, matrices.MBAR_CAP.  Both polynomials come from
-    cached_charpoly, so the exact division checks its product of
-    intertwiner factors once more.
+    build_Mbar's cap, matrices.MBAR_CAP.  Both polynomials are charpoly's
+    products of intertwiner factors, so the exact division checks them
+    once more.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    prev = cached_charpoly(matrices.build_Mbar(n - 1))
-    cur = cached_charpoly(matrices.build_Mbar(n))
+    prev = charpoly(matrices.build_Mbar(n - 1))
+    cur = charpoly(matrices.build_Mbar(n))
     quotient = exact_quotient(prev, cur)
     expected = len(descents.partitions_in_order(n)) - len(descents.partitions_in_order(n - 1))
     ok = quotient is not None
@@ -591,18 +578,9 @@ def _side_of_rho(p: Sequence, a: int, s: int) -> int:
     return 1 if q[0] else 0
 
 
-def _charpoly_of(m: CountMatrix) -> IntPoly:
-    """
-    The characteristic polynomial that the dominant eigenvalue is read off:
-    cached_charpoly on the shared build_Mbar(n), charpoly on any other
-    matrix, which so never takes the place of an Mbar(n) in the cache.
-    """
-    return cached_charpoly(m) if _is_shared_Mbar(m) else charpoly(m)
-
-
 def _rho_by_bisection(m: CountMatrix) -> float:
     """
-    The double nearest the spectral radius, read off _charpoly_of(m) by
+    The double nearest the spectral radius, read off charpoly(m) by
     a bisection over dyadic points x, each decided exactly by
     _side_of_rho.  The bisection stops once both ends round to the same
     double, or when it lands on rho itself.  As a root of a monic integer
@@ -610,7 +588,7 @@ def _rho_by_bisection(m: CountMatrix) -> float:
     irrational, which is never a tie between doubles; so it stops.
     The reference that the tests and CI compare rho_max with.
     """
-    p = _charpoly_of(m)
+    p = charpoly(m)
     if _side_of_rho(p, 0, 0) == 0:
         return 0.0
     # rho <= the largest row sum < hi; a power of two, so every integer below is a bisection point
@@ -652,7 +630,7 @@ def _collatz_wielandt_start(m: CountMatrix) -> tuple[int, int]:
     zero entry of y is a zero column of m and stops it at k = 0, where the
     bound is the largest column sum.
     """
-    iterates = _krylov_rows(m)
+    iterates = _krylov_rows(m.rows, (1,) * m.size)
     x, hi = next(iterates), None
     for y in iterates:
         bound = max(zip(y, x), key=_BY_RATIO)
@@ -666,7 +644,7 @@ def rho_max(m: CountMatrix) -> float:
     """
     Spectral radius of a non-negative integer matrix, the double nearest
     the exact value: the largest real root of its characteristic
-    polynomial p, _charpoly_of(m) stripped of its power of x, found by
+    polynomial p, charpoly(m) stripped of its power of x, found by
     Newton's method from the Collatz-Wielandt bound above it and then
     certified exactly.  On the shared build_Mbar(n) p is the cached one
     that new_factor_simple_roots reads too; at n >= 4 the start takes 6-9
@@ -679,16 +657,18 @@ def rho_max(m: CountMatrix) -> float:
     which p < 0 there shows, or else _side_of_rho (when rho is a root of
     even multiplicity, as in the (x - 1)**2 of Mbar(2)).  Then that double
     is the nearest to rho: a tie would need rho = x, where p(x) = 0
-    returns x itself, correctly rounded.
+    returns x itself, correctly rounded.  The certificate depends on x
+    alone, so a double at which it failed is not tried again: while Newton
+    creeps towards a multiple root the double can repeat over many steps.
     """
     if any(e < 0 for row in m.rows for e in row):
         raise ValueError("rho_max needs a non-negative matrix")
-    p = strip_x_power(_charpoly_of(m))
+    p = strip_x_power(charpoly(m))
     if len(p) == 1:
         return 0.0  # m is nilpotent
     dp = poly_derivative(p)
     num, den = _collatz_wielandt_start(m)
-    a, s, last = -((-num << 64) // den), 64, None
+    a, s, last, failed = -((-num << 64) // den), 64, None, None
     # Why no step goes below rho: by Perron-Frobenius every root w of p has
     # Re w <= rho, so for x > rho every term 1/(x - w) of p'/p(x) has a
     # non-negative real part, the imaginary parts of a conjugate pair cancel,
@@ -703,11 +683,12 @@ def rho_max(m: CountMatrix) -> float:
             return x  # a real root at or above rho is rho
         if value < 0:
             raise ArithmeticError("a Newton iterate fell below rho")
-        if x == last:
+        if x == last and x != failed:
             (lo, lo_den), (hi, hi_den) = math.nextafter(x, 0.0).as_integer_ratio(), x.as_integer_ratio()
             mid, t = lo * hi_den + hi * lo_den, (2 * lo_den * hi_den).bit_length() - 1
             if _scaled_value(p, mid, t) < 0 or _side_of_rho(p, mid, t) < 0:
                 return x
+            failed = x
         last = x
         slope = _scaled_value(dp, a, s)
         # x - p/p'(x) = (a slope - value) / (slope 2**s), rounded up to a multiple of a 2**-s below 2**-32 of the step

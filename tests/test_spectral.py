@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,9 +25,7 @@ from garside_census.spectral import (
     _berkowitz,
     _gcd_degree,
     _gcd_degree_mod_p,
-    _krylov_charpoly,
     are_coprime,
-    cached_charpoly,
     charpoly,
     divides,
     exact_quotient,
@@ -200,8 +200,9 @@ def test_charpoly_falls_back_on_a_repeated_diagonalizable_eigenvalue(case):
     diag = [diag[0]] + diag
     k = len(diag)
     rows = _conjugate([[diag[i] if i == j else 0 for j in range(k)] for i in range(k)], steps)
-    assert _krylov_charpoly(rows) is None
-    assert charpoly(rows) == _berkowitz_charpoly(rows)
+    with mock.patch.object(spectral, "_berkowitz", wraps=_berkowitz) as berkowitz:
+        assert charpoly(rows) == _berkowitz_charpoly(rows)
+    berkowitz.assert_called_once()
 
 
 @pytest.mark.parametrize("n", range(1, 12))
@@ -218,8 +219,22 @@ def test_charpoly_of_Mbar_never_falls_back(n, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_charpoly_of_the_shared_Mbar_equals_that_of_its_rows(n):
-    # the cached polynomial of build_Mbar(n) is a product of intertwiner factors; its rows take the full route
-    assert cached_charpoly(build_Mbar(n)) == charpoly(build_Mbar(n)) == charpoly(build_Mbar(n).rows)
+    # the polynomial of build_Mbar(n) is a product of intertwiner factors; its rows take the full route
+    assert charpoly(build_Mbar(n)) == charpoly(build_Mbar(n).rows)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_an_equal_copy_of_the_shared_Mbar_takes_the_full_route(n, monkeypatch):
+    expected = charpoly(build_Mbar(n))
+    copy = dataclasses.replace(build_Mbar(n))
+    assert copy == build_Mbar(n) and copy is not build_Mbar(n)
+    lifted = []
+    lift = spectral._lift_charpoly
+    monkeypatch.setattr(spectral, "_lift_charpoly", lambda krylov, rows: lifted.append(len(krylov)) or lift(krylov, rows))
+    before = spectral._mbar_charpoly.cache_info()
+    assert charpoly(copy) == expected
+    assert spectral._mbar_charpoly.cache_info() == before
+    assert lifted == [len(partitions_in_order(n)) + 1]  # the p(n) + 1 Krylov rows of the full route
 
 
 @pytest.mark.parametrize("n", (1, 5, 9, 12))
@@ -227,8 +242,8 @@ def test_the_charpoly_of_Mbar_leaves_the_count_series_alone(n):
     # the nested-spectrum check and rho_max, as conjecture runs them, step no count series
     matrices._SERIES.clear()
     spectral._new_factor.cache_clear()
-    cached_charpoly.cache_clear()
-    cached_charpoly(build_Mbar(n))
+    spectral._mbar_charpoly.cache_clear()
+    charpoly(build_Mbar(n))
     for k in range(2, n + 1):
         new_factor_simple_roots(k)
     for k in range(1, n + 1):
@@ -293,11 +308,29 @@ def test_new_factor_equals_the_full_route_quotient(n, seed):
 def fresh_factor_caches():
     def clear():
         spectral._new_factor.cache_clear()
-        cached_charpoly.cache_clear()
+        spectral._mbar_charpoly.cache_clear()
 
     clear()
     yield
     clear()
+
+
+def _count_full_routes(monkeypatch):
+    """
+    The sizes of the matrices that spectral's own calls of charpoly hand to
+    the full route from now on: every call but on the shared Mbar(n).  The
+    test's charpoly is the unpatched function, so its calls do not count.
+    """
+    sizes = []
+    full = spectral.charpoly
+
+    def counting_charpoly(m):
+        if not spectral._is_shared_Mbar(m):
+            sizes.append(len(getattr(m, "rows", m)))
+        return full(m)
+
+    monkeypatch.setattr(spectral, "charpoly", counting_charpoly)
+    return sizes
 
 
 @pytest.mark.parametrize("n", (2, 7, 11))
@@ -305,12 +338,10 @@ def test_a_kernel_vector_singular_mod_P_falls_back_to_the_full_route(n, monkeypa
     # w times P is in W_n and cyclic, but its Krylov matrix is zero mod P
     kernel_vector = spectral._kernel_vector
     monkeypatch.setattr(spectral, "_kernel_vector", lambda n, seed: tuple(_P * x for x in kernel_vector(n, seed)))
-    full_runs = []
-    full = spectral.charpoly
-    monkeypatch.setattr(spectral, "charpoly", lambda m: full_runs.append(m.n) or full(m))
+    full_runs = _count_full_routes(monkeypatch)
     assert spectral._new_factor(n) is None
-    assert cached_charpoly(build_Mbar(n)) == full(build_Mbar(n).rows)
-    assert full_runs == [n]
+    assert charpoly(build_Mbar(n)) == charpoly(build_Mbar(n).rows)
+    assert full_runs == [len(partitions_in_order(n))]
 
 
 def test_a_failed_identity_check_falls_back_without_a_factor(monkeypatch, fresh_factor_caches):
@@ -319,9 +350,11 @@ def test_a_failed_identity_check_falls_back_without_a_factor(monkeypatch, fresh_
     (top, diag), *rest = columns[0]
     monkeypatch.setattr(spectral, "_intertwiner_columns", lambda k: (((top, diag + 1), *rest),) + columns[1:])
     monkeypatch.setattr(spectral, "_factor_on_kernel", lambda *args: pytest.fail("a factor was computed"))
+    full_runs = _count_full_routes(monkeypatch)
     assert not spectral._intertwines(n)
     assert spectral._new_factor(n) is None
-    assert cached_charpoly(build_Mbar(n)) == charpoly(build_Mbar(n).rows)
+    assert charpoly(build_Mbar(n)) == charpoly(build_Mbar(n).rows)
+    assert full_runs == [len(partitions_in_order(n))]
 
 
 def test_charpoly_mbar3():
@@ -619,6 +652,18 @@ def test_rho_max_equals_the_bisection(rows):
     assert rho_max(m) == spectral._rho_by_bisection(m)
 
 
+def test_rho_max_certifies_each_double_once(monkeypatch):
+    # a double rho = 1 + sqrt(6): Newton nears it only linearly, so the double of its
+    # iterate repeats over several steps before the certificate holds
+    m = _matrix(((1, 2, 0, 0), (3, 1, 0, 0), (0, 0, 1, 2), (0, 0, 3, 1)))
+    expected = spectral._rho_by_bisection(m)
+    shifts = []
+    side = spectral._side_of_rho
+    monkeypatch.setattr(spectral, "_side_of_rho", lambda p, a, s: shifts.append((a, s)) or side(p, a, s))
+    assert rho_max(m) == expected
+    assert len(shifts) == len(set(shifts)) == 2
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_rho_max_of_Mbar_closes_by_the_brackets(n, monkeypatch):
     # the brackets are the Newton iterate above rho and the certified midpoint below it
@@ -632,19 +677,20 @@ def test_rho_max_of_Mbar_closes_by_the_brackets(n, monkeypatch):
 
 
 def test_charpoly_cache_holds_at_most_one_entry_per_Mbar():
-    # other matrices take charpoly, so they evict no Mbar(n) from cached_charpoly
+    # other matrices take the full route, so they add nothing to the cache of the shared Mbar(n)
     shared = [build_Mbar(k) for k in range(1, 9)]
     for m in shared:
-        cached_charpoly(m)
+        charpoly(m)
+    before = spectral._mbar_charpoly.cache_info()
     rng = random.Random(7)
     for _ in range(300):
         k = rng.randint(1, 4)
         rho_max(_matrix(tuple(tuple(rng.randint(0, 9) for _ in range(k)) for _ in range(k))))
-    before = cached_charpoly.cache_info()
+    assert spectral._mbar_charpoly.cache_info() == before
     for m in shared:
-        cached_charpoly(m)
-    after = cached_charpoly.cache_info()
-    assert (after.hits - before.hits, after.misses) == (len(shared), before.misses)
+        charpoly(m)
+    after = spectral._mbar_charpoly.cache_info()
+    assert (after.hits - before.hits, after.misses, after.currsize) == (len(shared), before.misses, before.currsize)
     assert after.currsize <= MBAR_CAP
 
 
