@@ -21,12 +21,13 @@ partitions of n at once, as the Gram product K^T K of the Kostka columns
 read from _tableaux, which grows each table by one horizontal strip per
 part (the strips of each shape and size are cached).  Each row of K^T K
 is summed as one integer: the rows of K are packed into byte-aligned
-slots wide enough for n! (_pack, _unpack; every entry counts square-free
-braids), and row kappa is the sum of K(nu, kappa) times packed row nu
-over the nonzero Kostka numbers of column kappa, one big-integer
-multiply-add each.  Every margin count is a lookup in the table.
-contingency_count, a dynamic program over the columns, counts the same
-matrices directly and is kept as the independent check.
+slots wide enough for n! (every entry counts square-free braids), of 1,
+2, 4 or 8 bytes so that _pack and _unpack convert a row in one step, and
+row kappa is the sum of K(nu, kappa) times packed row nu over the nonzero
+Kostka numbers of column kappa, one big-integer multiply-add each.  Every
+margin count is a lookup in the table.  contingency_count, a dynamic
+program over the columns, counts the same matrices directly and is kept
+as the independent check.
 
 Two levels read these margin counts.  At the subset level, a follows by
 inclusion-exclusion over supersets of I, in a_column, the one superset
@@ -45,6 +46,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
+from array import array
 from typing import Iterable, Sequence
 
 Composition = tuple[int, ...]
@@ -235,15 +238,27 @@ def _tableaux(content: tuple[int, ...]) -> dict[PartitionN, int]:
     return out
 
 
+# The array typecode of each slot width, in bytes, that a machine type has:
+# _pack and _unpack convert such rows in one step, other widths slot by slot.
+_SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
 def _pack(values: Iterable[int], width: int) -> int:
     """
     One integer holding the non-negative values in slots of width bytes,
-    the first value in the lowest slot: the inverse of _unpack.
+    the first value in the lowest slot: the inverse of _unpack.  A value
+    that does not fit its slot raises OverflowError.
 
     >>> _pack((1, 2), 1)
     513
     """
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+    code = _SLOT_CODES.get(width)
+    if code is None:
+        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+    slots = array(code, values)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
 
 
 def _unpack(packed: int, count: int, width: int) -> tuple[int, ...]:
@@ -257,21 +272,30 @@ def _unpack(packed: int, count: int, width: int) -> tuple[int, ...]:
     (1, 2)
     """
     data = packed.to_bytes(count * width, "little")
-    return tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width))
+    code = _SLOT_CODES.get(width)
+    if code is None:
+        return tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width))
+    slots = array(code, data)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return tuple(slots)
 
 
 def _packed_a_hat_rows(n: int) -> tuple[list[int], int]:
     """
     The rows of _a_hat_table(n), each packed into one integer in slots of
     the returned width in bytes, wide enough for n!: every entry counts
-    square-free n-braids.  Row kappa of K^T K is the sum over shapes nu
-    of K(nu, kappa) times row nu of K, so each row is one big-integer
+    square-free n-braids, rounded up to 1, 2, 4 or 8 bytes, which holds
+    it through n = 20 (20! < 2**63), so that _pack and _unpack convert a
+    row in one step.  Row kappa of K^T K is the sum over shapes nu of
+    K(nu, kappa) times row nu of K, so each row is one big-integer
     multiply-add per Kostka number K(nu, kappa) != 0.  Not cached:
     _a_hat_table keeps the unpacked table, and matrices.build_Mbar needs
     the packed rows once per n.
     """
     labels = partitions_in_order(n)
     width = (math.factorial(n).bit_length() + 7) // 8
+    width = min((w for w in _SLOT_CODES if w >= width), default=width)
     kostka_rows: dict[PartitionN, list[int]] = {nu: [0] * len(labels) for nu in labels}
     tables = [_tableaux(kappa) for kappa in labels]
     for j, table in enumerate(tables):

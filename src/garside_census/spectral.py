@@ -24,9 +24,10 @@ The shared build_Mbar(n) takes the other route, once per n: one new
 factor per n, each the characteristic polynomial of Mbar(n) on the
 kernel of an explicit integer intertwiner D_n with Mbar(n) D_n =
 D_n Mbar(n-1) (see _new_factor), lifted the same way from q + 1 Krylov
-rows of length q = p(n) - p(n-1).  An n whose identity check fails, or
-whose Krylov matrices are all singular mod _P, takes the full route on
-the rows of Mbar(n), as does any equal matrix that is not the shared one.
+rows of length q = p(n) - p(n-1), each stepped in p(n) q products.  An n
+whose identity check fails, or whose Krylov matrices are all singular
+mod _P, takes the full route on the rows of Mbar(n), as does any equal
+matrix that is not the shared one.
 
 Division, divisibility and gcd stay in integers too (Knuth, TAOCP vol.
 2, 4.6.1): exact division, pseudo-division, and the primitive remainder
@@ -205,7 +206,7 @@ def _solve_mod_p(perm: list[int], lu: list[list[int]], r: Sequence[int]) -> list
 
 def _is_shared_Mbar(m) -> bool:
     return (isinstance(m, CountMatrix) and m.kind == "Mbar" and 1 <= m.n <= matrices.MBAR_CAP
-            and m is matrices.build_Mbar(m.n))
+            and m is matrices._cached_Mbar(m.n))
 
 
 def _krylov_rows(rows: Sequence[Sequence[int]], x: Sequence[int]) -> Iterator[Sequence[int]]:
@@ -308,7 +309,10 @@ _KERNEL_SEEDS = range(3)
 # characteristic polynomial of Mbar(n) on W_n is the new factor:
 # charpoly(Mbar(n-1)) divides charpoly(Mbar(n)) by construction.  A vector
 # of W_n is fixed by its entries at the q free labels (_is_free): column mu
-# gives the entry at sigma(mu) from entries with a smaller first part.
+# gives the entry at sigma(mu) from entries with a smaller first part.  So
+# the factor's Krylov rows cost p(n) q products a step, not p(n)**2: only
+# the free entries of x Mbar(n) are multiplied out, and the triangular
+# solve over D_n's columns fills in the rest (_kernel_krylov_rows).
 @functools.lru_cache(maxsize=None)
 def _new_factor(n: int) -> IntPoly | None:
     """
@@ -363,23 +367,73 @@ def _is_free(lam: PartitionN) -> bool:
     return len(lam) > 1 and lam[0] == lam[1]
 
 
+@functools.lru_cache(maxsize=None)
+def _free_labels(n: int) -> tuple[int, ...]:
+    """The indices of the q = p(n) - p(n-1) free labels of partitions_in_order(n)."""
+    return tuple(i for i, lam in enumerate(descents.partitions_in_order(n)) if _is_free(lam))
+
+
+@functools.lru_cache(maxsize=None)
+def _solve_order(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """
+    The columns of D_n in increasing order of mu_1, each as (the row index
+    of sigma(mu), its entry, the other pairs): the order in which column
+    mu gives the entry at sigma(mu) from entries already known.
+    """
+    by_first_part = sorted(zip(descents.partitions_in_order(n - 1), _intertwiner_columns(n)), key=lambda t: t[0][0])
+    return tuple((top, diag, tuple(rest)) for _, ((top, diag), *rest) in by_first_part)
+
+
+def _solve_from_free(n: int, w: list[int], scale: bool) -> list[int]:
+    """
+    The vector of W_n with w's entries at the free labels: the entry at
+    each sigma(mu) from column mu, in increasing order of mu_1.  A quotient
+    that is not integral scales w when scale is set, and raises
+    ArithmeticError when not.  Entries of w off the free labels are
+    overwritten, never read.
+    """
+    for top, diag, rest in _solve_order(n):
+        s = sum(w[i] * e for i, e in rest)
+        if s % diag:
+            if not scale:
+                raise ArithmeticError(f"no integer vector of W_{n} has these free entries")
+            factor = diag // math.gcd(s, diag)
+            w, s = [x * factor for x in w], s * factor
+        w[top] = -s // diag
+    return w
+
+
 def _kernel_vector(n: int, seed: int) -> tuple[int, ...]:
     """
     A primitive integer w with w D_n = 0: entries 1..9 drawn from seed at
-    the free labels, then the entry at each sigma(mu) from column mu, in
-    increasing order of mu_1, scaling w whenever a quotient is not integral.
+    the free labels, then _solve_from_free, scaling w whenever a quotient
+    is not integral.
     """
     rng = random.Random(seed)
     w = [rng.randint(1, 9) if _is_free(lam) else 0 for lam in descents.partitions_in_order(n)]
-    mus = descents.partitions_in_order(n - 1)
-    for _, ((top, diag), *rest) in sorted(zip(mus, _intertwiner_columns(n)), key=lambda t: t[0][0]):
-        s = sum(w[i] * e for i, e in rest)
-        scale = diag // math.gcd(s, diag)
-        if scale > 1:
-            w, s = [x * scale for x in w], s * scale
-        w[top] = -s // diag
+    w = _solve_from_free(n, w, scale=True)
     g = math.gcd(*w)
     return tuple(x // g for x in w)
+
+
+def _kernel_krylov_rows(n: int, w: Sequence[int]) -> Iterator[list[int]]:
+    """
+    The rows w Mbar(n)^k, k = 0, 1, ..., for an integer w in W_n, once
+    _intertwines(n) has held.  A step computes only the free entries,
+    x Mbar(n)[:, F], p(n) q products, and _solve_from_free the others:
+    W_n is invariant, so x Mbar(n) is the integer vector of W_n with
+    those free entries, and every division is exact.
+    """
+    rows = matrices.build_Mbar(n).rows
+    free = _free_labels(n)
+    columns = [tuple(row[j] for row in rows) for j in free]
+    x = list(w)
+    while True:
+        yield x
+        y = [0] * len(x)
+        for j, column in zip(free, columns):
+            y[j] = sum(map(mul, x, column))
+        x = _solve_from_free(n, y, scale=False)
 
 
 def _factor_on_kernel(n: int, w: Sequence[int]) -> IntPoly | None:
@@ -388,10 +442,9 @@ def _factor_on_kernel(n: int, w: Sequence[int]) -> IntPoly | None:
     w Mbar(n)^k, k = 0..q, restricted to the q free labels, for w in W_n;
     None when they are singular mod _P (w not cyclic, say).
     """
-    rows = matrices.build_Mbar(n).rows
-    free = [i for i, lam in enumerate(descents.partitions_in_order(n)) if _is_free(lam)]
-    krylov = [[x[i] for i in free] for x in itertools.islice(_krylov_rows(rows, w), len(free) + 1)]
-    return _lift_charpoly(krylov, rows)
+    free = _free_labels(n)
+    krylov = [[x[i] for i in free] for x in itertools.islice(_kernel_krylov_rows(n, w), len(free) + 1)]
+    return _lift_charpoly(krylov, matrices.build_Mbar(n).rows)
 
 
 def strip_x_power(p: Sequence) -> tuple:

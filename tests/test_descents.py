@@ -221,10 +221,12 @@ def test_packed_a_hat_table_equals_the_dense_gram_product(n):
 
 @pytest.mark.parametrize("n", range(1, matrices.MBAR_CAP + 1))
 def test_a_hat_entries_fit_the_slot_width(n):
-    # _packed_a_hat_rows sizes its slots for n!, which bounds every entry
+    # _packed_a_hat_rows sizes its slots for n!, which bounds every entry, in the fewest of 1, 2, 4 or 8 bytes
     bound = math.factorial(n)
     assert all(0 <= e <= bound for row in descents._a_hat_table(n) for e in row)
-    assert descents._packed_a_hat_rows(n)[1] == (bound.bit_length() + 7) // 8
+    width = descents._packed_a_hat_rows(n)[1]
+    assert width in (1, 2, 4, 8) and bound < 1 << 8 * width
+    assert width == 1 or bound >= 1 << 4 * width
 
 
 def test_pack_round_trip_and_unpack_overflow():
@@ -242,6 +244,30 @@ def test_pack_round_trip_and_unpack_overflow():
         descents._unpack(1 << 32, 4, 1)
     with pytest.raises(OverflowError):
         descents._unpack(descents._pack((1, 256), 2), 2, 1)
+
+
+@st.composite
+def _slot_row(draw):
+    width = draw(st.sampled_from((1, 2, 3, 4, 8, 17)))
+    return draw(st.lists(st.integers(0, (1 << 8 * width) - 1), max_size=40)), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slot_row())
+def test_pack_round_trips_at_every_width(case):
+    # widths 1, 2, 4 and 8 convert a row through one array, 3 and 17 slot by slot
+    row, width = case
+    packed = descents._pack(row, width)
+    assert packed == sum(v << 8 * width * i for i, v in enumerate(row))
+    assert descents._unpack(packed, len(row), width) == tuple(row)
+    with pytest.raises(OverflowError):
+        descents._pack(row + [1 << 8 * width], width)
+    with pytest.raises(OverflowError):
+        descents._pack(row + [-1], width)
+    with pytest.raises(OverflowError):
+        descents._unpack(packed - (1 << 8 * width * len(row)), len(row), width)
+    with pytest.raises(OverflowError):
+        descents._unpack(packed + (1 << 8 * width * len(row)), len(row), width)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

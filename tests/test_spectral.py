@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from unittest import mock
@@ -294,6 +295,27 @@ def test_the_kernel_vector_is_in_the_kernel(n):
         w = spectral._kernel_vector(n, seed)
         assert any(w) and math.gcd(*w) == 1
         assert vec_times_matrix(w, _dense_intertwiner(n)) == (0,) * len(partitions_in_order(n - 1))
+
+
+def test_the_solve_from_the_free_labels_by_hand():
+    # W_3 is spanned by (4, 1, 0): the entry at (2, 1) is a quarter of the free one at (1, 1, 1)
+    assert spectral._free_labels(3) == (0,)
+    assert spectral._solve_from_free(3, [1, 0, 0], scale=True) == [4, 1, 0]
+    assert spectral._solve_from_free(3, [8, 5, 7], scale=False) == [8, 2, 0]
+    with pytest.raises(ArithmeticError):
+        spectral._solve_from_free(3, [1, 0, 0], scale=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32))
+def test_the_free_label_rows_are_the_full_products(n, seed):
+    # each step computes p(n) q products at the free labels and solves for the rest,
+    # so the whole row, not only its free entries, equals the full product
+    w = spectral._kernel_vector(n, seed)
+    steps = len(spectral._free_labels(n)) + 1
+    stepped = itertools.islice(spectral._kernel_krylov_rows(n, w), steps)
+    full = itertools.islice(spectral._krylov_rows(build_Mbar(n).rows, w), steps)
+    assert [tuple(x) for x in stepped] == list(full)
 
 
 @settings(max_examples=40, deadline=None)
@@ -674,6 +696,17 @@ def test_rho_max_of_Mbar_closes_by_the_brackets(n, monkeypatch):
 
     monkeypatch.setattr(spectral, "_rho_by_bisection", no_bisection)
     assert rho_max(build_Mbar(n)) == expected
+
+
+@pytest.mark.parametrize("n", (1, 7, 12))
+def test_charpoly_of_the_shared_Mbar_on_warm_caches_calls_no_build_Mbar(n, monkeypatch):
+    m = build_Mbar(n)
+    expected = charpoly(m)
+    build = mock.Mock(wraps=matrices.build_Mbar)
+    monkeypatch.setattr(matrices, "build_Mbar", build)
+    assert charpoly(m) == expected
+    assert spectral._is_shared_Mbar(m)
+    build.assert_not_called()
 
 
 def test_charpoly_cache_holds_at_most_one_entry_per_Mbar():
