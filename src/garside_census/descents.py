@@ -243,6 +243,18 @@ def _tableaux(content: tuple[int, ...]) -> dict[PartitionN, int]:
 _SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
+def _slot_width(top: int) -> int:
+    """
+    The fewest bytes whose slots hold every integer in [0, top], rounded
+    up to 1, 2, 4 or 8 where one of them suffices.
+
+    >>> [_slot_width(t) for t in (255, 256, 2**32, 2**64)]
+    [1, 2, 8, 9]
+    """
+    width = (top.bit_length() + 7) // 8
+    return min((w for w in _SLOT_CODES if w >= width), default=width)
+
+
 def _pack(values: Iterable[int], width: int) -> int:
     """
     One integer holding the non-negative values in slots of width bytes,
@@ -294,8 +306,7 @@ def _packed_a_hat_rows(n: int) -> tuple[list[int], int]:
     the packed rows once per n.
     """
     labels = partitions_in_order(n)
-    width = (math.factorial(n).bit_length() + 7) // 8
-    width = min((w for w in _SLOT_CODES if w >= width), default=width)
+    width = _slot_width(math.factorial(n))
     kostka_rows: dict[PartitionN, list[int]] = {nu: [0] * len(labels) for nu in labels}
     tables = [_tableaux(kappa) for kappa in labels]
     for j, table in enumerate(tables):

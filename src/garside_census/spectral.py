@@ -39,14 +39,19 @@ matrix M(n), are oracle.naive_charpoly and oracle.m_charpoly_nonzero.
 
 The dominant eigenvalue is the largest real root of the characteristic
 polynomial, which on the shared Mbar(n) the nested-spectrum check has
-already built.  Newton's method finds it from above, starting at the
-Collatz-Wielandt bound on a few rows v A^k (Horn & Johnson, Matrix
-Analysis, 8.1); by Perron-Frobenius no step goes below the root.  Each
-iterate is a dyadic rational, rounded up and evaluated by Horner's rule
-in integers, and the double it settles on is certified at the midpoint
-to the double below, by the sign of the polynomial there or by an
-integer Taylor shift.  No count series is read, and floats are only the
-correctly rounded images of exact dyadics.
+already built.  Newton's method finds it from above, starting at a
+Collatz-Wielandt bound (Horn & Johnson, Matrix Analysis, 8.1); by
+Perron-Frobenius no step goes below the root.  On the shared Mbar(n) the
+bound comes from the last two Krylov rows x, y = x Mbar(n) of the new
+factor, which _new_factor keeps: rho(n) is a simple root of that factor,
+so those rows approach the left Perron vector, and the bound of x + 1
+takes no vector product.  Any other matrix, or an n whose x has a
+negative entry or that took the full route, iterates from (1, ..., 1)
+instead.  Each iterate is a dyadic rational, rounded up and evaluated by
+Horner's rule in integers, and the double it settles on is certified at
+the midpoint to the double below, by the sign of the polynomial there or
+by an integer Taylor shift.  No count series is read, and floats are only
+the correctly rounded images of exact dyadics.
 """
 from __future__ import annotations
 
@@ -56,7 +61,7 @@ import functools
 import itertools
 import math
 import random
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from . import descents, matrices
@@ -282,10 +287,10 @@ def _mbar_charpoly(n: int) -> IntPoly:
     """
     if n == 1:
         return (-1, 1)
-    factor = _new_factor(n)
-    if factor is None:
+    kernel = _new_factor(n)
+    if kernel is None:
         return charpoly(matrices.build_Mbar(n).rows)
-    return poly_mul(_mbar_charpoly(n - 1), factor)
+    return poly_mul(_mbar_charpoly(n - 1), kernel[0])
 
 
 # Seeds of the kernel vectors _new_factor tries before it falls back.
@@ -314,19 +319,21 @@ _KERNEL_SEEDS = range(3)
 # the free entries of x Mbar(n) are multiplied out, and the triangular
 # solve over D_n's columns fills in the rest (_kernel_krylov_rows).
 @functools.lru_cache(maxsize=None)
-def _new_factor(n: int) -> IntPoly | None:
+def _new_factor(n: int) -> tuple[IntPoly, tuple[int, ...], tuple[int, ...]] | None:
     """
-    charpoly(Mbar(n)) / charpoly(Mbar(n-1)) for 2 <= n <= MBAR_CAP, from a
-    kernel vector of D_n and only once Mbar(n) D_n == D_n Mbar(n-1) has
-    been checked; None when the check fails or every seed's Krylov matrix
-    is singular mod _P.
+    (factor, x, y): factor = charpoly(Mbar(n)) / charpoly(Mbar(n-1)) for
+    2 <= n <= MBAR_CAP, from a kernel vector of D_n and only once Mbar(n)
+    D_n == D_n Mbar(n-1) has been checked, and the last two Krylov rows it
+    was lifted from (_factor_on_kernel), y = x Mbar(n) exactly, which
+    rho_max starts from.  None when the check fails or every seed's Krylov
+    matrix is singular mod _P.
     """
     if not _intertwines(n):
         return None
     for seed in _KERNEL_SEEDS:
-        factor = _factor_on_kernel(n, _kernel_vector(n, seed))
-        if factor is not None:
-            return factor
+        kernel = _factor_on_kernel(n, _kernel_vector(n, seed))
+        if kernel is not None:
+            return kernel
     return None
 
 
@@ -350,16 +357,52 @@ def _intertwiner_columns(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def _intertwines(n: int) -> bool:
-    """Whether Mbar(n) D_n == D_n Mbar(n-1), exactly."""
-    big, small = matrices.build_Mbar(n).rows, matrices.build_Mbar(n - 1).rows
-    big_columns = list(zip(*big))
-    left = [[0] * len(big)] * len(small)  # Mbar(n) D_n, column by column
-    right = [[0] * len(small)] * len(big)  # D_n Mbar(n-1), row by row
-    for k, (column, small_row) in enumerate(zip(_intertwiner_columns(n), small)):
+    """Whether Mbar(n) D_n == D_n Mbar(n-1), exactly (_is_intertwiner)."""
+    return _is_intertwiner(matrices.build_Mbar(n).rows, matrices.build_Mbar(n - 1).rows, _intertwiner_columns(n))
+
+
+def _is_intertwiner(big: Sequence[Sequence[int]], small: Sequence[Sequence[int]],
+                    columns: Sequence[Sequence[tuple[int, int]]]) -> bool:
+    """
+    Whether big D == D small, exactly, for the rows of two non-negative
+    integer matrices and the columns of an integer matrix D as (row index,
+    entry) pairs, as _intertwiner_columns gives them.
+
+    Column k of big D is the sum of e times column i of big, and row i of
+    D small the sum of e times row k of small, over the pairs (i, e) of
+    column k.  With each column of big and each row of small packed into
+    one integer (descents._pack), that is one big-integer multiply-add per
+    entry of D on each side.  An entry of either product is at most h s in
+    absolute value, h the largest entry of big and small and s the largest
+    absolute sum along a row or a column of D.  So with bound = h s added
+    to every slot, each slot lies in [0, 2 bound], slots that hold 2 bound
+    never carry, and the products, offset alike, compare exactly byte for
+    byte.  The columns of big D, laid end to end, hold slot (i, k) at byte
+    (k len(big) + i) width, so byte b of every slot of row i is one
+    strided slice; no slot becomes a Python int.
+    """
+    row_sums = [0] * len(big)
+    for column in columns:
         for i, e in column:
-            left[k] = [x + e * y for x, y in zip(left[k], big_columns[i])]
-            right[i] = [x + e * y for x, y in zip(right[i], small_row)]
-    return left == [list(c) for c in zip(*right)]
+            row_sums[i] += abs(e)
+    column_sums = (sum(abs(e) for _, e in column) for column in columns)
+    bound = max(max(map(max, big)), max(map(max, small))) * max(itertools.chain(row_sums, column_sums))
+    width = descents._slot_width(2 * bound)
+    big_columns = [descents._pack(column, width) for column in zip(*big)]
+    offset = descents._pack([bound] * len(big), width)
+    left = []  # big D, column by column
+    right = [descents._pack([bound] * len(small), width)] * len(big)  # D small, row by row
+    for column, small_row in zip(columns, (descents._pack(row, width) for row in small)):
+        left.append(sum(e * big_columns[i] for i, e in column) + offset)
+        for i, e in column:
+            right[i] += e * small_row
+    stride = len(big) * width
+    data = b"".join(c.to_bytes(stride, "little") for c in left)
+    for i, packed in enumerate(right):
+        row = packed.to_bytes(len(small) * width, "little")
+        if any(data[i * width + b::stride] != row[b::width] for b in range(width)):
+            return False
+    return True
 
 
 def _is_free(lam: PartitionN) -> bool:
@@ -436,15 +479,25 @@ def _kernel_krylov_rows(n: int, w: Sequence[int]) -> Iterator[list[int]]:
         x = _solve_from_free(n, y, scale=False)
 
 
-def _factor_on_kernel(n: int, w: Sequence[int]) -> IntPoly | None:
+def _factor_on_kernel(n: int, w: Sequence[int]) -> tuple[IntPoly, tuple[int, ...], tuple[int, ...]] | None:
     """
     The characteristic polynomial of v -> v Mbar(n) on W_n, from the rows
-    w Mbar(n)^k, k = 0..q, restricted to the q free labels, for w in W_n;
-    None when they are singular mod _P (w not cyclic, say).
+    w Mbar(n)^k, k = 0..q, restricted to the q free labels, for w in W_n,
+    with the whole rows x = w Mbar(n)^(q-1) and y = w Mbar(n)^q, both
+    negated when the entries of x sum below 0; None when the rows are
+    singular mod _P (w not cyclic, say).
     """
     free = _free_labels(n)
-    krylov = [[x[i] for i in free] for x in itertools.islice(_kernel_krylov_rows(n, w), len(free) + 1)]
-    return _lift_charpoly(krylov, matrices.build_Mbar(n).rows)
+    krylov, last = [], collections.deque(maxlen=2)
+    for x in itertools.islice(_kernel_krylov_rows(n, w), len(free) + 1):
+        krylov.append([x[i] for i in free])
+        last.append(x)
+    factor = _lift_charpoly(krylov, matrices.build_Mbar(n).rows)
+    if factor is None:
+        return None
+    sign = -1 if sum(last[0]) < 0 else 1
+    x, y = (tuple(sign * e for e in row) for row in last)
+    return factor, x, y
 
 
 def strip_x_power(p: Sequence) -> tuple:
@@ -669,9 +722,35 @@ def _scaled_value(p: Sequence[int], a: int, s: int) -> int:
 # Orders pairs (p, q), q > 0, by p / q, through integer cross-products.
 _BY_RATIO = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
-# The Collatz-Wielandt start of rho_max stops once its bound falls by less
-# than 2**-_START_BITS of itself in a step: after 6-9 iterates on Mbar(n), n >= 4.
+# The iterated Collatz-Wielandt start, which rho_max takes when
+# _kernel_row_start has none, stops once its bound falls by less than
+# 2**-_START_BITS of itself in a step: after 6-9 iterates on Mbar(n), n >= 4.
 _START_BITS = 10
+
+
+def _kernel_row_start(m: CountMatrix) -> tuple[int, int] | None:
+    """
+    An upper bound num / den on the spectral radius of the shared
+    build_Mbar(n), n >= 2, from the last two Krylov rows x and y = x
+    Mbar(n) of its new factor, which _new_factor(n) keeps: for x >= 0,
+    max_j (y_j + c_j) / (x_j + 1), c the column sums of Mbar(n), is the
+    Collatz-Wielandt bound (Horn & Johnson, Matrix Analysis, 8.1) of
+    x + 1 > 0, whose product with Mbar(n) is y + c.  It is sound for any
+    such x, as y = x Mbar(n) exactly once _intertwines(n) has held.  It
+    is close because rho(n), n >= 3, is a simple root of the new factor:
+    the left Perron vector lies in W_n, and the rows w Mbar(n)^k approach
+    it.  Every vector of W_n is 0 at the label (n), hence the + 1.  None
+    for any other matrix, for an n that took the full route, and when x
+    has a negative entry.
+    """
+    if not _is_shared_Mbar(m) or m.n < 2:
+        return None
+    kernel = _new_factor(m.n)
+    if kernel is None or min(kernel[1]) < 0:
+        return None
+    _, x, y = kernel
+    column_sums = map(sum, zip(*m.rows))
+    return max(zip(map(add, y, column_sums), (e + 1 for e in x)), key=_BY_RATIO)
 
 
 def _collatz_wielandt_start(m: CountMatrix) -> tuple[int, int]:
@@ -698,10 +777,12 @@ def rho_max(m: CountMatrix) -> float:
     Spectral radius of a non-negative integer matrix, the double nearest
     the exact value: the largest real root of its characteristic
     polynomial p, charpoly(m) stripped of its power of x, found by
-    Newton's method from the Collatz-Wielandt bound above it and then
+    Newton's method from a Collatz-Wielandt bound above it and then
     certified exactly.  On the shared build_Mbar(n) p is the cached one
-    that new_factor_simple_roots reads too; at n >= 4 the start takes 6-9
-    vector products and Newton 4 steps.
+    that new_factor_simple_roots reads too, and the bound is
+    _kernel_row_start's, which takes no vector product; otherwise it is
+    _collatz_wielandt_start's, 6-9 vector products on a matrix like
+    Mbar(n).
 
     Every iterate x is a dyadic a / 2**s at or above rho: each Newton step
     is rounded up, by less than 2**-32 of the step.  Once the double
@@ -714,13 +795,13 @@ def rho_max(m: CountMatrix) -> float:
     alone, so a double at which it failed is not tried again: while Newton
     creeps towards a multiple root the double can repeat over many steps.
     """
-    if any(e < 0 for row in m.rows for e in row):
+    if min(map(min, m.rows)) < 0:
         raise ValueError("rho_max needs a non-negative matrix")
     p = strip_x_power(charpoly(m))
     if len(p) == 1:
         return 0.0  # m is nilpotent
     dp = poly_derivative(p)
-    num, den = _collatz_wielandt_start(m)
+    num, den = _kernel_row_start(m) or _collatz_wielandt_start(m)
     a, s, last, failed = -((-num << 64) // den), 64, None, None
     # Why no step goes below rho: by Perron-Frobenius every root w of p has
     # Re w <= rho, so for x > rho every term 1/(x - w) of p'/p(x) has a

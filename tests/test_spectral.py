@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from garside_census import matrices, reference, spectral
+from garside_census import descents, matrices, reference, spectral
 from garside_census.descents import partitions_by_mask, partitions_in_order
 from garside_census.matrices import (
     MBAR_CAP,
@@ -322,8 +322,8 @@ def test_the_free_label_rows_are_the_full_products(n, seed):
 @given(st.integers(2, 12), st.integers(0, 2**32))
 def test_new_factor_equals_the_full_route_quotient(n, seed):
     full = exact_quotient(charpoly(build_Mbar(n - 1).rows), charpoly(build_Mbar(n).rows))
-    assert spectral._factor_on_kernel(n, spectral._kernel_vector(n, seed)) == full
-    assert spectral._new_factor(n) == full
+    assert spectral._factor_on_kernel(n, spectral._kernel_vector(n, seed))[0] == full
+    assert spectral._new_factor(n)[0] == full
 
 
 @pytest.fixture
@@ -377,6 +377,63 @@ def test_a_failed_identity_check_falls_back_without_a_factor(monkeypatch, fresh_
     assert spectral._new_factor(n) is None
     assert charpoly(build_Mbar(n)) == charpoly(build_Mbar(n).rows)
     assert full_runs == [len(partitions_in_order(n))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.booleans(), st.data())
+def test_a_shifted_entry_fails_the_packed_identity_check(n, in_big, data):
+    # a shift in Mbar(n-1) changes D_n Mbar(n-1) by a nonzero column of D_n, and one in
+    # Mbar(n) changes Mbar(n) D_n by a row of D_n, nonzero from n = 3 on (row (1, 1) of
+    # D_2 is zero); a new value up to the largest entry keeps the derived slot width
+    big = [list(row) for row in build_Mbar(n).rows]
+    small = [list(row) for row in build_Mbar(n - 1).rows]
+    columns = spectral._intertwiner_columns(n)
+    assert spectral._is_intertwiner(big, small, columns)
+    top = max(max(map(max, big)), max(map(max, small)))
+    rows = big if in_big else small
+    i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows) - 1))
+    e = rows[i][j]
+    by_one = st.sampled_from((e + 1, e - 1) if e else (e + 1,))
+    rows[i][j] = data.draw(by_one | st.integers(0, top).filter(lambda v: v != e))
+    assert not spectral._is_intertwiner(big, small, columns)
+
+
+@pytest.mark.parametrize("width, wider", ((1, 2), (2, 4), (4, 8), (8, 9), (9, 10)))
+def test_the_packed_identity_check_at_the_slot_width_boundary(width, wider):
+    # with D = diag(2, -2) both products are diag(2h, -2h) for big = small = diag(h, h):
+    # the bound is 2h, so the offset slots run from 0 to 4h, which fills the width
+    columns = (((0, 2),), ((1, -2),))
+    top = 1 << 8 * width - 2
+    for h, h_width in ((top - 1, width), (top, wider)):
+        assert descents._slot_width(4 * h) == h_width
+        diag = [[h, 0], [0, h]]
+        assert spectral._is_intertwiner(diag, diag, columns)
+        for i, j, shift in ((0, 0, -1), (1, 1, -1), (0, 1, 1), (1, 0, 1)):
+            small = [row[:] for row in diag]
+            small[i][j] += shift
+            assert not spectral._is_intertwiner(diag, small, columns)
+            assert not spectral._is_intertwiner(small, diag, columns)
+
+
+def test_the_packed_identity_check_at_a_carry_and_a_high_byte():
+    # D = (1, 1, 1, 1) as one row: big D repeats big's one entry, D small sums small's
+    # rows.  Offset slots of one byte would carry 383 = 127 + 256 into the slot of 126 and
+    # read (127, 127, 127, 127); the row sum 4 of D sizes the slots for it
+    row_of_ones = tuple(((0, 1),) for _ in range(4))
+    small = [[127, 126, 127, 127], [127, 0, 0, 0], [127, 0, 0, 0], [2, 0, 0, 0]]
+    assert not spectral._is_intertwiner([[127]], small, row_of_ones)
+    assert spectral._is_intertwiner([[127]], [[127, 127, 127, 127]] + [[0] * 4] * 3, row_of_ones)
+    # the same through the column sum 4 of D = (1, 1, 1, 1)^T
+    column_of_ones = (tuple((i, 1) for i in range(4)),)
+    assert not spectral._is_intertwiner([list(row) for row in zip(*small)], [[127]], column_of_ones)
+    # 256 and 0 differ only in their second byte
+    assert not spectral._is_intertwiner([[256]], [[0]], (((0, 1),),))
+
+
+def test_the_kept_kernel_rows_do_not_depend_on_the_sign_of_w():
+    for n in (6, 12):
+        w = spectral._kernel_vector(n, 0)
+        assert spectral._factor_on_kernel(n, tuple(-e for e in w)) == spectral._factor_on_kernel(n, w)
 
 
 def test_charpoly_mbar3():
@@ -698,6 +755,46 @@ def test_rho_max_of_Mbar_closes_by_the_brackets(n, monkeypatch):
     assert rho_max(build_Mbar(n)) == expected
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_the_kept_kernel_rows_step_by_Mbar_and_bound_rho_from_above(n):
+    m = build_Mbar(n)
+    _, x, y = spectral._new_factor(n)
+    assert y == vec_times_matrix(x, m)
+    start = spectral._kernel_row_start(m)
+    assert (start is None) == (min(x) < 0) == (n in (4, 5))
+    num, den = start or spectral._collatz_wielandt_start(m)
+    assert num / den >= spectral._rho_by_bisection(m)  # both correctly rounded, so the order holds
+
+
+def _count_products(monkeypatch):
+    calls = []
+    product = matrices.vec_times_matrix
+    monkeypatch.setattr(matrices, "vec_times_matrix", lambda v, m: calls.append(len(v)) or product(v, m))
+    return calls
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_rho_max_of_Mbar_starts_from_the_kernel_rows_without_a_product(n, monkeypatch, fresh_factor_caches):
+    calls = _count_products(monkeypatch)
+    rho = rho_max(build_Mbar(n))
+    assert calls == []
+    assert rho == spectral._rho_by_bisection(build_Mbar(n))
+
+
+@pytest.mark.parametrize("n", (8, 12))
+@pytest.mark.parametrize("kernel", ("negative entry", "no factor"))
+def test_rho_max_falls_back_to_the_iterated_start(n, kernel, monkeypatch):
+    m = build_Mbar(n)
+    expected = rho_max(m)
+    factor, x, y = spectral._new_factor(n)
+    patched = (factor, (-1,) + x[1:], y) if kernel == "negative entry" else None
+    monkeypatch.setattr(spectral, "_new_factor", lambda k: patched)
+    calls = _count_products(monkeypatch)
+    assert spectral._kernel_row_start(m) is None
+    assert rho_max(m) == expected
+    assert calls and set(calls) == {m.size}  # the iterates of (1, ..., 1)
+
+
 @pytest.mark.parametrize("n", (1, 7, 12))
 def test_charpoly_of_the_shared_Mbar_on_warm_caches_calls_no_build_Mbar(n, monkeypatch):
     m = build_Mbar(n)
@@ -728,8 +825,9 @@ def test_charpoly_cache_holds_at_most_one_entry_per_Mbar():
 
 
 def test_rho_max_rejects_a_negative_entry():
-    with pytest.raises(ValueError, match="non-negative"):
-        rho_max(_matrix(((1, -1), (1, 1))))
+    for rows in (((1, -1), (1, 1)), ((0, 0, 0), (0, 0, 0), (0, 0, -1))):
+        with pytest.raises(ValueError, match="non-negative"):
+            rho_max(_matrix(rows))
 
 
 def test_reference_rho_digits_exact():
