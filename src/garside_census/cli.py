@@ -171,9 +171,9 @@ def _cmd_charpoly(args) -> int:
     poly = (0,) * (size - mbar.size) + spectral.charpoly(mbar)
     factors = None
     if args.kind == "Mbar" and not args.raw:
-        polys = [spectral.charpoly(matrices.build_Mbar(k)) for k in range(1, args.n + 1)]
-        chain = polys[:1] + [spectral.exact_quotient(p, q) for p, q in zip(polys, polys[1:])]
-        factors = None if None in chain else chain
+        # x - 1, then the intertwiner factors that charpoly(mbar) has cached
+        factors = [spectral.charpoly(matrices.build_Mbar(1))]
+        factors += (spectral._new_factor(k)[0] for k in range(2, args.n + 1))
     if args.format == "json":
         obj = {"n": args.n, "kind": args.kind, "coefficients_constant_first": poly}
         if factors is not None:

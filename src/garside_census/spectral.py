@@ -25,9 +25,9 @@ factor per n, each the characteristic polynomial of Mbar(n) on the
 kernel of an explicit integer intertwiner D_n with Mbar(n) D_n =
 D_n Mbar(n-1) (see _new_factor), lifted the same way from q + 1 Krylov
 rows of length q = p(n) - p(n-1), each stepped in p(n) q products.  An n
-whose identity check fails, or whose Krylov matrices are all singular
-mod _P, takes the full route on the rows of Mbar(n), as does any equal
-matrix that is not the shared one.
+whose identity check fails, or whose Krylov matrix is singular mod _P,
+raises ArithmeticError; the rows of Mbar(n), or any equal matrix that is
+not the shared one, take the full route.
 
 Division, divisibility and gcd stay in integers too (Knuth, TAOCP vol.
 2, 4.6.1): exact division, pseudo-division, and the primitive remainder
@@ -46,12 +46,12 @@ bound comes from the last two Krylov rows x, y = x Mbar(n) of the new
 factor, which _new_factor keeps: rho(n) is a simple root of that factor,
 so those rows approach the left Perron vector, and the bound of x + 1
 takes no vector product.  Any other matrix, or an n whose x has a
-negative entry or that took the full route, iterates from (1, ..., 1)
-instead.  Each iterate is a dyadic rational, rounded up and evaluated by
-Horner's rule in integers, and the double it settles on is certified at
-the midpoint to the double below, by the sign of the polynomial there or
-by an integer Taylor shift.  No count series is read, and floats are only
-the correctly rounded images of exact dyadics.
+negative entry, iterates from (1, ..., 1) instead.  Each iterate is a
+dyadic rational, rounded up and evaluated by Horner's rule in integers,
+and the double it settles on is certified at the midpoint to the double
+below, by the sign of the polynomial there or by an integer Taylor
+shift.  No count series is read, and floats are only the correctly
+rounded images of exact dyadics.
 """
 from __future__ import annotations
 
@@ -263,10 +263,11 @@ def charpoly(m: CountMatrix | Sequence[Sequence[int]]) -> IntPoly:
     """
     Exact characteristic polynomial det(xI - m), monic of degree equal to
     the matrix size, constant term first.  The shared build_Mbar(n) gets
-    _mbar_charpoly(n).  Any other matrix, its rows included, takes the
-    full route: the Krylov sequence of (1, ..., 1) by P-adic lifting, or
-    Berkowitz when that sequence does not span (a repeated eigenvalue
-    with a diagonalizable block, say).
+    _mbar_charpoly(n), which raises ArithmeticError when an intertwiner
+    check or a factor's lift fails.  Any other matrix, its rows included,
+    takes the full route: the Krylov sequence of (1, ..., 1) by P-adic
+    lifting, or Berkowitz when that sequence does not span (a repeated
+    eigenvalue with a diagonalizable block, say).
     """
     if _is_shared_Mbar(m):
         return _mbar_charpoly(m.n)
@@ -282,19 +283,11 @@ def charpoly(m: CountMatrix | Sequence[Sequence[int]]) -> IntPoly:
 def _mbar_charpoly(n: int) -> IntPoly:
     """
     charpoly(build_Mbar(n)): (x - 1) _new_factor(2) ... _new_factor(n),
-    Mbar(1) being (1); an n whose factor is None takes the full route on
-    the rows of Mbar(n).
+    Mbar(1) being (1).
     """
     if n == 1:
         return (-1, 1)
-    kernel = _new_factor(n)
-    if kernel is None:
-        return charpoly(matrices.build_Mbar(n).rows)
-    return poly_mul(_mbar_charpoly(n - 1), kernel[0])
-
-
-# Seeds of the kernel vectors _new_factor tries before it falls back.
-_KERNEL_SEEDS = range(3)
+    return poly_mul(_mbar_charpoly(n - 1), _new_factor(n)[0])
 
 
 # The intertwiner D_n, p(n) x p(n-1) in the labels' order, of Mbar(n) and
@@ -319,22 +312,18 @@ _KERNEL_SEEDS = range(3)
 # the free entries of x Mbar(n) are multiplied out, and the triangular
 # solve over D_n's columns fills in the rest (_kernel_krylov_rows).
 @functools.lru_cache(maxsize=None)
-def _new_factor(n: int) -> tuple[IntPoly, tuple[int, ...], tuple[int, ...]] | None:
+def _new_factor(n: int) -> tuple[IntPoly, tuple[int, ...], tuple[int, ...]]:
     """
     (factor, x, y): factor = charpoly(Mbar(n)) / charpoly(Mbar(n-1)) for
-    2 <= n <= MBAR_CAP, from a kernel vector of D_n and only once Mbar(n)
-    D_n == D_n Mbar(n-1) has been checked, and the last two Krylov rows it
-    was lifted from (_factor_on_kernel), y = x Mbar(n) exactly, which
-    rho_max starts from.  None when the check fails or every seed's Krylov
-    matrix is singular mod _P.
+    2 <= n <= MBAR_CAP, from the kernel vector of D_n of seed 0 and only
+    once Mbar(n) D_n == D_n Mbar(n-1) has been checked, and the last two
+    Krylov rows it was lifted from (_factor_on_kernel), y = x Mbar(n)
+    exactly, which rho_max starts from.  ArithmeticError when the check
+    fails or the Krylov matrix is singular mod _P.
     """
     if not _intertwines(n):
-        return None
-    for seed in _KERNEL_SEEDS:
-        kernel = _factor_on_kernel(n, _kernel_vector(n, seed))
-        if kernel is not None:
-            return kernel
-    return None
+        raise ArithmeticError(f"Mbar({n}) D_{n} != D_{n} Mbar({n - 1})")
+    return _factor_on_kernel(n, _kernel_vector(n, 0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -479,13 +468,13 @@ def _kernel_krylov_rows(n: int, w: Sequence[int]) -> Iterator[list[int]]:
         x = _solve_from_free(n, y, scale=False)
 
 
-def _factor_on_kernel(n: int, w: Sequence[int]) -> tuple[IntPoly, tuple[int, ...], tuple[int, ...]] | None:
+def _factor_on_kernel(n: int, w: Sequence[int]) -> tuple[IntPoly, tuple[int, ...], tuple[int, ...]]:
     """
     The characteristic polynomial of v -> v Mbar(n) on W_n, from the rows
     w Mbar(n)^k, k = 0..q, restricted to the q free labels, for w in W_n,
     with the whole rows x = w Mbar(n)^(q-1) and y = w Mbar(n)^q, both
-    negated when the entries of x sum below 0; None when the rows are
-    singular mod _P (w not cyclic, say).
+    negated when the entries of x sum below 0; ArithmeticError when the
+    rows are singular mod _P (w not cyclic, say).
     """
     free = _free_labels(n)
     krylov, last = [], collections.deque(maxlen=2)
@@ -494,7 +483,7 @@ def _factor_on_kernel(n: int, w: Sequence[int]) -> tuple[IntPoly, tuple[int, ...
         last.append(x)
     factor = _lift_charpoly(krylov, matrices.build_Mbar(n).rows)
     if factor is None:
-        return None
+        raise ArithmeticError(f"the Krylov rows of W_{n} are singular mod _P")
     sign = -1 if sum(last[0]) < 0 else 1
     x, y = (tuple(sign * e for e in row) for row in last)
     return factor, x, y
@@ -684,33 +673,6 @@ def _side_of_rho(p: Sequence, a: int, s: int) -> int:
     return 1 if q[0] else 0
 
 
-def _rho_by_bisection(m: CountMatrix) -> float:
-    """
-    The double nearest the spectral radius, read off charpoly(m) by
-    a bisection over dyadic points x, each decided exactly by
-    _side_of_rho.  The bisection stops once both ends round to the same
-    double, or when it lands on rho itself.  As a root of a monic integer
-    polynomial rho is an integer, which is a bisection point, or
-    irrational, which is never a tie between doubles; so it stops.
-    The reference that the tests and CI compare rho_max with.
-    """
-    p = charpoly(m)
-    if _side_of_rho(p, 0, 0) == 0:
-        return 0.0
-    # rho <= the largest row sum < hi; a power of two, so every integer below is a bisection point
-    lo, hi, s = 0, 1 << max(map(sum, m.rows)).bit_length(), 0
-    while lo / 2**s != hi / 2**s:
-        mid, lo, hi, s = lo + hi, 2 * lo, 2 * hi, s + 1
-        side = _side_of_rho(p, mid, s)
-        if side == 0:
-            return mid / 2**s
-        if side > 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo / 2**s
-
-
 def _scaled_value(p: Sequence[int], a: int, s: int) -> int:
     """2**(s deg p) p(a / 2**s) by Horner's rule in integers: the sign of p(a / 2**s)."""
     acc = 0
@@ -740,15 +702,13 @@ def _kernel_row_start(m: CountMatrix) -> tuple[int, int] | None:
     is close because rho(n), n >= 3, is a simple root of the new factor:
     the left Perron vector lies in W_n, and the rows w Mbar(n)^k approach
     it.  Every vector of W_n is 0 at the label (n), hence the + 1.  None
-    for any other matrix, for an n that took the full route, and when x
-    has a negative entry.
+    for any other matrix and when x has a negative entry.
     """
     if not _is_shared_Mbar(m) or m.n < 2:
         return None
-    kernel = _new_factor(m.n)
-    if kernel is None or min(kernel[1]) < 0:
+    _, x, y = _new_factor(m.n)
+    if min(x) < 0:
         return None
-    _, x, y = kernel
     column_sums = map(sum, zip(*m.rows))
     return max(zip(map(add, y, column_sums), (e + 1 for e in x)), key=_BY_RATIO)
 
@@ -780,9 +740,9 @@ def rho_max(m: CountMatrix) -> float:
     Newton's method from a Collatz-Wielandt bound above it and then
     certified exactly.  On the shared build_Mbar(n) p is the cached one
     that new_factor_simple_roots reads too, and the bound is
-    _kernel_row_start's, which takes no vector product; otherwise it is
-    _collatz_wielandt_start's, 6-9 vector products on a matrix like
-    Mbar(n).
+    _kernel_row_start's, which takes no vector product, at every n but 1,
+    4 and 5; otherwise it is _collatz_wielandt_start's, 6-9 vector
+    products on a matrix like Mbar(n).
 
     Every iterate x is a dyadic a / 2**s at or above rho: each Newton step
     is rounded up, by less than 2**-32 of the step.  Once the double
@@ -795,7 +755,7 @@ def rho_max(m: CountMatrix) -> float:
     alone, so a double at which it failed is not tried again: while Newton
     creeps towards a multiple root the double can repeat over many steps.
     """
-    if min(map(min, m.rows)) < 0:
+    if min(map(min, m.rows), default=0) < 0:
         raise ValueError("rho_max needs a non-negative matrix")
     p = strip_x_power(charpoly(m))
     if len(p) == 1:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import json
 import os
 import subprocess
@@ -201,6 +202,23 @@ def test_charpoly(capsys):
     obj = json.loads(out)
     assert obj["coefficients_constant_first"] == ["-2", "5", "-4", "1"]
     assert obj["factors"] == [["-1", "1"], ["-1", "1"], ["-2", "1"]]
+
+
+@functools.lru_cache(maxsize=None)
+def _full_route_charpoly(n):
+    return spectral.charpoly(matrices.build_Mbar(n).rows) if n else (1,)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_charpoly_factors_are_the_cached_intertwiner_factors(capsys, monkeypatch, n):
+    # each factor is the quotient of consecutive full-route polynomials, read off
+    # the factor cache with no division
+    full = [_full_route_charpoly(k) for k in range(n + 1)]
+    expected = [[str(c) for c in spectral.exact_quotient(p, q)] for p, q in zip(full, full[1:])]
+    monkeypatch.setattr(spectral, "exact_quotient", lambda p, q: pytest.fail("charpoly divided polynomials"))
+    code, out, _ = run(capsys, "charpoly", str(n), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["factors"] == expected
 
 
 @pytest.mark.parametrize(

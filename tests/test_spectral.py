@@ -125,6 +125,33 @@ def _reference_lu_mod_p(a):
     return perm, a
 
 
+def _rho_by_bisection(m):
+    """
+    The double nearest the spectral radius, read off charpoly(m) by a
+    bisection over dyadic points x, each decided exactly by _side_of_rho:
+    the reference that rho_max is checked against.  The bisection stops
+    once both ends round to the same double, or when it lands on rho
+    itself.  As a root of a monic integer polynomial rho is an integer,
+    which is a bisection point, or irrational, which is never a tie between
+    doubles; so it stops.
+    """
+    p = charpoly(m)
+    if spectral._side_of_rho(p, 0, 0) == 0:
+        return 0.0
+    # rho <= the largest row sum < hi; a power of two, so every integer below is a bisection point
+    lo, hi, s = 0, 1 << max(map(sum, m.rows)).bit_length(), 0
+    while lo / 2**s != hi / 2**s:
+        mid, lo, hi, s = lo + hi, 2 * lo, 2 * hi, s + 1
+        side = spectral._side_of_rho(p, mid, s)
+        if side == 0:
+            return mid / 2**s
+        if side > 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo / 2**s
+
+
 # Zeros and multiples of _P make matrices singular mod _P and zero pivots.
 _lu_entry = st.one_of(
     st.sampled_from((0, 1, -1, _P - 1)),
@@ -337,46 +364,33 @@ def fresh_factor_caches():
     clear()
 
 
-def _count_full_routes(monkeypatch):
-    """
-    The sizes of the matrices that spectral's own calls of charpoly hand to
-    the full route from now on: every call but on the shared Mbar(n).  The
-    test's charpoly is the unpatched function, so its calls do not count.
-    """
-    sizes = []
-    full = spectral.charpoly
-
-    def counting_charpoly(m):
-        if not spectral._is_shared_Mbar(m):
-            sizes.append(len(getattr(m, "rows", m)))
-        return full(m)
-
-    monkeypatch.setattr(spectral, "charpoly", counting_charpoly)
-    return sizes
-
-
 @pytest.mark.parametrize("n", (2, 7, 11))
-def test_a_kernel_vector_singular_mod_P_falls_back_to_the_full_route(n, monkeypatch, fresh_factor_caches):
+def test_a_kernel_vector_singular_mod_P_raises(n, fresh_factor_caches):
     # w times P is in W_n and cyclic, but its Krylov matrix is zero mod P
+    expected = charpoly(build_Mbar(n).rows)
+    charpoly(build_Mbar(n - 1))  # the factors below n, cached
     kernel_vector = spectral._kernel_vector
-    monkeypatch.setattr(spectral, "_kernel_vector", lambda n, seed: tuple(_P * x for x in kernel_vector(n, seed)))
-    full_runs = _count_full_routes(monkeypatch)
-    assert spectral._new_factor(n) is None
-    assert charpoly(build_Mbar(n)) == charpoly(build_Mbar(n).rows)
-    assert full_runs == [len(partitions_in_order(n))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_kernel_vector", lambda n, seed: tuple(_P * x for x in kernel_vector(n, seed)))
+        with pytest.raises(ArithmeticError, match=f"W_{n} are singular mod _P"):
+            charpoly(build_Mbar(n))
+    # lru_cache keeps no exception, so the unpatched call computes the factor
+    assert charpoly(build_Mbar(n)) == expected
 
 
-def test_a_failed_identity_check_falls_back_without_a_factor(monkeypatch, fresh_factor_caches):
+def test_a_failed_identity_check_raises_before_a_factor(fresh_factor_caches):
     n = 6
+    expected = charpoly(build_Mbar(n).rows)
+    charpoly(build_Mbar(n - 1))  # the factors below n, cached
     columns = spectral._intertwiner_columns(n)
     (top, diag), *rest = columns[0]
-    monkeypatch.setattr(spectral, "_intertwiner_columns", lambda k: (((top, diag + 1), *rest),) + columns[1:])
-    monkeypatch.setattr(spectral, "_factor_on_kernel", lambda *args: pytest.fail("a factor was computed"))
-    full_runs = _count_full_routes(monkeypatch)
-    assert not spectral._intertwines(n)
-    assert spectral._new_factor(n) is None
-    assert charpoly(build_Mbar(n)) == charpoly(build_Mbar(n).rows)
-    assert full_runs == [len(partitions_in_order(n))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_intertwiner_columns", lambda k: (((top, diag + 1), *rest),) + columns[1:])
+        patch.setattr(spectral, "_factor_on_kernel", lambda *args: pytest.fail("a factor was computed"))
+        assert not spectral._intertwines(n)
+        with pytest.raises(ArithmeticError, match=r"Mbar\(6\) D_6 != D_6 Mbar\(5\)"):
+            charpoly(build_Mbar(n))
+    assert charpoly(build_Mbar(n)) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -708,6 +722,7 @@ def test_rho_max_special_spectra():
     assert rho_max(_matrix(((0, 0), (0, 0)))) == 0.0
     assert rho_max(_matrix(((0, 1, 0), (0, 0, 1), (1, 0, 0)))) == 1.0
     assert rho_max(_matrix(((2, 0), (0, 7)))) == 7.0
+    assert rho_max(_matrix(())) == 0.0  # the empty matrix: charpoly is 1
 
 
 _entry_or_zero = st.one_of(st.just(0), st.integers(0, 50))
@@ -728,14 +743,14 @@ _entry_or_zero = st.one_of(st.just(0), st.integers(0, 50))
 @example(rows=((3, 1), (1, 3)))  # rho = 4, a Newton iterate exactly
 def test_rho_max_equals_the_bisection(rows):
     m = _matrix(rows)
-    assert rho_max(m) == spectral._rho_by_bisection(m)
+    assert rho_max(m) == _rho_by_bisection(m)
 
 
 def test_rho_max_certifies_each_double_once(monkeypatch):
     # a double rho = 1 + sqrt(6): Newton nears it only linearly, so the double of its
     # iterate repeats over several steps before the certificate holds
     m = _matrix(((1, 2, 0, 0), (3, 1, 0, 0), (0, 0, 1, 2), (0, 0, 3, 1)))
-    expected = spectral._rho_by_bisection(m)
+    expected = _rho_by_bisection(m)
     shifts = []
     side = spectral._side_of_rho
     monkeypatch.setattr(spectral, "_side_of_rho", lambda p, a, s: shifts.append((a, s)) or side(p, a, s))
@@ -744,15 +759,9 @@ def test_rho_max_certifies_each_double_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(2, 13))
-def test_rho_max_of_Mbar_closes_by_the_brackets(n, monkeypatch):
+def test_rho_max_of_Mbar_closes_by_the_brackets(n):
     # the brackets are the Newton iterate above rho and the certified midpoint below it
-    expected = spectral._rho_by_bisection(build_Mbar(n))
-
-    def no_bisection(m):
-        raise AssertionError("rho_max called the bisection")
-
-    monkeypatch.setattr(spectral, "_rho_by_bisection", no_bisection)
-    assert rho_max(build_Mbar(n)) == expected
+    assert rho_max(build_Mbar(n)) == _rho_by_bisection(build_Mbar(n))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -763,7 +772,7 @@ def test_the_kept_kernel_rows_step_by_Mbar_and_bound_rho_from_above(n):
     start = spectral._kernel_row_start(m)
     assert (start is None) == (min(x) < 0) == (n in (4, 5))
     num, den = start or spectral._collatz_wielandt_start(m)
-    assert num / den >= spectral._rho_by_bisection(m)  # both correctly rounded, so the order holds
+    assert num / den >= _rho_by_bisection(m)  # both correctly rounded, so the order holds
 
 
 def _count_products(monkeypatch):
@@ -778,17 +787,16 @@ def test_rho_max_of_Mbar_starts_from_the_kernel_rows_without_a_product(n, monkey
     calls = _count_products(monkeypatch)
     rho = rho_max(build_Mbar(n))
     assert calls == []
-    assert rho == spectral._rho_by_bisection(build_Mbar(n))
+    assert rho == _rho_by_bisection(build_Mbar(n))
 
 
 @pytest.mark.parametrize("n", (8, 12))
-@pytest.mark.parametrize("kernel", ("negative entry", "no factor"))
-def test_rho_max_falls_back_to_the_iterated_start(n, kernel, monkeypatch):
+def test_rho_max_falls_back_to_the_iterated_start(n, monkeypatch):
+    # a negative entry of x, as at n = 4 and 5, leaves no kernel-row start
     m = build_Mbar(n)
     expected = rho_max(m)
     factor, x, y = spectral._new_factor(n)
-    patched = (factor, (-1,) + x[1:], y) if kernel == "negative entry" else None
-    monkeypatch.setattr(spectral, "_new_factor", lambda k: patched)
+    monkeypatch.setattr(spectral, "_new_factor", lambda k: (factor, (-1,) + x[1:], y))
     calls = _count_products(monkeypatch)
     assert spectral._kernel_row_start(m) is None
     assert rho_max(m) == expected
