@@ -189,9 +189,19 @@ def _cmd_charpoly(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
+def _descent_text(mask: int) -> str:
+    """The brace text of a descent mask, e.g. '{1,3}' for 0b101."""
+    return permutations.format_descent_set(descents.set_of_mask(mask))
+
+
 def _cmd_normalize(args) -> int:
     word = words.parse_word(args.word, args.n)
     seq = words.normalize(word)
+    factors = [
+        (x, permutations.descent_mask(permutations.inverse(x)), permutations.descent_mask(x))
+        for x in seq.factors
+    ]
     if args.format == "json":
         obj = {
             "n": args.n,
@@ -200,20 +210,19 @@ def _cmd_normalize(args) -> int:
             "factors": [
                 {
                     "permutation": x,
-                    "d_left": sorted(permutations.d_left(x)),
-                    "d_right": sorted(permutations.d_right(x)),
+                    "d_left": sorted(descents.set_of_mask(left)),
+                    "d_right": sorted(descents.set_of_mask(right)),
                 }
-                for x in seq.factors
+                for x, left, right in factors
             ],
         }
         _emit_json(obj, args.out)
     else:
         lines = [f"degree {words.degree(seq)}"]
-        for k, x in enumerate(seq.factors, start=1):
+        for k, (x, left, right) in enumerate(factors, start=1):
             lines.append(
                 f"factor {k}: {permutations.format_permutation(x)}"
-                f"  d_left={permutations.format_descent_set(permutations.d_left(x))}"
-                f"  d_right={permutations.format_descent_set(permutations.d_right(x))}"
+                f"  d_left={_descent_text(left)}  d_right={_descent_text(right)}"
             )
         _emit("\n".join(lines), args.out)
     return 0

@@ -133,7 +133,7 @@ def is_normal_pair(x: Perm, y: Perm) -> bool:
     """
     if len(x) != len(y):
         raise ValueError(f"cannot compare permutations of sizes {len(x)} and {len(y)}")
-    return d_right(x) >= d_left(y)
+    return descent_mask(inverse(y)) & ~descent_mask(x) == 0
 
 
 def perm_of_letters(letters: Iterable[int], n: int) -> Perm:

@@ -4,8 +4,10 @@ Positive braid words and their normal form.
 A word is a sequence of generator indices in {1, ..., n-1}.  Its normal
 form is built in one left-to-right pass, the left-greedy update of
 Elrifai and Morton (see Epstein et al., Word Processing in Groups, ch. 9):
-each letter, as a square-free factor, is multiplied on the right of the
-normal form of the letters before it.  A pair (x, y) that is not normal is
+the word is read as one square-free factor per letter, except that each
+occurrence of delta_letters(n) is one factor, the half twist Δ, and each
+factor is multiplied on the right of the normal form of the factors
+before it.  A pair (x, y) that is not normal is
 fixed by local moves: the smallest generator that left-divides y but does
 not right-divide x is transferred from the front of y to the back of x,
 which keeps the braid and lowers the weighted crossing count by one.
@@ -43,12 +45,18 @@ right, the ones the pass has already walked; the pass ends there, since
 the result is what walking Δ to the front would give, and τ keeps pairs
 normal.  τ on the carried values reverses and complements p and q and
 reverses the bits of R and L, so a carry costs O(n) per factor it
-restores instead of a move per generator it passes.
+restores instead of a move per generator it passes.  A half twist taken
+whole from the word stands at the last slot when it arrives, so it is
+carried at once and restores nothing; its letters, taken one by one,
+would be rewritten through the prefix move by move.  The occurrences are
+found left to right, without overlap, by bytes.find on the letters
+packed at a fixed width.
 """
 from __future__ import annotations
 
 import dataclasses
 import re
+from array import array
 from typing import Callable
 
 from .permutations import (
@@ -111,6 +119,8 @@ def parse_word(text: str, n: int) -> PositiveWord:
     for single generators and 'D' for the half twist, each optionally
     followed by '^<e>' with e >= 1.
     """
+    if n < 1:
+        raise ValueError("strand count must be at least 1")
     letters: list[int] = []
     for pos, token in enumerate(text.split(), start=1):
         m = _TOKEN.match(token)
@@ -156,11 +166,44 @@ def normalize(
 ) -> NormalSequence:
     """
     The normal form of a positive word: the rewriting of normalize_factors
-    on one square-free factor per letter, so each letter is multiplied on
-    the right of the normal form of the letters before it.  A letter s_i
-    is seeded directly, with no permutation built for it.
+    on one square-free factor per letter, except that each occurrence of
+    delta_letters(n), found left to right without overlap, is one
+    half-twist factor, carried to the front at once where its letters
+    would be rewritten one by one.  Letters and half twists are seeded
+    directly, with no permutation built for them, and on_step reports the
+    factors not yet taken in the same terms.
     """
-    return _normal_form(word.n, word.letters, _seed_letter, on_step)
+    return _normal_form(word.n, _half_twist_items(word.n, word.letters), _seed_letter, on_step)
+
+
+def _half_twist_items(n: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """
+    letters with each occurrence of delta_letters(n), found left to right
+    without overlap, replaced by the item 0, which stands for the half
+    twist.  The search is bytes.find on the letters packed at a fixed
+    width, keeping the hits that start on a letter.
+    """
+    dlen = n * (n - 1) // 2
+    # delta_letters(1) is empty and would match everywhere; a word shorter
+    # than the pattern holds none, and a large n never builds it
+    if n < 2 or len(letters) < dlen:
+        return letters
+    packed = array("I", letters)
+    width = packed.itemsize
+    text, pattern = packed.tobytes(), array("I", delta_letters(n)).tobytes()
+    items: list[int] = []
+    start = 0
+    hit = text.find(pattern)
+    while hit >= 0:
+        if hit % width:
+            hit = text.find(pattern, hit + 1)
+            continue
+        items += letters[start // width : hit // width]
+        items.append(0)
+        start = hit + dlen * width
+        hit = text.find(pattern, start)
+    items += letters[start // width :]
+    return tuple(items)
 
 
 def _seed_factor(n: int, y: Perm, t: int) -> tuple[list[int], list[int], int, int]:
@@ -172,7 +215,14 @@ def _seed_factor(n: int, y: Perm, t: int) -> tuple[list[int], list[int], int, in
 
 
 def _seed_letter(n: int, i: int, t: int) -> tuple[list[int], list[int], int, int]:
-    """The four carried values of the generator s_i, stored in frame t."""
+    """
+    The four carried values of the generator s_i, stored in frame t, or of
+    the half twist for i = 0, which τ fixes in either frame.
+    """
+    if not i:
+        p = [0, *range(n, 0, -1), n + 1]
+        full = (1 << (n - 1)) - 1
+        return p, p[:], full, full
     if t:
         i = n - i
     p = list(range(n + 2))
@@ -292,6 +342,8 @@ def rewrite_potential(factors: tuple[Perm, ...]) -> int:
     """
     The termination measure of the rewriting: the crossing count of each
     factor weighted by its slot.  Each move decreases it by one, each
-    carry of a half twist past at least one factor by more.
+    carry of a half twist past at least one factor by more, and taking
+    the letters of a half twist as one factor lowers it too, so it falls
+    from a word's letters to each report of normalize's on_step.
     """
     return sum((k + 1) * inversion_number(x) for k, x in enumerate(factors))

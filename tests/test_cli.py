@@ -453,6 +453,7 @@ def test_usage_error_exit_code():
         (["count", "4", "3", "--last", "delta", "1", "2"], "--last delta takes exactly one integer argument"),
         (["count", "4", "3", "--last", "[1,2]", "[2,1]"], "--last takes one permutation or 'delta R'"),
         (["oracle", "1", "100000002", "--engine", "brute"], "budget exceeded"),
+        (["normalize", "-n", "-2", "s1"], "strand count must be at least 1"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):

@@ -30,6 +30,7 @@ from garside_census.words import (
     normalize_factors,
     parse_word,
     rewrite_potential,
+    _half_twist_items,
 )
 
 
@@ -139,6 +140,9 @@ def test_parse_errors():
         parse_word("s3", 3)
     with pytest.raises(ValueError, match="token 1"):
         parse_word("s1^0", 3)
+    # the strand count is checked before any token's index
+    with pytest.raises(ValueError, match="strand count must be at least 1"):
+        parse_word("s1", -2)
     with pytest.raises(ValueError):
         PositiveWord(n=3, letters=(1, 5))
 
@@ -345,12 +349,72 @@ def test_normalize_matches_the_carry_free_reference_on_delta_rich_words(data):
     n, text = data
     word = parse_word(text, n)
     factors = [transposition(n, i) for i in word.letters]
-    via_letters, via_factors = [], []
+    # normalize takes each occurrence of delta_letters(n) as one half twist,
+    # so its reports are those of normalize_factors on the same items
+    items = [flip(n) if i == 0 else transposition(n, i) for i in _half_twist_items(n, word.letters)]
+    via_letters, via_items = [], []
     seq = normalize(word, via_letters.append)
-    assert seq == normalize_factors(n, factors, via_factors.append)
+    assert seq == normalize_factors(n, items, via_items.append)
+    assert via_letters == via_items
+    assert seq == normalize_factors(n, factors)
     assert seq == _carry_free_normalize_factors(n, factors)
-    assert via_letters == via_factors
     assert_matches_reference(n, factors)
+
+
+def descending_delta_letters(n: int) -> tuple[int, ...]:
+    """
+    A reduced word for the half twist, (n-1 ... 1)(n-1 ... 2)...(n-1),
+    in which delta_letters(n) does not occur for n >= 3, nor in its powers.
+    """
+    return tuple(i for m in range(1, n) for i in range(n - 1, m - 1, -1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(2, 8), st.integers(1, 4)).flatmap(
+        lambda ne: st.tuples(
+            st.just(ne[0]),
+            st.lists(st.lists(st.integers(1, ne[0] - 1), max_size=4), min_size=ne[1] + 1, max_size=ne[1] + 1),
+        )
+    )
+)
+def test_unmatched_half_twist_spelling_gives_the_same_normal_form(data):
+    # the half twists spelled descending go through the letter route, the
+    # tokens D through the carry of a half-twist item; letters stand
+    # around and between them
+    n, pieces = data
+    descending = descending_delta_letters(n)
+    assert perm_of_letters(descending, n) == flip(n)
+    if n > 2:
+        assert 0 not in _half_twist_items(n, descending * (len(pieces) - 1))
+    letters, tokens = tuple(pieces[0]), [f"s{i}" for i in pieces[0]]
+    for piece in pieces[1:]:
+        letters += descending + tuple(piece)
+        tokens += ["D", *(f"s{i}" for i in piece)]
+    text = " ".join(tokens)
+    by_letters = normalize(PositiveWord(n=n, letters=letters))
+    assert by_letters == normalize(parse_word(text, n))
+    assert by_letters == normalize_factors(n, [transposition(n, i) for i in letters])
+
+
+def test_half_twist_items():
+    # occurrences are taken left to right and do not overlap
+    assert _half_twist_items(3, (1, 2, 1, 2, 1)) == (0, 2, 1)
+    assert _half_twist_items(3, (2, 1, 2, 1, 2, 1)) == (2, 0, 2, 1)
+    assert _half_twist_items(4, (3,) + delta_letters(4) * 2 + (1,)) == (3, 0, 0, 1)
+    # at n = 2 every letter is the half twist
+    assert _half_twist_items(2, (1, 1, 1)) == (0, 0, 0)
+    # at n = 1 the pattern is empty and nothing is replaced
+    assert _half_twist_items(1, ()) == ()
+    # a word shorter than the pattern is left as it is
+    assert _half_twist_items(4, (1, 2, 3, 1, 2)) == (1, 2, 3, 1, 2)
+    # a byte match that starts inside a letter is no occurrence (the
+    # letters are out of range, which a PositiveWord would reject)
+    assert _half_twist_items(3, (256, 512, 256, 0)) == (256, 512, 256, 0)
+    for n, letters in [(3, (1, 2, 1, 2, 1)), (2, (1, 1, 1)), (3, (2, 1, 2, 1, 2, 1))]:
+        word = PositiveWord(n=n, letters=letters)
+        assert normalize(word) == normalize_factors(n, [transposition(n, i) for i in letters])
+    assert normalize(PositiveWord(n=1, letters=())) == NormalSequence(n=1, factors=())
 
 
 @settings(max_examples=100, deadline=None)
