@@ -1,16 +1,17 @@
 """
 Positive braid words and their normal form.
 
-A word is a sequence of generator indices in {1, ..., n-1}.  Its normal
-form is built in one left-to-right pass, the left-greedy update of
-Elrifai and Morton (see Epstein et al., Word Processing in Groups, ch. 9):
-the word is read as one square-free factor per letter, except that each
-occurrence of delta_letters(n) is one factor, the half twist Δ, and each
-factor is multiplied on the right of the normal form of the factors
-before it.  A pair (x, y) that is not normal is
-fixed by local moves: the smallest generator that left-divides y but does
-not right-divide x is transferred from the front of y to the back of x,
-which keeps the braid and lowers the weighted crossing count by one.
+A word is a sequence of generator indices in {1, ..., n-1} and of the
+letter 0, which stands for the half twist Δ.  Its normal form is built in
+one left-to-right pass, the left-greedy update of Elrifai and Morton (see
+Epstein et al., Word Processing in Groups, ch. 9): the word is read as
+one square-free factor per letter, except that each occurrence of
+delta_letters(n) is one factor, Δ, like the letter 0, and each factor is
+multiplied on the right of the normal form of the factors before it.  A
+pair (x, y) that is not normal is fixed by local moves: the smallest
+generator that left-divides y but does not right-divide x is transferred
+from the front of y to the back of x, which keeps the braid and lowers
+the weighted crossing count by one.
 After a factor is appended, pairs are fixed leftwards and fixing stops at
 the first pair that needs no move; that is safe because every pair to its
 left is unchanged from a normal prefix, and fixing a pair leaves the pair
@@ -48,15 +49,15 @@ reverses the bits of R and L, so a carry costs O(n) per factor it
 restores instead of a move per generator it passes.  A half twist taken
 whole from the word stands at the last slot when it arrives, so it is
 carried at once and restores nothing; its letters, taken one by one,
-would be rewritten through the prefix move by move.  The occurrences are
-found left to right, without overlap, by bytes.find on the letters
-packed at a fixed width.
+would be rewritten through the prefix move by move.  parse_word gives
+each D token as the letter 0, and the occurrences of delta_letters(n)
+spelled out in letters are found left to right, without overlap, by
+str.replace on one code point per letter.
 """
 from __future__ import annotations
 
 import dataclasses
 import re
-from array import array
 from typing import Callable
 
 from .permutations import (
@@ -73,14 +74,21 @@ from .permutations import (
 
 @dataclasses.dataclass(frozen=True)
 class PositiveWord:
+    """
+    A positive word on n strands: each letter is a generator index in
+    {1, ..., n-1} or 0, which stands for the half twist Δ.  At n = 1 the
+    half twist is trivial and 0 is out of range.
+    """
+
     n: int
     letters: tuple[int, ...]
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("strand count must be at least 1")
+        low = 0 if self.n > 1 else 1
         for i in self.letters:
-            if not 1 <= i <= self.n - 1:
+            if not low <= i <= self.n - 1:
                 raise ValueError(f"generator index {i} out of range for n={self.n}")
 
 
@@ -117,7 +125,8 @@ def parse_word(text: str, n: int) -> PositiveWord:
     """
     Parse a whitespace-separated word: tokens are 's<k>' or bare integers
     for single generators and 'D' for the half twist, each optionally
-    followed by '^<e>' with e >= 1.
+    followed by '^<e>' with e >= 1.  D^e gives e letters 0, none at n = 1,
+    where the half twist is trivial; the index 0 itself is out of range.
     """
     if n < 1:
         raise ValueError("strand count must be at least 1")
@@ -131,7 +140,8 @@ def parse_word(text: str, n: int) -> PositiveWord:
         if e < 1:
             raise ValueError(f"non-positive exponent at token {pos}: {token!r}")
         if is_delta:
-            letters.extend(delta_letters(n) * e)
+            if n > 1:
+                letters.extend([0] * e)
         else:
             i = int(digits)
             if not 1 <= i <= n - 1:
@@ -166,12 +176,13 @@ def normalize(
 ) -> NormalSequence:
     """
     The normal form of a positive word: the rewriting of normalize_factors
-    on one square-free factor per letter, except that each occurrence of
-    delta_letters(n), found left to right without overlap, is one
-    half-twist factor, carried to the front at once where its letters
-    would be rewritten one by one.  Letters and half twists are seeded
-    directly, with no permutation built for them, and on_step reports the
-    factors not yet taken in the same terms.
+    on one square-free factor per letter, the letter 0 being the half
+    twist, except that each occurrence of delta_letters(n), found left to
+    right without overlap, is one half-twist factor too.  A half twist is
+    carried to the front at once where its letters would be rewritten one
+    by one.  Letters and half twists are seeded directly, with no
+    permutation built for them, and on_step reports the factors not yet
+    taken in the same terms.
     """
     return _normal_form(word.n, _half_twist_items(word.n, word.letters), _seed_letter, on_step)
 
@@ -180,30 +191,15 @@ def _half_twist_items(n: int, letters: tuple[int, ...]) -> tuple[int, ...]:
     """
     letters with each occurrence of delta_letters(n), found left to right
     without overlap, replaced by the item 0, which stands for the half
-    twist.  The search is bytes.find on the letters packed at a fixed
-    width, keeping the hits that start on a letter.
+    twist; letters 0 are kept.  The search is str.replace on one code
+    point per letter.
     """
-    dlen = n * (n - 1) // 2
     # delta_letters(1) is empty and would match everywhere; a word shorter
     # than the pattern holds none, and a large n never builds it
-    if n < 2 or len(letters) < dlen:
+    if n < 2 or len(letters) < n * (n - 1) // 2:
         return letters
-    packed = array("I", letters)
-    width = packed.itemsize
-    text, pattern = packed.tobytes(), array("I", delta_letters(n)).tobytes()
-    items: list[int] = []
-    start = 0
-    hit = text.find(pattern)
-    while hit >= 0:
-        if hit % width:
-            hit = text.find(pattern, hit + 1)
-            continue
-        items += letters[start // width : hit // width]
-        items.append(0)
-        start = hit + dlen * width
-        hit = text.find(pattern, start)
-    items += letters[start // width :]
-    return tuple(items)
+    pattern = "".join(map(chr, delta_letters(n)))
+    return tuple(map(ord, "".join(map(chr, letters)).replace(pattern, "\0")))
 
 
 def _seed_factor(n: int, y: Perm, t: int) -> tuple[list[int], list[int], int, int]:
@@ -343,7 +339,8 @@ def rewrite_potential(factors: tuple[Perm, ...]) -> int:
     The termination measure of the rewriting: the crossing count of each
     factor weighted by its slot.  Each move decreases it by one, each
     carry of a half twist past at least one factor by more, and taking
-    the letters of a half twist as one factor lowers it too, so it falls
-    from a word's letters to each report of normalize's on_step.
+    the spelled letters of a half twist as one factor lowers it too, so it
+    falls from a word's letters, the letter 0 read as the half twist, to
+    each report of normalize's on_step.
     """
     return sum((k + 1) * inversion_number(x) for k, x in enumerate(factors))

@@ -127,10 +127,13 @@ def word_strategy(max_n=5, max_len=12):
 def test_parse_examples():
     assert parse_word("s1 s2 s1", 3).letters == (1, 2, 1)
     assert parse_word("1^3", 2).letters == (1, 1, 1)
-    assert parse_word("D", 3).letters == (1, 2, 1)
+    assert parse_word("D", 3).letters == (0,)
     assert parse_word("", 4).letters == ()
     assert parse_word("s2^2 3", 4).letters == (2, 2, 3)
-    assert parse_word("D^2", 3).letters == (1, 2, 1, 1, 2, 1)
+    assert parse_word("D^2", 3).letters == (0, 0)
+    # a half twist is one letter 0 at every n, and trivial at n = 1
+    assert parse_word("D^3", 50).letters == (0, 0, 0)
+    assert parse_word("D", 1).letters == ()
 
 
 def test_parse_errors():
@@ -138,6 +141,10 @@ def test_parse_errors():
         parse_word("s1 huh", 3)
     with pytest.raises(ValueError, match="out of range"):
         parse_word("s3", 3)
+    # the letter 0 comes only from a D token
+    for text in ("0", "s0"):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_word(text, 3)
     with pytest.raises(ValueError, match="token 1"):
         parse_word("s1^0", 3)
     # the strand count is checked before any token's index
@@ -145,6 +152,10 @@ def test_parse_errors():
         parse_word("s1", -2)
     with pytest.raises(ValueError):
         PositiveWord(n=3, letters=(1, 5))
+    with pytest.raises(ValueError, match="out of range"):
+        PositiveWord(n=1, letters=(0,))
+    with pytest.raises(ValueError, match="out of range"):
+        PositiveWord(n=3, letters=(-1,))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -348,14 +359,18 @@ def delta_rich_words(draw, max_letters=200):
 def test_normalize_matches_the_carry_free_reference_on_delta_rich_words(data):
     n, text = data
     word = parse_word(text, n)
-    factors = [transposition(n, i) for i in word.letters]
-    # normalize takes each occurrence of delta_letters(n) as one half twist,
-    # so its reports are those of normalize_factors on the same items
+    # each D token is the letter 0; spelled out, it is delta_letters(n)
+    letters = tuple(j for i in word.letters for j in (delta_letters(n) if i == 0 else (i,)))
+    factors = [transposition(n, i) for i in letters]
+    # normalize takes each half twist, a letter 0 or an occurrence of
+    # delta_letters(n), as one item, so its reports are those of
+    # normalize_factors on the same items
     items = [flip(n) if i == 0 else transposition(n, i) for i in _half_twist_items(n, word.letters)]
     via_letters, via_items = [], []
     seq = normalize(word, via_letters.append)
     assert seq == normalize_factors(n, items, via_items.append)
     assert via_letters == via_items
+    assert seq == normalize(PositiveWord(n=n, letters=letters))
     assert seq == normalize_factors(n, factors)
     assert seq == _carry_free_normalize_factors(n, factors)
     assert_matches_reference(n, factors)
@@ -379,20 +394,23 @@ def descending_delta_letters(n: int) -> tuple[int, ...]:
     )
 )
 def test_unmatched_half_twist_spelling_gives_the_same_normal_form(data):
-    # the half twists spelled descending go through the letter route, the
-    # tokens D through the carry of a half-twist item; letters stand
-    # around and between them
+    # the half twists spelled descending go through the letter route, those
+    # spelled delta_letters(n) through the search for them, and the tokens
+    # D through the letter 0; letters stand around and between them
     n, pieces = data
     descending = descending_delta_letters(n)
     assert perm_of_letters(descending, n) == flip(n)
     if n > 2:
         assert 0 not in _half_twist_items(n, descending * (len(pieces) - 1))
-    letters, tokens = tuple(pieces[0]), [f"s{i}" for i in pieces[0]]
+    letters, standard = tuple(pieces[0]), tuple(pieces[0])
+    tokens = [f"s{i}" for i in pieces[0]]
     for piece in pieces[1:]:
         letters += descending + tuple(piece)
+        standard += delta_letters(n) + tuple(piece)
         tokens += ["D", *(f"s{i}" for i in piece)]
     text = " ".join(tokens)
     by_letters = normalize(PositiveWord(n=n, letters=letters))
+    assert by_letters == normalize(PositiveWord(n=n, letters=standard))
     assert by_letters == normalize(parse_word(text, n))
     assert by_letters == normalize_factors(n, [transposition(n, i) for i in letters])
 
@@ -402,19 +420,59 @@ def test_half_twist_items():
     assert _half_twist_items(3, (1, 2, 1, 2, 1)) == (0, 2, 1)
     assert _half_twist_items(3, (2, 1, 2, 1, 2, 1)) == (2, 0, 2, 1)
     assert _half_twist_items(4, (3,) + delta_letters(4) * 2 + (1,)) == (3, 0, 0, 1)
+    # letters 0 are kept, and a spelled half twist after one is found
+    assert _half_twist_items(3, (1, 2, 0, 1, 2, 1)) == (1, 2, 0, 0)
     # at n = 2 every letter is the half twist
     assert _half_twist_items(2, (1, 1, 1)) == (0, 0, 0)
     # at n = 1 the pattern is empty and nothing is replaced
     assert _half_twist_items(1, ()) == ()
     # a word shorter than the pattern is left as it is
     assert _half_twist_items(4, (1, 2, 3, 1, 2)) == (1, 2, 3, 1, 2)
-    # a byte match that starts inside a letter is no occurrence (the
-    # letters are out of range, which a PositiveWord would reject)
+    # each letter is one code point, so letters whose bytes hold the
+    # pattern hold no occurrence (they are out of range, which a
+    # PositiveWord would reject)
     assert _half_twist_items(3, (256, 512, 256, 0)) == (256, 512, 256, 0)
     for n, letters in [(3, (1, 2, 1, 2, 1)), (2, (1, 1, 1)), (3, (2, 1, 2, 1, 2, 1))]:
         word = PositiveWord(n=n, letters=letters)
         assert normalize(word) == normalize_factors(n, [transposition(n, i) for i in letters])
     assert normalize(PositiveWord(n=1, letters=())) == NormalSequence(n=1, factors=())
+
+
+def _scan_half_twists(n: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The reference for _half_twist_items: a plain left-to-right scan."""
+    pattern = delta_letters(n)
+    out, k = [], 0
+    while k < len(letters):
+        if n > 1 and letters[k : k + len(pattern)] == pattern:
+            out.append(0)
+            k += len(pattern)
+        else:
+            out.append(letters[k])
+            k += 1
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            # single letters, 0 among them, and whole or cut-off half twists
+            st.lists(
+                st.one_of(
+                    st.tuples(st.integers(0, n - 1)),
+                    st.integers(0, n * (n - 1) // 2).map(lambda k: delta_letters(n)[k:]),
+                    st.integers(0, n * (n - 1) // 2).map(lambda k: delta_letters(n)[:k]),
+                ),
+                max_size=8,
+            ),
+        )
+    )
+)
+def test_half_twist_items_match_a_left_to_right_scan(data):
+    n, pieces = data
+    letters = tuple(i for piece in pieces for i in piece)
+    assert _half_twist_items(n, letters) == _scan_half_twists(n, letters)
 
 
 @settings(max_examples=100, deadline=None)
