@@ -389,9 +389,12 @@ def a_column(n: int, mu: PartitionN) -> list[int]:
     """
     a(n, I, J) for every subset mask I at any column J whose partition is
     mu (the count depends on J only through it): the contained-descents
-    counts a_hat, then the signed superset transform, one bit at a time.
+    counts a_hat, read off column mu of _a_hat_table(n), then the signed
+    superset transform, one bit at a time.
     """
-    arr = [_count_by_sorted_margins(lam, mu) for lam in partitions_by_mask(n)]
+    index = {lam: k for k, lam in enumerate(partitions_in_order(n))}
+    table, col = _a_hat_table(n), index[mu]
+    arr = [table[index[lam]][col] for lam in partitions_by_mask(n)]
     for b in range(n - 1):
         bit = 1 << b
         for i_mask in range(len(arr)):

@@ -17,10 +17,12 @@ pipeline built on them; cli prints them, oracle checks M(n)'s laws.
 Each has its own size cap: FACTORIAL_CAP, SUBSET_CAP and MBAR_CAP.
 FACTORIAL_CAP also bounds the n!-sized state of oracle.dp_count and the
 M22 / M23 paths of oracle.b_of_simple_via, which step through M(n) on
-descent_masks(n) alone.  The p(n) distinct columns of Mprime,
-mprime_columns(n), come from descents.a_column, the subset level;
-build_Mprime and the Mprime path of oracle.b_of_simple_via read them,
-and that path never builds the matrix.  Mbar is built at the partition
+descent_masks(n) alone; that table follows the canonical enumeration's
+induction from descent_masks(n-1) and lists no permutation.  The p(n)
+distinct columns of Mprime, mprime_columns(n), come from
+descents.a_column, the subset level; build_Mprime and the Mprime path
+of oracle.b_of_simple_via read them, and that path never builds the
+matrix.  Mbar is built at the partition
 level from the packed rows of the Kostka Gram table
 (descents._packed_a_hat_rows, which descents._a_hat_table unpacks) and
 descents._refinements, with no subset table.
@@ -109,11 +111,30 @@ def descent_masks(n: int) -> tuple[tuple[int, int], ...]:
     """
     (left, right) descent bitmasks of simple_enumeration(n), in its order;
     build_M and the oracles, structural_check_M too, read this one table.
+    It follows the enumeration's induction from the masks of each p in
+    descent_masks(n-1), with no permutation listed.  Appending n keeps
+    both.  Raising p's values >= i and appending i < n keeps p's right
+    descents and adds n-1 when p's last value is >= i.  Of the left
+    descents, those below i-1 stay, i-1 goes (i is now last), i comes
+    (i+1 now stands left of i), and those from i on move up by one.
+    p's last value is n-1 in the first (n-2)! entries, n-2 in the next
+    (n-2)!, and so on.
     """
-    return tuple(
-        (permutations.descent_mask(permutations.inverse(x)), permutations.descent_mask(x))
-        for x in permutations.simple_enumeration(n)
-    )
+    if n < 1:
+        raise ValueError("strand count must be at least 1")
+    if n == 1:
+        return ((0, 0),)
+    prev = descent_masks(n - 1)
+    run = math.factorial(n - 2)
+    ends = [(n - 1 - b, prev[b * run:(b + 1) * run]) for b in range(n - 1)]
+    top = 1 << (n - 2)
+    out = list(prev)
+    for i in range(n - 1, 0, -1):
+        low, bit = (1 << max(i - 2, 0)) - 1, 1 << (i - 1)
+        for last, block in ends:
+            high = top if last >= i else 0
+            out.extend((left & low | bit | left >> (i - 1) << i, right | high) for left, right in block)
+    return tuple(out)
 
 
 def build_M(n: int) -> CountMatrix:
@@ -230,6 +251,7 @@ def b_of_simple(n: int, d: int, x: Perm) -> int:
     """
     if len(x) != n:
         raise ValueError(f"permutation {x} does not live on {n} strands")
+    permutations.check_one_line(x)
     return b_of_partition(n, d, descents.partition_of(permutations.d_left(x), n))
 
 

@@ -9,6 +9,9 @@ one entry per braid, without partitions or Kostka numbers: _through_M
 steps the row vector through M(n) by summing it by right-descent mask
 and taking superset sums over the masks, reading only
 matrices.descent_masks, so it stays independent of the Mbar pipeline.
+A pinned last factor is found by permutations.enumeration_index; both
+follow the canonical enumeration's induction and list none of the n!
+permutations.
 left_right_descent_census tallies the descent masks of all n! braids, and
 sweep_Mbar builds Mbar(n) from it.  count_functions checks a / a_hat,
 b_of_simple_via counts through Mprime(n) or M(n) instead of Mbar(n) and
@@ -27,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import descents, matrices
 from .matrices import CountMatrix, build_M, descent_masks
-from .permutations import Perm, d_left, enumeration_index, is_normal_pair
+from .permutations import Perm, check_one_line, d_left, enumeration_index, is_normal_pair
 from .spectral import IntPoly, charpoly, poly_mul, poly_trim, strip_x_power
 
 BRUTE_BUDGET = 10**8
@@ -47,8 +50,10 @@ def brute_count(n: int, d: int, last: Perm | None = None) -> int:
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
-    if last is not None and len(last) != n:
-        raise ValueError(f"constraint permutation {last} does not live on {n} strands")
+    if last is not None:
+        if len(last) != n:
+            raise ValueError(f"constraint permutation {last} does not live on {n} strands")
+        check_one_line(last)
     tail = () if last is None else (last,)
     free = d - len(tail)
     if free == 0:
@@ -139,8 +144,10 @@ def dp_count(n: int, d: int, last: Perm | None = None) -> int:
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
-    if last is not None and len(last) != n:
-        raise ValueError(f"constraint permutation {last} does not live on {n} strands")
+    if last is not None:
+        if len(last) != n:
+            raise ValueError(f"constraint permutation {last} does not live on {n} strands")
+        check_one_line(last)
     v = _through_M(n, d - 1, lambda size: [1] * size)
     return sum(v) if last is None else v[enumeration_index(last)]
 
@@ -217,6 +224,7 @@ def b_of_simple_via(n: int, d: int, x: Perm, via: str) -> int:
     """
     if len(x) != n:
         raise ValueError(f"permutation {x} does not live on {n} strands")
+    check_one_line(x)
     if d < 1:
         raise ValueError("d must be at least 1")
     if via == "Mprime":

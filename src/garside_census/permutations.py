@@ -21,6 +21,7 @@ All indices in the public interface are 1-based.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -167,6 +168,12 @@ def simple_enumeration(n: int) -> tuple[Perm, ...]:
     induction on n: the braids on n strands are the braids on n-1 strands
     followed, for i = n-1 down to 1, by the block obtained by prefixing
     sigma_in(i, n).  The first entry is the identity, the last is flip(n).
+
+    Read as a relabelling, block b = 0, ..., n-1 takes each p of
+    simple_enumeration(n-1), raises its values >= i = n - b by one and
+    appends i; block 0 appends n and raises nothing.  So an entry ending
+    in i lies in block n - i.  matrices.descent_masks and
+    enumeration_index read this induction without listing the n! tuples.
     """
     if n < 1:
         raise ValueError("strand count must be at least 1")
@@ -180,14 +187,32 @@ def simple_enumeration(n: int) -> tuple[Perm, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _enumeration_index(n: int) -> dict[Perm, int]:
-    return {perm: k for k, perm in enumerate(simple_enumeration(n))}
+def check_one_line(x: Sequence[int]) -> None:
+    """Raise ValueError unless x is a permutation of 1..len(x)."""
+    if not is_one_line(x):
+        raise ValueError(f"{x} is not a permutation of 1..{len(x)}")
 
 
 def enumeration_index(x: Perm) -> int:
-    """0-based position of x in simple_enumeration(len(x))."""
-    return _enumeration_index(len(x))[x]
+    """
+    0-based position of x in simple_enumeration(len(x)), by running its
+    induction backwards: x ending in i lies in block n - i, at the
+    position within the block of x without its last value and with its
+    values above i lowered by one.  O(n^2) work and no n!-sized table;
+    a non-permutation raises ValueError.
+
+    >>> enumeration_index((1, 2, 3)), enumeration_index((3, 2, 1))
+    (0, 5)
+    """
+    check_one_line(x)
+    if not x:
+        raise ValueError("strand count must be at least 1")
+    index, rest = 0, list(x)
+    for n in range(len(x), 1, -1):
+        i = rest.pop()
+        index += (n - i) * math.factorial(n - 1)
+        rest = [v - (v > i) for v in rest]
+    return index
 
 
 def phi(x: Perm) -> Perm:

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from garside_census import matrices, oracle
+from garside_census import matrices, oracle, permutations
 from garside_census.matrices import (
     b_delta,
     b_of_simple,
@@ -15,6 +15,37 @@ from garside_census.matrices import (
 )
 from garside_census.oracle import b_of_simple_via, brute_count, dp_count
 from garside_census.permutations import flip, identity, partial_flip
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: b_of_simple(3, 2, x),
+        lambda x: brute_count(3, 2, last=x),
+        lambda x: dp_count(3, 2, last=x),
+        lambda x: b_of_simple_via(3, 2, x, "Mprime"),
+        lambda x: b_of_simple_via(3, 2, x, "M22"),
+        lambda x: b_of_simple_via(3, 2, x, "M23"),
+    ],
+    ids=["b_of_simple", "brute_count", "dp_count", "via-Mprime", "via-M22", "via-M23"],
+)
+def test_a_last_factor_must_be_a_permutation(call):
+    with pytest.raises(ValueError, match=r"^\(1, 1, 3\) is not a permutation of 1\.\.3$"):
+        call((1, 1, 3))
+
+
+def test_the_oracles_never_list_the_enumeration(monkeypatch):
+    def forbidden(n):
+        raise AssertionError("simple_enumeration called")
+
+    monkeypatch.setattr(permutations, "simple_enumeration", forbidden)
+    descent_masks.cache_clear()
+    assert len(descent_masks(7)) == math.factorial(7)
+    x = (7, 6, 5, 4, 3, 1, 2)
+    value = b_of_simple(7, 4, x)
+    assert dp_count(7, 4, last=x) == value
+    for via in ("Mprime", "M22", "M23"):
+        assert b_of_simple_via(7, 4, x, via) == value, via
 
 
 def test_brute_examples():

@@ -11,6 +11,7 @@ from garside_census.permutations import (
     descent_mask,
     dual_left,
     dual_right,
+    enumeration_index,
     flip,
     format_descent_set,
     format_permutation,
@@ -206,6 +207,29 @@ def test_enumeration_block_structure(n):
         offset = (n - i) * block
         for k, y in enumerate(prev):
             assert enum[offset + k] == compose(sigma_in(i, n), y)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumeration_index_round_trip(n):
+    assert [enumeration_index(x) for x in simple_enumeration(n)] == list(range(math.factorial(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 12).flatmap(lambda n: st.tuples(perms(n), perms(n))))
+def test_enumeration_index_past_the_listed_range(pair):
+    # the index follows the order key of test_enumeration_order_key
+    x, y = pair
+    ix, iy = enumeration_index(x), enumeration_index(y)
+    assert 0 <= ix < math.factorial(len(x)) and 0 <= iy < math.factorial(len(y))
+    key = lambda p: tuple(-v for v in reversed(p))
+    assert (ix < iy) == (key(x) < key(y))
+    assert (ix == iy) == (x == y)
+
+
+@pytest.mark.parametrize("word", [(), (1, 1, 3), (0, 1), (2, 3), (1, 2, 4)])
+def test_enumeration_index_refuses_non_permutations(word):
+    with pytest.raises(ValueError):
+        enumeration_index(word)
 
 
 # --- flip, conjugation, duality -------------------------------------------
