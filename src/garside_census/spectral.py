@@ -41,17 +41,18 @@ The dominant eigenvalue is the largest real root of the characteristic
 polynomial, which on the shared Mbar(n) the nested-spectrum check has
 already built.  Newton's method finds it from above, starting at a
 Collatz-Wielandt bound (Horn & Johnson, Matrix Analysis, 8.1); by
-Perron-Frobenius no step goes below the root.  On the shared Mbar(n) the
-bound comes from the last two Krylov rows x, y = x Mbar(n) of the new
+Perron-Frobenius no step goes below the root.  The bound is that of
+x + c, for x and y = x A integer rows and c >= 1 the least integer that
+makes x + c positive, and it takes no vector product (_rho_start).  On
+the shared Mbar(n) x and y are the last two Krylov rows of the new
 factor, which _new_factor keeps: rho(n) is a simple root of that factor,
-so those rows approach the left Perron vector, and the bound of x + 1
-takes no vector product.  Any other matrix, or an n whose x has a
-negative entry, iterates from (1, ..., 1) instead.  Each iterate is a
-dyadic rational, rounded up and evaluated by Horner's rule in integers,
-and the double it settles on is certified at the midpoint to the double
-below, by the sign of the polynomial there or by an integer Taylor
-shift.  No count series is read, and floats are only the correctly
-rounded images of exact dyadics.
+so those rows approach the left Perron vector, and the bound is close.
+Any other matrix, and Mbar(1), has x = y = 0, and the bound is its
+largest column sum.  Each iterate is a dyadic rational, rounded up and
+evaluated by Horner's rule in integers, and the double it settles on is
+certified at the midpoint to the double below, by the sign of the
+polynomial there or by an integer Taylor shift.  No count series is
+read, and floats are only the correctly rounded images of exact dyadics.
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ import functools
 import itertools
 import math
 import random
-from operator import add, mul
+from operator import mul
 from typing import Iterator, Sequence
 
 from . import descents, matrices
@@ -318,8 +319,9 @@ def _new_factor(n: int) -> tuple[IntPoly, tuple[int, ...], tuple[int, ...]]:
     2 <= n <= MBAR_CAP, from the kernel vector of D_n of seed 0 and only
     once Mbar(n) D_n == D_n Mbar(n-1) has been checked, and the last two
     Krylov rows it was lifted from (_factor_on_kernel), y = x Mbar(n)
-    exactly, which rho_max starts from.  ArithmeticError when the check
-    fails or the Krylov matrix is singular mod _P.
+    exactly, signed as the kernel vector gives them, which _rho_start
+    reads.  ArithmeticError when the check fails or the Krylov matrix is
+    singular mod _P.
     """
     if not _intertwines(n):
         raise ArithmeticError(f"Mbar({n}) D_{n} != D_{n} Mbar({n - 1})")
@@ -472,9 +474,9 @@ def _factor_on_kernel(n: int, w: Sequence[int]) -> tuple[IntPoly, tuple[int, ...
     """
     The characteristic polynomial of v -> v Mbar(n) on W_n, from the rows
     w Mbar(n)^k, k = 0..q, restricted to the q free labels, for w in W_n,
-    with the whole rows x = w Mbar(n)^(q-1) and y = w Mbar(n)^q, both
-    negated when the entries of x sum below 0; ArithmeticError when the
-    rows are singular mod _P (w not cyclic, say).
+    with the whole rows x = w Mbar(n)^(q-1) and y = w Mbar(n)^q, signed
+    as w gives them; ArithmeticError when the rows are singular mod _P (w
+    not cyclic, say).
     """
     free = _free_labels(n)
     krylov, last = [], collections.deque(maxlen=2)
@@ -484,9 +486,7 @@ def _factor_on_kernel(n: int, w: Sequence[int]) -> tuple[IntPoly, tuple[int, ...
     factor = _lift_charpoly(krylov, matrices.build_Mbar(n).rows)
     if factor is None:
         raise ArithmeticError(f"the Krylov rows of W_{n} are singular mod _P")
-    sign = -1 if sum(last[0]) < 0 else 1
-    x, y = (tuple(sign * e for e in row) for row in last)
-    return factor, x, y
+    return (factor, *map(tuple, last))
 
 
 def strip_x_power(p: Sequence) -> tuple:
@@ -684,52 +684,31 @@ def _scaled_value(p: Sequence[int], a: int, s: int) -> int:
 # Orders pairs (p, q), q > 0, by p / q, through integer cross-products.
 _BY_RATIO = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
-# The iterated Collatz-Wielandt start, which rho_max takes when
-# _kernel_row_start has none, stops once its bound falls by less than
-# 2**-_START_BITS of itself in a step: after 6-9 iterates on Mbar(n), n >= 4.
-_START_BITS = 10
-
-
-def _kernel_row_start(m: CountMatrix) -> tuple[int, int] | None:
-    """
-    An upper bound num / den on the spectral radius of the shared
-    build_Mbar(n), n >= 2, from the last two Krylov rows x and y = x
-    Mbar(n) of its new factor, which _new_factor(n) keeps: for x >= 0,
-    max_j (y_j + c_j) / (x_j + 1), c the column sums of Mbar(n), is the
-    Collatz-Wielandt bound (Horn & Johnson, Matrix Analysis, 8.1) of
-    x + 1 > 0, whose product with Mbar(n) is y + c.  It is sound for any
-    such x, as y = x Mbar(n) exactly once _intertwines(n) has held.  It
-    is close because rho(n), n >= 3, is a simple root of the new factor:
-    the left Perron vector lies in W_n, and the rows w Mbar(n)^k approach
-    it.  Every vector of W_n is 0 at the label (n), hence the + 1.  None
-    for any other matrix and when x has a negative entry.
-    """
-    if not _is_shared_Mbar(m) or m.n < 2:
-        return None
-    _, x, y = _new_factor(m.n)
-    if min(x) < 0:
-        return None
-    column_sums = map(sum, zip(*m.rows))
-    return max(zip(map(add, y, column_sums), (e + 1 for e in x)), key=_BY_RATIO)
-
-
-def _collatz_wielandt_start(m: CountMatrix) -> tuple[int, int]:
+def _rho_start(m: CountMatrix) -> tuple[int, int]:
     """
     An upper bound num / den on the spectral radius of a non-negative
-    matrix: max_j y_j / x_j for y = x m and x = x_k = (1, ..., 1) m^k > 0
-    (Horn & Johnson, Matrix Analysis, 8.1), which never rises with k, at
-    the first k where it falls by less than 2**-_START_BITS of itself.  A
-    zero entry of y is a zero column of m and stops it at k = 0, where the
-    bound is the largest column sum.
+    matrix: max_j (y_j + c s_j) / (x_j + c), s the column sums, the
+    Collatz-Wielandt bound (Horn & Johnson, Matrix Analysis, 8.1) of
+    x + c, which c = max(1, 1 - min x) makes positive and whose product
+    with m is y + c s, for any integer x and y = x m.  On the shared
+    build_Mbar(n), n >= 2, x and y are the last two Krylov rows of the new
+    factor, which _new_factor(n) keeps, y = x Mbar(n) exactly once
+    _intertwines(n) has held, both negated when the entries of x sum below
+    0.  The bound is close because rho(n), n >= 3, is a simple root of the
+    new factor: the left Perron vector lies in W_n, and the rows w
+    Mbar(n)^k approach it up to sign.  x is 0 at the label (n), as every
+    vector of W_n is, hence c >= 1; c = 1 unless x has a negative entry
+    (n = 4 and 5).  On any other matrix, and at n = 1, x = y = 0, and the
+    bound is the largest column sum.  No vector product is taken.
     """
-    iterates = _krylov_rows(m.rows, (1,) * m.size)
-    x, hi = next(iterates), None
-    for y in iterates:
-        bound = max(zip(y, x), key=_BY_RATIO)
-        settled = hi is not None and (hi[0] * bound[1] - bound[0] * hi[1]) << _START_BITS < hi[0] * bound[1]
-        hi, x = bound, y
-        if settled or 0 in y:
-            return hi
+    column_sums = [sum(column) for column in zip(*m.rows)]
+    x = y = [0] * len(column_sums)
+    if _is_shared_Mbar(m) and m.n >= 2:
+        _, x, y = _new_factor(m.n)
+        if sum(x) < 0:
+            x, y = [-e for e in x], [-e for e in y]
+    c = max(1, 1 - min(x))
+    return max(((yj + c * sj, xj + c) for xj, yj, sj in zip(x, y, column_sums)), key=_BY_RATIO)
 
 
 def rho_max(m: CountMatrix) -> float:
@@ -739,10 +718,9 @@ def rho_max(m: CountMatrix) -> float:
     polynomial p, charpoly(m) stripped of its power of x, found by
     Newton's method from a Collatz-Wielandt bound above it and then
     certified exactly.  On the shared build_Mbar(n) p is the cached one
-    that new_factor_simple_roots reads too, and the bound is
-    _kernel_row_start's, which takes no vector product, at every n but 1,
-    4 and 5; otherwise it is _collatz_wielandt_start's, 6-9 vector
-    products on a matrix like Mbar(n).
+    that new_factor_simple_roots reads too.  The bound is _rho_start's,
+    which takes no vector product: from the new factor's kept rows on the
+    shared build_Mbar(n), n >= 2, and the largest column sum otherwise.
 
     Every iterate x is a dyadic a / 2**s at or above rho: each Newton step
     is rounded up, by less than 2**-32 of the step.  Once the double
@@ -761,7 +739,7 @@ def rho_max(m: CountMatrix) -> float:
     if len(p) == 1:
         return 0.0  # m is nilpotent
     dp = poly_derivative(p)
-    num, den = _kernel_row_start(m) or _collatz_wielandt_start(m)
+    num, den = _rho_start(m)
     a, s, last, failed = -((-num << 64) // den), 64, None, None
     # Why no step goes below rho: by Perron-Frobenius every root w of p has
     # Re w <= rho, so for x > rho every term 1/(x - w) of p'/p(x) has a

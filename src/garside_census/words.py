@@ -62,6 +62,7 @@ from typing import Callable
 
 from .permutations import (
     Perm,
+    check_one_line,
     descent_mask,
     flip,
     identity,
@@ -166,8 +167,16 @@ def normalize_factors(
     half twists, the rest of the fixed prefix, then the factors not yet
     taken) after every move and after every carry that passes a factor.
     An already-normal sequence comes back unchanged with no moves made.
+    ValueError unless n >= 1 and every factor is a permutation of 1..n.
     """
-    return _normal_form(n, tuple(factors), _seed_factor, on_step)
+    if n < 1:
+        raise ValueError("strand count must be at least 1")
+    factors = tuple(factors)
+    for x in factors:
+        if len(x) != n:
+            raise ValueError(f"permutation {x} does not live on {n} strands")
+        check_one_line(x)
+    return _normal_form(n, factors, _seed_factor, on_step)
 
 
 def normalize(

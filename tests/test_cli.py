@@ -501,13 +501,17 @@ def test_each_Mbar_and_charpoly_built_once(capsys, monkeypatch):
             full_runs.append(len(getattr(m, "rows", m)))
         return charpoly(m)
 
+    products = []
+    product = matrices.vec_times_matrix
     monkeypatch.setattr(spectral, "charpoly", counting_charpoly)
+    monkeypatch.setattr(matrices, "vec_times_matrix", lambda v, m: products.append(len(v)) or product(v, m))
     spectral._mbar_charpoly.cache_clear()
     spectral._new_factor.cache_clear()
     assert run(capsys, "conjecture", "--nmax", "12")[0] == 0
     # each polynomial is the one before times one intertwiner factor, each computed
-    # once, and the full route runs for no n
+    # once, the full route runs for no n, and rho_max starts every n with no vector product
     assert full_runs == []
+    assert products == []
     assert spectral._mbar_charpoly.cache_info().misses == 12
     info = spectral._new_factor.cache_info()
     assert info.misses == info.currsize == 11  # n = 2..12

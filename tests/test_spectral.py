@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -444,10 +445,18 @@ def test_the_packed_identity_check_at_a_carry_and_a_high_byte():
     assert not spectral._is_intertwiner([[256]], [[0]], (((0, 1),),))
 
 
-def test_the_kept_kernel_rows_do_not_depend_on_the_sign_of_w():
-    for n in (6, 12):
+def test_the_kept_kernel_rows_do_not_depend_on_the_sign_of_w(monkeypatch):
+    # the factor keeps its rows as w gives them, and _rho_start signs them
+    for n in (4, 5, 6, 12):
         w = spectral._kernel_vector(n, 0)
-        assert spectral._factor_on_kernel(n, tuple(-e for e in w)) == spectral._factor_on_kernel(n, w)
+        factor, x, y = spectral._factor_on_kernel(n, w)
+        negated = spectral._factor_on_kernel(n, tuple(-e for e in w))
+        assert negated == (factor, tuple(-e for e in x), tuple(-e for e in y))
+        starts = []
+        for kept in ((factor, x, y), negated):
+            monkeypatch.setattr(spectral, "_new_factor", lambda k: kept)
+            starts.append(spectral._rho_start(build_Mbar(n)))
+        assert starts[0] == starts[1], n
 
 
 def test_charpoly_mbar3():
@@ -743,7 +752,12 @@ _entry_or_zero = st.one_of(st.just(0), st.integers(0, 50))
 @example(rows=((3, 1), (1, 3)))  # rho = 4, a Newton iterate exactly
 def test_rho_max_equals_the_bisection(rows):
     m = _matrix(rows)
-    assert rho_max(m) == _rho_by_bisection(m)
+    expected = _rho_by_bisection(m)
+    assert rho_max(m) == expected
+    # the start of any matrix but the shared Mbar(n): its largest column sum
+    num, den = spectral._rho_start(m)
+    assert (num, den) == (max(map(sum, zip(*rows))), 1)
+    assert num / den >= expected
 
 
 def test_rho_max_certifies_each_double_once(monkeypatch):
@@ -764,14 +778,15 @@ def test_rho_max_of_Mbar_closes_by_the_brackets(n):
     assert rho_max(build_Mbar(n)) == _rho_by_bisection(build_Mbar(n))
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_the_kept_kernel_rows_step_by_Mbar_and_bound_rho_from_above(n):
     m = build_Mbar(n)
-    _, x, y = spectral._new_factor(n)
-    assert y == vec_times_matrix(x, m)
-    start = spectral._kernel_row_start(m)
-    assert (start is None) == (min(x) < 0) == (n in (4, 5))
-    num, den = start or spectral._collatz_wielandt_start(m)
+    if n >= 2:
+        _, x, y = spectral._new_factor(n)
+        assert y == vec_times_matrix(x, m)
+        signed = x if sum(x) >= 0 else [-e for e in x]  # as _rho_start reads it
+        assert (min(signed) < 0) == (n in (4, 5))  # the n whose start is shifted by c > 1
+    num, den = spectral._rho_start(m)
     assert num / den >= _rho_by_bisection(m)  # both correctly rounded, so the order holds
 
 
@@ -782,7 +797,7 @@ def _count_products(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n", range(6, 13))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_rho_max_of_Mbar_starts_from_the_kernel_rows_without_a_product(n, monkeypatch, fresh_factor_caches):
     calls = _count_products(monkeypatch)
     rho = rho_max(build_Mbar(n))
@@ -790,17 +805,75 @@ def test_rho_max_of_Mbar_starts_from_the_kernel_rows_without_a_product(n, monkey
     assert rho == _rho_by_bisection(build_Mbar(n))
 
 
-@pytest.mark.parametrize("n", (8, 12))
-def test_rho_max_falls_back_to_the_iterated_start(n, monkeypatch):
-    # a negative entry of x, as at n = 4 and 5, leaves no kernel-row start
+@pytest.mark.parametrize("n", range(1, 13))
+def test_an_equal_copy_of_the_shared_Mbar_starts_at_its_column_sums(n, monkeypatch):
     m = build_Mbar(n)
     expected = rho_max(m)
-    factor, x, y = spectral._new_factor(n)
-    monkeypatch.setattr(spectral, "_new_factor", lambda k: (factor, (-1,) + x[1:], y))
+    copy = dataclasses.replace(m)
+    assert spectral._rho_start(copy) == (max(map(sum, zip(*m.rows))), 1)
+    p = charpoly(copy)  # the full route, which steps the Krylov rows of (1, ..., 1)
+    monkeypatch.setattr(spectral, "charpoly", lambda _: p)
     calls = _count_products(monkeypatch)
-    assert spectral._kernel_row_start(m) is None
+    assert rho_max(copy) == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", (8, 12))
+def test_a_negative_entry_of_x_shifts_the_start(n, monkeypatch):
+    # as at n = 4 and 5: x + c is positive for c = 1 - min x = 2.  Every vector of W_n
+    # is 0 at the label (n); -1 there leaves x out of W_n, and y = x Mbar(n) is stepped in full
+    m = build_Mbar(n)
+    expected = rho_max(m)
+    factor, x, _ = spectral._new_factor(n)
+    j = partitions_in_order(n).index((n,))
+    assert x[j] == 0
+    x = x[:j] + (-1,) + x[j + 1:]
+    y = vec_times_matrix(x, m)
+    monkeypatch.setattr(spectral, "_new_factor", lambda k: (factor, x, y))
+    calls = _count_products(monkeypatch)
+    num, den = spectral._rho_start(m)
+    assert num / den >= _rho_by_bisection(m)
     assert rho_max(m) == expected
-    assert calls and set(calls) == {m.size}  # the iterates of (1, ..., 1)
+    assert calls == []
+
+
+@functools.cache
+def _bisected_Mbar(n):
+    return _rho_by_bisection(build_Mbar(n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 10).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, len(partitions_in_order(n)) - 1), st.integers(1, 1000)),
+                min_size=1,
+                max_size=4,
+            ),
+        )
+    )
+)
+@example(case=(3, [(0, 1)]))  # the bound of x + c falls below rho unless s is scaled by c too
+@example(case=(10, [(0, 1000)]))  # the largest entry of x at -max|x| - 1: a start near 10**67
+def test_the_shifted_start_is_sound_for_any_negative_entries(case):
+    # entries of x set below 0, down to -max|x| - 1, y = x Mbar(n) stepped in full:
+    # the bound of x + c stays above rho, and rho_max does not change
+    n, lowered = case
+    m = build_Mbar(n)
+    expected = _bisected_Mbar(n)
+    factor, x, _ = spectral._new_factor(n)
+    x = list(x)
+    top = max(map(abs, x))
+    for j, k in lowered:
+        x[j] = -(k * top) // 1000 - 1
+    y = vec_times_matrix(x, m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_new_factor", lambda k: (factor, tuple(x), y))
+        num, den = spectral._rho_start(m)
+        assert num / den >= expected
+        assert rho_max(m) == expected
 
 
 @pytest.mark.parametrize("n", (1, 7, 12))

@@ -206,6 +206,26 @@ def test_normal_sequence_invariants_enforced():
     NormalSequence(n=3, factors=((1, 3, 2), (3, 1, 2)))
 
 
+@pytest.mark.parametrize(
+    ("n", "factors", "message"),
+    [
+        (3, [(1, 1, 3)], "not a permutation of 1..3"),
+        (3, [(1, 2, 4)], "not a permutation of 1..3"),
+        (3, [(2, 1)], r"\(2, 1\) does not live on 3 strands"),
+        (3, [(1, 2, 3, 4)], r"\(1, 2, 3, 4\) does not live on 3 strands"),
+        (3, [(2, 1, 3), (3, 3, 1)], "not a permutation of 1..3"),  # any factor, not only the first
+        (0, [], "strand count must be at least 1"),
+        (0, [()], "strand count must be at least 1"),
+        (-1, [], "strand count must be at least 1"),
+    ],
+)
+def test_normalize_factors_rejects_what_is_not_a_permutation_of_1_to_n(n, factors, message):
+    # each of these used to come back as a NormalSequence: (1, 1, 3) and (1, 2, 3, 4)
+    # as no factor at all, (2, 1) as a 2-entry factor of a 3-strand sequence
+    with pytest.raises(ValueError, match=message):
+        normalize_factors(n, factors)
+
+
 @settings(max_examples=150, deadline=None)
 @given(word_strategy())
 def test_normalize_soundness(data):
