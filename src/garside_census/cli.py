@@ -7,9 +7,10 @@ Commands: count, matrix, charpoly, normalize, oracle, table, conjecture,
 verify; only count, matrix, table and verify offer --format csv.  JSON
 renders integers as decimal strings, counts print in full however many
 digits they have, and identical invocations produce byte-identical
-output.  Exit status is 0 on success, 1 on a verification mismatch, 2 on
-usage errors.  count --via Mprime|M22|M23 uses the
-oracle paths and needs --last PERM; --last delta R needs R in 1..n;
+output.  Exit status is 0 on success, 1 on a verification mismatch or a
+failed exact check of spectral, 2 on usage errors.  count --via
+Mprime|M22|M23 uses the oracle paths and needs --last PERM; --last
+delta R needs R in 1..n;
 charpoly prints the factored form for --kind Mbar unless --raw is given,
 and --kind M|Mprime as Mbar(n)'s polynomial times a power of x; table,
 conjecture and verify take --nmax <= MBAR_CAP.
@@ -167,12 +168,12 @@ def _cmd_charpoly(args) -> int:
     # [J has partition mu]).  Sylvester's identity, det(xI_a - YF) = x^(a-b) det(xI_b - FY)
     # for YF a x a and FY b x b, makes every kind's polynomial Mbar(n)'s times x^(size - p(n)),
     # so neither M nor Mprime is built.
-    mbar = matrices.build_Mbar(args.n)
-    poly = (0,) * (size - mbar.size) + spectral.charpoly(mbar)
+    mbar = spectral.charpoly(args.n)
+    poly = (0,) * (size + 1 - len(mbar)) + mbar
     factors = None
     if args.kind == "Mbar" and not args.raw:
-        # x - 1, then the intertwiner factors that charpoly(mbar) has cached
-        factors = [spectral.charpoly(matrices.build_Mbar(1))]
+        # x - 1, then the intertwiner factors that charpoly(n) has cached
+        factors = [spectral.charpoly(1)]
         factors += (spectral._new_factor(k)[0] for k in range(2, args.n + 1))
     if args.format == "json":
         obj = {"n": args.n, "kind": args.kind, "coefficients_constant_first": poly}
@@ -294,7 +295,7 @@ def _cmd_conjecture(args) -> int:
     all_ok = True
     for n in range(2, args.nmax + 1):
         rep = spectral.new_factor_simple_roots(n)
-        rho = spectral.rho_max(matrices.build_Mbar(n))
+        rho = spectral.rho_max(n)
         all_ok = all_ok and rep.all_ok
         rows.append((rep, rho))
     if args.format == "json":
@@ -464,9 +465,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, spectral.ExactCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 1
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

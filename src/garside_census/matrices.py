@@ -178,11 +178,16 @@ def build_Mbar(n: int) -> CountMatrix:
     The p(n) square partition-level matrix from the margin-count formulas;
     the cap is checked on every call, the shared matrix built once per n.
     """
+    _check_Mbar(n)
+    return _cached_Mbar(n)
+
+
+def _check_Mbar(n: int) -> None:
+    """build_Mbar's check of n, which spectral reads too: ValueError outside 1..MBAR_CAP."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MBAR_CAP:
         raise ValueError(f"n={n} exceeds the Mbar size cap {MBAR_CAP}")
-    return _cached_Mbar(n)
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,9 +15,21 @@ permutations.
 left_right_descent_census tallies the descent masks of all n! braids, and
 sweep_Mbar builds Mbar(n) from it.  count_functions checks a / a_hat,
 b_of_simple_via counts through Mprime(n) or M(n) instead of Mbar(n) and
-builds neither, naive_charpoly checks charpoly by cofactors, m_charpoly_nonzero
-gives the nonzero spectrum of M(n) without building it, and
-structural_check_M tests the structural laws of M(n).
+builds neither, naive_charpoly checks characteristic polynomials by
+cofactors, m_charpoly_nonzero gives the nonzero spectrum of M(n) without
+building it, and structural_check_M tests the structural laws of M(n).
+
+full_charpoly takes any square integer matrix, where spectral.charpoly
+takes only Mbar(n).  It lifts the polynomial from the Krylov rows v A^k of
+v = (1, ..., 1), stepped by matrices.vec_times_matrix, through
+spectral._lift_charpoly, which the intertwiner factors of Mbar(n) share:
+the Krylov matrix is factored once mod spectral._P on rows packed one
+integer each, so a row update is one big-integer multiply-add (Kronecker
+substitution; Harvey, J. Symbolic Comput. 44, 2009), and the solution is
+lifted P-adically (Dixon, Numer. Math. 40, 1982) until it satisfies the
+Cayley-Hamilton identity for v exactly.  When v is not cyclic for A, or
+the Krylov matrix is singular mod _P, the division-free Berkowitz
+recursion runs instead; both stay in exact integers.
 """
 from __future__ import annotations
 
@@ -26,12 +38,12 @@ import dataclasses
 import itertools
 import math
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from . import descents, matrices
+from . import descents, matrices, spectral
 from .matrices import CountMatrix, build_M, descent_masks
 from .permutations import Perm, check_one_line, d_left, enumeration_index, is_normal_pair
-from .spectral import IntPoly, charpoly, poly_mul, poly_trim, strip_x_power
+from .spectral import IntPoly, poly_mul, poly_trim, strip_x_power
 
 BRUTE_BUDGET = 10**8
 
@@ -238,8 +250,59 @@ def b_of_simple_via(n: int, d: int, x: Perm, via: str) -> int:
     return v[enumeration_index(x)]
 
 
+def _krylov_rows(rows: Sequence[Sequence[int]], x: Sequence[int]) -> Iterator[Sequence[int]]:
+    """
+    The rows x A^k, k = 0, 1, ..., of the matrix rows A, each a
+    matrices.vec_times_matrix product; none is kept.
+    """
+    while True:
+        yield x
+        x = matrices.vec_times_matrix(x, rows)
+
+
+def _berkowitz(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Leading-coefficient-first char poly of det(xI - A), division-free."""
+    n = len(rows)
+    poly = [1]
+    for r in range(1, n + 1):
+        a = rows[r - 1][r - 1]
+        row = rows[r - 1][: r - 1]
+        col = [rows[i][r - 1] for i in range(r - 1)]
+        sub = [rows[i][: r - 1] for i in range(r - 1)]
+        q = [1, -a]
+        vec = col
+        for step in range(r - 1):
+            q.append(-sum(x * y for x, y in zip(row, vec)))
+            if step < r - 2:
+                vec = [
+                    sum(sub[i][j] * vec[j] for j in range(r - 1))
+                    for i in range(r - 1)
+                ]
+        new = [0] * (r + 1)
+        for i in range(r + 1):
+            lo = max(0, i - (len(q) - 1))
+            new[i] = sum(q[i - j] * poly[j] for j in range(lo, min(i, r - 1) + 1))
+        poly = new
+    return poly
+
+
+def full_charpoly(rows: Sequence[Sequence[int]]) -> IntPoly:
+    """
+    Exact characteristic polynomial det(xI - A) of any square integer
+    matrix rows A, monic, constant term first: the Krylov sequence of
+    (1, ..., 1) by P-adic lifting, or Berkowitz when that sequence does
+    not span (a repeated eigenvalue with a diagonalizable block, say).
+    """
+    rows = tuple(tuple(r) for r in rows)
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix must be square")
+    krylov = list(itertools.islice(_krylov_rows(rows, (1,) * len(rows)), len(rows) + 1))
+    poly = spectral._lift_charpoly(krylov, rows)  # v's minimal polynomial; of degree len(rows), it is det(xI - A)
+    return tuple(reversed(_berkowitz(rows))) if poly is None else poly
+
+
 def naive_charpoly(rows: Sequence[Sequence[int]]) -> IntPoly:
-    """Cofactor-expansion oracle for charpoly, usable only at tiny sizes."""
+    """Cofactor-expansion oracle for full_charpoly, usable only at tiny sizes."""
     n = len(rows)
     entries = [
         [
@@ -283,7 +346,7 @@ def m_charpoly_nonzero(n: int) -> IntPoly:
         for s in range(size):
             if left & ~s == 0:
                 prod[s][right] += count
-    return strip_x_power(charpoly(prod))
+    return strip_x_power(full_charpoly(prod))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,58 +1,47 @@
 """
-Exact characteristic polynomials of the counting matrices, divisibility of
-consecutive spectra, and the dominant eigenvalue, returned as the double
-nearest its exact value.
+Exact characteristic polynomials of the partition matrices Mbar(n),
+divisibility of consecutive spectra, and the dominant eigenvalue,
+returned as the double nearest its exact value.
 
 Polynomials are dense integer-coefficient tuples with the constant term
-first.  charpoly is the one entry point, with two routes.  The full
-route, on any matrix, solves for the characteristic polynomial from the
-Krylov rows v A^k of v = (1, ..., 1), which the matrix's rows step with
-matrices.vec_times_matrix, the one product behind the count series too.
-The Krylov matrix is factored once modulo the word-size prime _P, each
-row packed into one integer so that a row update is one big-integer
-multiply-add (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
-2009), in slots of 2 _P.bit_length() + m.bit_length() bits rounded up
-to bytes: in an m x m matrix a slot starts below _P and takes at most
-m - 1 updates, each below _P**2, so it stays below m _P**2.  The
-solution is lifted P-adically (Dixon, Numer. Math. 40, 1982) until it
-satisfies the Cayley-Hamilton identity for v exactly.  When v is not
-cyclic for A, or the Krylov matrix is singular mod _P, the
-division-free Berkowitz recursion runs instead; both stay in exact
-integers.
-
-The shared build_Mbar(n) takes the other route, once per n: one new
-factor per n, each the characteristic polynomial of Mbar(n) on the
-kernel of an explicit integer intertwiner D_n with Mbar(n) D_n =
-D_n Mbar(n-1) (see _new_factor), lifted the same way from q + 1 Krylov
-rows of length q = p(n) - p(n-1), each stepped in p(n) q products.  An n
-whose identity check fails, or whose Krylov matrix is singular mod _P,
-raises ArithmeticError; the rows of Mbar(n), or any equal matrix that is
-not the shared one, take the full route.
+first.  charpoly(n) and rho_max(n) take n in 1..matrices.MBAR_CAP and
+read the shared build_Mbar(n).  charpoly(n) is (x - 1) times one new
+factor per k = 2..n, each the characteristic polynomial of Mbar(k) on
+the kernel of an explicit integer intertwiner D_k with Mbar(k) D_k =
+D_k Mbar(k-1) (see _new_factor), computed once per k.  A factor is
+lifted from q + 1 Krylov rows of length q = p(k) - p(k-1), each stepped
+in p(k) q products: the q x q Krylov matrix is factored once modulo the
+word-size prime _P, each row packed into one integer so that a row
+update is one big-integer multiply-add (Kronecker substitution; Harvey,
+J. Symbolic Comput. 44, 2009), and the solution is lifted P-adically
+(Dixon, Numer. Math. 40, 1982) until it satisfies the Cayley-Hamilton
+identity exactly.  A k whose identity check fails, or whose Krylov
+matrix is singular mod _P, raises ExactCheckError, an ArithmeticError.
 
 Division, divisibility and gcd stay in integers too (Knuth, TAOCP vol.
 2, 4.6.1): exact division, pseudo-division, and the primitive remainder
 sequence for the degree of a gcd over Q, which coprimality and
 squarefree tests reach only when a remainder sequence mod _P cannot
-already prove the answer.  The cross-checks of this module, a naive
-cofactor-expansion determinant and the nonzero spectrum of the full
-matrix M(n), are oracle.naive_charpoly and oracle.m_charpoly_nonzero.
+already prove the answer.  The cross-checks of this module live in
+oracle: full_charpoly, the characteristic polynomial of any square
+matrix, naive_charpoly by cofactors, and m_charpoly_nonzero, the
+nonzero spectrum of the full matrix M(n).
 
 The dominant eigenvalue is the largest real root of the characteristic
-polynomial, which on the shared Mbar(n) the nested-spectrum check has
-already built.  Newton's method finds it from above, starting at a
-Collatz-Wielandt bound (Horn & Johnson, Matrix Analysis, 8.1); by
-Perron-Frobenius no step goes below the root.  The bound is that of
-x + c, for x and y = x A integer rows and c >= 1 the least integer that
-makes x + c positive, and it takes no vector product (_rho_start).  On
-the shared Mbar(n) x and y are the last two Krylov rows of the new
-factor, which _new_factor keeps: rho(n) is a simple root of that factor,
-so those rows approach the left Perron vector, and the bound is close.
-Any other matrix, and Mbar(1), has x = y = 0, and the bound is its
-largest column sum.  Each iterate is a dyadic rational, rounded up and
-evaluated by Horner's rule in integers, and the double it settles on is
-certified at the midpoint to the double below, by the sign of the
-polynomial there or by an integer Taylor shift.  No count series is
-read, and floats are only the correctly rounded images of exact dyadics.
+polynomial, which the nested-spectrum check has already built.
+Newton's method finds it from above, starting at a Collatz-Wielandt
+bound (Horn & Johnson, Matrix Analysis, 8.1); by Perron-Frobenius no
+step goes below the root.  The bound is that of x + c, for integer
+rows x and y = x Mbar(n) and c >= 1 the least integer that makes x + c
+positive, capped at the largest column sum, and it takes no vector
+product (_rho_start).  x and y are the last two Krylov rows of the new
+factor, which _new_factor keeps: rho(n) is a simple root of that
+factor, so those rows approach the left Perron vector, and the bound is
+close.  Each iterate is a dyadic rational, rounded up and evaluated by
+Horner's rule in integers, and the double it settles on is certified at
+the midpoint to the double below, by the sign of the polynomial there
+or by an integer Taylor shift.  No count series is read, and floats are
+only the correctly rounded images of exact dyadics.
 """
 from __future__ import annotations
 
@@ -67,13 +56,16 @@ from typing import Iterator, Sequence
 
 from . import descents, matrices
 from .descents import PartitionN
-from .matrices import CountMatrix
 
 IntPoly = tuple[int, ...]
 
 # The modulus of the Krylov factorisation and the modular gcd: a prime
 # below 2**30, so every residue is a one-digit CPython int.
 _P = (1 << 30) - 35
+
+
+class ExactCheckError(ArithmeticError):
+    """A failed exact check: the intertwiner identity, a lift, an integral solve or a Newton guard."""
 
 
 def poly_trim(p: Sequence) -> tuple:
@@ -134,32 +126,6 @@ def poly_str(p: Sequence) -> str:
     return " ".join(pieces)
 
 
-def _berkowitz(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Leading-coefficient-first char poly of det(xI - A), division-free."""
-    n = len(rows)
-    poly = [1]
-    for r in range(1, n + 1):
-        a = rows[r - 1][r - 1]
-        row = rows[r - 1][: r - 1]
-        col = [rows[i][r - 1] for i in range(r - 1)]
-        sub = [rows[i][: r - 1] for i in range(r - 1)]
-        q = [1, -a]
-        vec = col
-        for step in range(r - 1):
-            q.append(-sum(x * y for x, y in zip(row, vec)))
-            if step < r - 2:
-                vec = [
-                    sum(sub[i][j] * vec[j] for j in range(r - 1))
-                    for i in range(r - 1)
-                ]
-        new = [0] * (r + 1)
-        for i in range(r + 1):
-            lo = max(0, i - (len(q) - 1))
-            new[i] = sum(q[i - j] * poly[j] for j in range(lo, min(i, r - 1) + 1))
-        poly = new
-    return poly
-
-
 def _lu_mod_p(a: Sequence[Sequence[int]]):
     """
     LU factorisation of a square integer matrix mod _P with row pivoting:
@@ -210,21 +176,6 @@ def _solve_mod_p(perm: list[int], lu: list[list[int]], r: Sequence[int]) -> list
     return y
 
 
-def _is_shared_Mbar(m) -> bool:
-    return (isinstance(m, CountMatrix) and m.kind == "Mbar" and 1 <= m.n <= matrices.MBAR_CAP
-            and m is matrices._cached_Mbar(m.n))
-
-
-def _krylov_rows(rows: Sequence[Sequence[int]], x: Sequence[int]) -> Iterator[Sequence[int]]:
-    """
-    The rows x A^k, k = 0, 1, ..., of the matrix rows A, each a
-    matrices.vec_times_matrix product; none is kept.
-    """
-    while True:
-        yield x
-        x = matrices.vec_times_matrix(x, rows)
-
-
 def _lift_charpoly(krylov: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]) -> IntPoly | None:
     """
     The monic polynomial of degree m annihilating a Krylov sequence of the
@@ -257,35 +208,23 @@ def _lift_charpoly(krylov: Sequence[Sequence[int]], rows: Sequence[Sequence[int]
         cand = [ck - scale if 2 * ck > scale else ck for ck in c]
         if all(sum(map(mul, cand, col)) == t for col, t in zip(kt, target)):
             return (*cand, 1)
-    raise ArithmeticError("Krylov lifting passed the coefficient bound")
+    raise ExactCheckError("Krylov lifting passed the coefficient bound")
 
 
-def charpoly(m: CountMatrix | Sequence[Sequence[int]]) -> IntPoly:
+def charpoly(n: int) -> IntPoly:
     """
-    Exact characteristic polynomial det(xI - m), monic of degree equal to
-    the matrix size, constant term first.  The shared build_Mbar(n) gets
-    _mbar_charpoly(n), which raises ArithmeticError when an intertwiner
-    check or a factor's lift fails.  Any other matrix, its rows included,
-    takes the full route: the Krylov sequence of (1, ..., 1) by P-adic
-    lifting, or Berkowitz when that sequence does not span (a repeated
-    eigenvalue with a diagonalizable block, say).
+    Exact characteristic polynomial det(xI - Mbar(n)) for n in
+    1..MBAR_CAP, monic of degree p(n), constant term first: the cached
+    _mbar_charpoly(n).  ExactCheckError when an intertwiner check or a
+    factor's lift fails.
     """
-    if _is_shared_Mbar(m):
-        return _mbar_charpoly(m.n)
-    rows = m.rows if isinstance(m, CountMatrix) else tuple(tuple(r) for r in m)
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix must be square")
-    krylov = list(itertools.islice(_krylov_rows(rows, (1,) * len(rows)), len(rows) + 1))
-    poly = _lift_charpoly(krylov, rows)  # v's minimal polynomial; of degree len(rows), it is det(xI - m)
-    return tuple(reversed(_berkowitz(rows))) if poly is None else poly
+    matrices._check_Mbar(n)
+    return _mbar_charpoly(n)
 
 
 @functools.lru_cache(maxsize=None)
 def _mbar_charpoly(n: int) -> IntPoly:
-    """
-    charpoly(build_Mbar(n)): (x - 1) _new_factor(2) ... _new_factor(n),
-    Mbar(1) being (1).
-    """
+    """charpoly(n): (x - 1) _new_factor(2) ... _new_factor(n), Mbar(1) being (1)."""
     if n == 1:
         return (-1, 1)
     return poly_mul(_mbar_charpoly(n - 1), _new_factor(n)[0])
@@ -320,11 +259,11 @@ def _new_factor(n: int) -> tuple[IntPoly, tuple[int, ...], tuple[int, ...]]:
     once Mbar(n) D_n == D_n Mbar(n-1) has been checked, and the last two
     Krylov rows it was lifted from (_factor_on_kernel), y = x Mbar(n)
     exactly, signed as the kernel vector gives them, which _rho_start
-    reads.  ArithmeticError when the check fails or the Krylov matrix is
+    reads.  ExactCheckError when the check fails or the Krylov matrix is
     singular mod _P.
     """
     if not _intertwines(n):
-        raise ArithmeticError(f"Mbar({n}) D_{n} != D_{n} Mbar({n - 1})")
+        raise ExactCheckError(f"Mbar({n}) D_{n} != D_{n} Mbar({n - 1})")
     return _factor_on_kernel(n, _kernel_vector(n, 0))
 
 
@@ -423,14 +362,14 @@ def _solve_from_free(n: int, w: list[int], scale: bool) -> list[int]:
     The vector of W_n with w's entries at the free labels: the entry at
     each sigma(mu) from column mu, in increasing order of mu_1.  A quotient
     that is not integral scales w when scale is set, and raises
-    ArithmeticError when not.  Entries of w off the free labels are
+    ExactCheckError when not.  Entries of w off the free labels are
     overwritten, never read.
     """
     for top, diag, rest in _solve_order(n):
         s = sum(w[i] * e for i, e in rest)
         if s % diag:
             if not scale:
-                raise ArithmeticError(f"no integer vector of W_{n} has these free entries")
+                raise ExactCheckError(f"no integer vector of W_{n} has these free entries")
             factor = diag // math.gcd(s, diag)
             w, s = [x * factor for x in w], s * factor
         w[top] = -s // diag
@@ -475,7 +414,7 @@ def _factor_on_kernel(n: int, w: Sequence[int]) -> tuple[IntPoly, tuple[int, ...
     The characteristic polynomial of v -> v Mbar(n) on W_n, from the rows
     w Mbar(n)^k, k = 0..q, restricted to the q free labels, for w in W_n,
     with the whole rows x = w Mbar(n)^(q-1) and y = w Mbar(n)^q, signed
-    as w gives them; ArithmeticError when the rows are singular mod _P (w
+    as w gives them; ExactCheckError when the rows are singular mod _P (w
     not cyclic, say).
     """
     free = _free_labels(n)
@@ -485,7 +424,7 @@ def _factor_on_kernel(n: int, w: Sequence[int]) -> tuple[IntPoly, tuple[int, ...
         last.append(x)
     factor = _lift_charpoly(krylov, matrices.build_Mbar(n).rows)
     if factor is None:
-        raise ArithmeticError(f"the Krylov rows of W_{n} are singular mod _P")
+        raise ExactCheckError(f"the Krylov rows of W_{n} are singular mod _P")
     return (factor, *map(tuple, last))
 
 
@@ -631,8 +570,8 @@ def new_factor_simple_roots(n: int) -> NewFactorReport:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    prev = charpoly(matrices.build_Mbar(n - 1))
-    cur = charpoly(matrices.build_Mbar(n))
+    prev = charpoly(n - 1)
+    cur = charpoly(n)
     quotient = exact_quotient(prev, cur)
     expected = len(descents.partitions_in_order(n)) - len(descents.partitions_in_order(n - 1))
     ok = quotient is not None
@@ -684,43 +623,49 @@ def _scaled_value(p: Sequence[int], a: int, s: int) -> int:
 # Orders pairs (p, q), q > 0, by p / q, through integer cross-products.
 _BY_RATIO = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
-def _rho_start(m: CountMatrix) -> tuple[int, int]:
+def _rho_start(n: int) -> tuple[int, int]:
     """
-    An upper bound num / den on the spectral radius of a non-negative
-    matrix: max_j (y_j + c s_j) / (x_j + c), s the column sums, the
+    An upper bound num / den on the spectral radius of Mbar(n), by no
+    vector product: the smaller of the largest column sum and the
     Collatz-Wielandt bound (Horn & Johnson, Matrix Analysis, 8.1) of
-    x + c, which c = max(1, 1 - min x) makes positive and whose product
-    with m is y + c s, for any integer x and y = x m.  On the shared
-    build_Mbar(n), n >= 2, x and y are the last two Krylov rows of the new
-    factor, which _new_factor(n) keeps, y = x Mbar(n) exactly once
-    _intertwines(n) has held, both negated when the entries of x sum below
-    0.  The bound is close because rho(n), n >= 3, is a simple root of the
-    new factor: the left Perron vector lies in W_n, and the rows w
-    Mbar(n)^k approach it up to sign.  x is 0 at the label (n), as every
-    vector of W_n is, hence c >= 1; c = 1 unless x has a negative entry
-    (n = 4 and 5).  On any other matrix, and at n = 1, x = y = 0, and the
-    bound is the largest column sum.  No vector product is taken.
+    x + c, max_j (y_j + c s_j) / (x_j + c) for s the column sums, y = x
+    Mbar(n) and c = max(1, 1 - min x).  For n >= 2 x and y are the last
+    two Krylov rows that _new_factor(n) keeps, negated together when x
+    sums below 0.  The bound is close because rho(n), n >= 3, is a simple
+    root of the new factor, so the rows approach the left Perron vector
+    up to sign.  x is 0 at the label (n), as every vector of W_n is, and
+    c = 1 unless x has a negative entry (n = 4 and 5); the cap keeps a
+    negative x_j at a large y_j from starting Newton near y_j.
     """
-    column_sums = [sum(column) for column in zip(*m.rows)]
-    x = y = [0] * len(column_sums)
-    if _is_shared_Mbar(m) and m.n >= 2:
-        _, x, y = _new_factor(m.n)
-        if sum(x) < 0:
-            x, y = [-e for e in x], [-e for e in y]
+    column_sums = [sum(column) for column in zip(*matrices.build_Mbar(n).rows)]
+    top = (max(column_sums), 1)
+    if n == 1:
+        return top
+    _, x, y = _new_factor(n)
+    if sum(x) < 0:
+        x, y = [-e for e in x], [-e for e in y]
     c = max(1, 1 - min(x))
-    return max(((yj + c * sj, xj + c) for xj, yj, sj in zip(x, y, column_sums)), key=_BY_RATIO)
+    bound = max(((yj + c * sj, xj + c) for xj, yj, sj in zip(x, y, column_sums)), key=_BY_RATIO)
+    return min(top, bound, key=_BY_RATIO)
 
 
-def rho_max(m: CountMatrix) -> float:
+def rho_max(n: int) -> float:
     """
-    Spectral radius of a non-negative integer matrix, the double nearest
-    the exact value: the largest real root of its characteristic
-    polynomial p, charpoly(m) stripped of its power of x, found by
-    Newton's method from a Collatz-Wielandt bound above it and then
-    certified exactly.  On the shared build_Mbar(n) p is the cached one
-    that new_factor_simple_roots reads too.  The bound is _rho_start's,
-    which takes no vector product: from the new factor's kept rows on the
-    shared build_Mbar(n), n >= 2, and the largest column sum otherwise.
+    Spectral radius of Mbar(n), n in 1..MBAR_CAP, the double nearest the
+    exact value: the largest real root of charpoly(n), the cached
+    polynomial that new_factor_simple_roots reads too, stripped of its
+    power of x, by _newton_rho from _rho_start(n), which takes no vector
+    product.
+    """
+    return _newton_rho(strip_x_power(charpoly(n)), _rho_start(n))
+
+
+def _newton_rho(p: Sequence[int], start: tuple[int, int]) -> float:
+    """
+    The double nearest rho, the largest real root of p, the characteristic
+    polynomial of a non-negative integer matrix stripped of its power of
+    x, of degree at least 1, by Newton's method from start = (num, den),
+    num / den >= rho, certified exactly.
 
     Every iterate x is a dyadic a / 2**s at or above rho: each Newton step
     is rounded up, by less than 2**-32 of the step.  Once the double
@@ -733,13 +678,8 @@ def rho_max(m: CountMatrix) -> float:
     alone, so a double at which it failed is not tried again: while Newton
     creeps towards a multiple root the double can repeat over many steps.
     """
-    if min(map(min, m.rows), default=0) < 0:
-        raise ValueError("rho_max needs a non-negative matrix")
-    p = strip_x_power(charpoly(m))
-    if len(p) == 1:
-        return 0.0  # m is nilpotent
     dp = poly_derivative(p)
-    num, den = _rho_start(m)
+    num, den = start
     a, s, last, failed = -((-num << 64) // den), 64, None, None
     # Why no step goes below rho: by Perron-Frobenius every root w of p has
     # Re w <= rho, so for x > rho every term 1/(x - w) of p'/p(x) has a
@@ -754,7 +694,7 @@ def rho_max(m: CountMatrix) -> float:
         if value == 0:
             return x  # a real root at or above rho is rho
         if value < 0:
-            raise ArithmeticError("a Newton iterate fell below rho")
+            raise ExactCheckError("a Newton iterate fell below rho")
         if x == last and x != failed:
             (lo, lo_den), (hi, hi_den) = math.nextafter(x, 0.0).as_integer_ratio(), x.as_integer_ratio()
             mid, t = lo * hi_den + hi * lo_den, (2 * lo_den * hi_den).bit_length() - 1
@@ -766,22 +706,7 @@ def rho_max(m: CountMatrix) -> float:
         # x - p/p'(x) = (a slope - value) / (slope 2**s), rounded up to a multiple of a 2**-s below 2**-32 of the step
         shift = max(0, 33 + slope.bit_length() - value.bit_length())
         a, s = -(((value - a * slope) << shift) // slope), s + shift
-    raise ArithmeticError("Newton's method passed its step bound")
-
-
-def spectral_radius_table(nmax: int) -> list[dict]:
-    """
-    Rows (n, dominant eigenvalue, ratio against n times the previous one)
-    for n = 1..nmax.
-    """
-    out = []
-    prev_rho = None
-    for n in range(1, nmax + 1):
-        rho = rho_max(matrices.build_Mbar(n))
-        ratio = None if prev_rho is None else rho / (n * prev_rho)
-        out.append({"n": n, "rho": rho, "ratio": ratio})
-        prev_rho = rho
-    return out
+    raise ExactCheckError("Newton's method passed its step bound")
 
 
 def recurrence_check(seq: Sequence[int], p: Sequence) -> bool:

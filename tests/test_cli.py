@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import garside_census
-from garside_census import cli, descents, formulas, matrices, spectral
+from garside_census import cli, descents, formulas, matrices, oracle, spectral
 from garside_census.cli import main
 
 
@@ -206,7 +206,7 @@ def test_charpoly(capsys):
 
 @functools.lru_cache(maxsize=None)
 def _full_route_charpoly(n):
-    return spectral.charpoly(matrices.build_Mbar(n).rows) if n else (1,)
+    return oracle.full_charpoly(matrices.build_Mbar(n).rows) if n else (1,)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -225,9 +225,9 @@ def test_charpoly_factors_are_the_cached_intertwiner_factors(capsys, monkeypatch
     "kind, n", [("M", n) for n in range(1, 5)] + [("Mprime", n) for n in range(1, 8)]
 )
 def test_charpoly_of_the_larger_kinds_keeps_its_zero_coefficients(capsys, kind, n):
-    # the CLI pads Mbar(n)'s polynomial with zeros; spectral.charpoly on the
+    # the CLI pads Mbar(n)'s polynomial with zeros; oracle.full_charpoly on the
     # built matrix counts every zero eigenvalue itself
-    expected = [str(c) for c in spectral.charpoly(cli._build_matrix(kind, n))]
+    expected = [str(c) for c in oracle.full_charpoly(cli._build_matrix(kind, n).rows)]
     code, out, _ = run(capsys, "charpoly", str(n), "--kind", kind)
     assert code == 0
     assert out == f"coefficients (constant first): {' '.join(expected)}\n"
@@ -245,7 +245,7 @@ def test_charpoly_of_the_larger_kinds_builds_neither(capsys, monkeypatch):
     for kind, n, size in (("M", 7, 5040), ("Mprime", 12, 2048), ("M", 1, 1), ("Mprime", 1, 1)):
         code, out, _ = run(capsys, "charpoly", str(n), "--kind", kind, "--format", "json")
         assert code == 0
-        mbar = spectral.charpoly(matrices.build_Mbar(n))
+        mbar = spectral.charpoly(n)
         expected = ["0"] * (size - len(mbar) + 1) + [str(c) for c in mbar]
         assert json.loads(out)["coefficients_constant_first"] == expected
     for argv, message in (
@@ -485,6 +485,21 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
         main(["count", "3", "2"])
 
 
+@pytest.mark.parametrize("argv", (["conjecture", "--nmax", "6"], ["charpoly", "6"]))
+def test_a_failed_identity_check_exits_1(capsys, monkeypatch, argv):
+    spectral._new_factor.cache_clear()
+    spectral._mbar_charpoly.cache_clear()
+    intertwines = spectral._intertwines
+    monkeypatch.setattr(spectral, "_intertwines", lambda n: n != 5 and intertwines(n))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: Mbar(5) D_5 != D_5 Mbar(4)\n"
+    # only that check's error: another ArithmeticError is a bug and surfaces
+    monkeypatch.setattr(spectral, "_intertwines", lambda n: 1 // 0)
+    with pytest.raises(ZeroDivisionError):
+        main(argv)
+
+
 def test_each_Mbar_and_charpoly_built_once(capsys, monkeypatch):
     matrices._cached_Mbar.cache_clear()
     matrices._SERIES.clear()
@@ -494,16 +509,10 @@ def test_each_Mbar_and_charpoly_built_once(capsys, monkeypatch):
     assert info.misses == info.currsize == 8  # n = 1..8, each built once
 
     full_runs = []
-    charpoly = spectral.charpoly
-
-    def counting_charpoly(m):
-        if not spectral._is_shared_Mbar(m):
-            full_runs.append(len(getattr(m, "rows", m)))
-        return charpoly(m)
-
+    full_charpoly = oracle.full_charpoly
     products = []
     product = matrices.vec_times_matrix
-    monkeypatch.setattr(spectral, "charpoly", counting_charpoly)
+    monkeypatch.setattr(oracle, "full_charpoly", lambda rows: full_runs.append(len(rows)) or full_charpoly(rows))
     monkeypatch.setattr(matrices, "vec_times_matrix", lambda v, m: products.append(len(v)) or product(v, m))
     spectral._mbar_charpoly.cache_clear()
     spectral._new_factor.cache_clear()

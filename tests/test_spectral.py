@@ -8,11 +8,10 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from garside_census import descents, matrices, reference, spectral
+from garside_census import descents, matrices, oracle, reference, spectral
 from garside_census.descents import partitions_by_mask, partitions_in_order
 from garside_census.matrices import (
     MBAR_CAP,
-    CountMatrix,
     b_delta,
     b_total,
     build_M,
@@ -21,10 +20,10 @@ from garside_census.matrices import (
     descent_masks,
     vec_times_matrix,
 )
-from garside_census.oracle import m_charpoly_nonzero, naive_charpoly
+from garside_census.oracle import _berkowitz, full_charpoly, m_charpoly_nonzero, naive_charpoly
 from garside_census.spectral import (
+    _BY_RATIO,
     _P,
-    _berkowitz,
     _gcd_degree,
     _gcd_degree_mod_p,
     are_coprime,
@@ -39,7 +38,6 @@ from garside_census.spectral import (
     poly_str,
     recurrence_check,
     rho_max,
-    spectral_radius_table,
     strip_x_power,
 )
 
@@ -79,7 +77,7 @@ def test_poly_helpers():
     )
 )
 def test_berkowitz_matches_naive_determinant(rows):
-    assert charpoly(rows) == naive_charpoly(rows)
+    assert full_charpoly(rows) == naive_charpoly(rows)
 
 
 def test_charpoly_identity_matrix():
@@ -88,17 +86,17 @@ def test_charpoly_identity_matrix():
         expect = (1,)
         for _ in range(k):
             expect = poly_mul(expect, (-1, 1))
-        assert charpoly(eye) == expect
+        assert full_charpoly(eye) == expect
 
 
 def test_charpoly_not_square():
     for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1]] * 2):
-        with pytest.raises(ValueError):
-            charpoly(rows)
+        with pytest.raises(ValueError, match="matrix must be square"):
+            full_charpoly(rows)
 
 
 def test_charpoly_empty_matrix():
-    assert charpoly([]) == (1,)
+    assert full_charpoly([]) == (1,)
 
 
 def test_krylov_prime_is_prime():
@@ -126,9 +124,10 @@ def _reference_lu_mod_p(a):
     return perm, a
 
 
-def _rho_by_bisection(m):
+def _rho_by_bisection(p, rows):
     """
-    The double nearest the spectral radius, read off charpoly(m) by a
+    The double nearest the spectral radius of the non-negative matrix rows,
+    read off its characteristic polynomial p by a
     bisection over dyadic points x, each decided exactly by _side_of_rho:
     the reference that rho_max is checked against.  The bisection stops
     once both ends round to the same double, or when it lands on rho
@@ -136,11 +135,10 @@ def _rho_by_bisection(m):
     which is a bisection point, or irrational, which is never a tie between
     doubles; so it stops.
     """
-    p = charpoly(m)
     if spectral._side_of_rho(p, 0, 0) == 0:
         return 0.0
     # rho <= the largest row sum < hi; a power of two, so every integer below is a bisection point
-    lo, hi, s = 0, 1 << max(map(sum, m.rows)).bit_length(), 0
+    lo, hi, s = 0, 1 << max(map(sum, rows)).bit_length(), 0
     while lo / 2**s != hi / 2**s:
         mid, lo, hi, s = lo + hi, 2 * lo, 2 * hi, s + 1
         side = spectral._side_of_rho(p, mid, s)
@@ -195,7 +193,7 @@ _entry = st.one_of(st.integers(-3, 3), st.integers(-(10**6), 10**6))
     )
 )
 def test_charpoly_matches_berkowitz(rows):
-    assert charpoly(rows) == _berkowitz_charpoly(rows)
+    assert full_charpoly(rows) == _berkowitz_charpoly(rows)
 
 
 def _conjugate(rows, steps):
@@ -229,8 +227,8 @@ def test_charpoly_falls_back_on_a_repeated_diagonalizable_eigenvalue(case):
     diag = [diag[0]] + diag
     k = len(diag)
     rows = _conjugate([[diag[i] if i == j else 0 for j in range(k)] for i in range(k)], steps)
-    with mock.patch.object(spectral, "_berkowitz", wraps=_berkowitz) as berkowitz:
-        assert charpoly(rows) == _berkowitz_charpoly(rows)
+    with mock.patch.object(oracle, "_berkowitz", wraps=_berkowitz) as berkowitz:
+        assert full_charpoly(rows) == _berkowitz_charpoly(rows)
     berkowitz.assert_called_once()
 
 
@@ -242,26 +240,27 @@ def test_charpoly_of_Mbar_never_falls_back(n, monkeypatch):
     def no_berkowitz(rows):
         raise AssertionError("Berkowitz fallback reached")
 
-    monkeypatch.setattr(spectral, "_berkowitz", no_berkowitz)
-    assert charpoly(rows) == expected
+    monkeypatch.setattr(oracle, "_berkowitz", no_berkowitz)
+    assert full_charpoly(rows) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_charpoly_of_the_shared_Mbar_equals_that_of_its_rows(n):
-    # the polynomial of build_Mbar(n) is a product of intertwiner factors; its rows take the full route
-    assert charpoly(build_Mbar(n)) == charpoly(build_Mbar(n).rows)
+    # charpoly(n) is a product of intertwiner factors; the rows of build_Mbar(n) take the full route
+    assert charpoly(n) == full_charpoly(build_Mbar(n).rows)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_an_equal_copy_of_the_shared_Mbar_takes_the_full_route(n, monkeypatch):
-    expected = charpoly(build_Mbar(n))
+    # the library's charpoly takes n alone; an equal copy's rows go to the oracle's full route
+    expected = charpoly(n)
     copy = dataclasses.replace(build_Mbar(n))
     assert copy == build_Mbar(n) and copy is not build_Mbar(n)
     lifted = []
     lift = spectral._lift_charpoly
     monkeypatch.setattr(spectral, "_lift_charpoly", lambda krylov, rows: lifted.append(len(krylov)) or lift(krylov, rows))
     before = spectral._mbar_charpoly.cache_info()
-    assert charpoly(copy) == expected
+    assert full_charpoly(copy.rows) == expected
     assert spectral._mbar_charpoly.cache_info() == before
     assert lifted == [len(partitions_in_order(n)) + 1]  # the p(n) + 1 Krylov rows of the full route
 
@@ -272,11 +271,11 @@ def test_the_charpoly_of_Mbar_leaves_the_count_series_alone(n):
     matrices._SERIES.clear()
     spectral._new_factor.cache_clear()
     spectral._mbar_charpoly.cache_clear()
-    charpoly(build_Mbar(n))
+    charpoly(n)
     for k in range(2, n + 1):
         new_factor_simple_roots(k)
     for k in range(1, n + 1):
-        rho_max(build_Mbar(k))
+        rho_max(k)
     assert matrices._SERIES == {}
 
 
@@ -330,7 +329,7 @@ def test_the_solve_from_the_free_labels_by_hand():
     assert spectral._free_labels(3) == (0,)
     assert spectral._solve_from_free(3, [1, 0, 0], scale=True) == [4, 1, 0]
     assert spectral._solve_from_free(3, [8, 5, 7], scale=False) == [8, 2, 0]
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(spectral.ExactCheckError):
         spectral._solve_from_free(3, [1, 0, 0], scale=False)
 
 
@@ -342,14 +341,14 @@ def test_the_free_label_rows_are_the_full_products(n, seed):
     w = spectral._kernel_vector(n, seed)
     steps = len(spectral._free_labels(n)) + 1
     stepped = itertools.islice(spectral._kernel_krylov_rows(n, w), steps)
-    full = itertools.islice(spectral._krylov_rows(build_Mbar(n).rows, w), steps)
+    full = itertools.islice(oracle._krylov_rows(build_Mbar(n).rows, w), steps)
     assert [tuple(x) for x in stepped] == list(full)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 2**32))
 def test_new_factor_equals_the_full_route_quotient(n, seed):
-    full = exact_quotient(charpoly(build_Mbar(n - 1).rows), charpoly(build_Mbar(n).rows))
+    full = exact_quotient(full_charpoly(build_Mbar(n - 1).rows), full_charpoly(build_Mbar(n).rows))
     assert spectral._factor_on_kernel(n, spectral._kernel_vector(n, seed))[0] == full
     assert spectral._new_factor(n)[0] == full
 
@@ -368,30 +367,30 @@ def fresh_factor_caches():
 @pytest.mark.parametrize("n", (2, 7, 11))
 def test_a_kernel_vector_singular_mod_P_raises(n, fresh_factor_caches):
     # w times P is in W_n and cyclic, but its Krylov matrix is zero mod P
-    expected = charpoly(build_Mbar(n).rows)
-    charpoly(build_Mbar(n - 1))  # the factors below n, cached
+    expected = full_charpoly(build_Mbar(n).rows)
+    charpoly(n - 1)  # the factors below n, cached
     kernel_vector = spectral._kernel_vector
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "_kernel_vector", lambda n, seed: tuple(_P * x for x in kernel_vector(n, seed)))
-        with pytest.raises(ArithmeticError, match=f"W_{n} are singular mod _P"):
-            charpoly(build_Mbar(n))
+        with pytest.raises(spectral.ExactCheckError, match=f"W_{n} are singular mod _P"):
+            charpoly(n)
     # lru_cache keeps no exception, so the unpatched call computes the factor
-    assert charpoly(build_Mbar(n)) == expected
+    assert charpoly(n) == expected
 
 
 def test_a_failed_identity_check_raises_before_a_factor(fresh_factor_caches):
     n = 6
-    expected = charpoly(build_Mbar(n).rows)
-    charpoly(build_Mbar(n - 1))  # the factors below n, cached
+    expected = full_charpoly(build_Mbar(n).rows)
+    charpoly(n - 1)  # the factors below n, cached
     columns = spectral._intertwiner_columns(n)
     (top, diag), *rest = columns[0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "_intertwiner_columns", lambda k: (((top, diag + 1), *rest),) + columns[1:])
         patch.setattr(spectral, "_factor_on_kernel", lambda *args: pytest.fail("a factor was computed"))
         assert not spectral._intertwines(n)
-        with pytest.raises(ArithmeticError, match=r"Mbar\(6\) D_6 != D_6 Mbar\(5\)"):
-            charpoly(build_Mbar(n))
-    assert charpoly(build_Mbar(n)) == expected
+        with pytest.raises(spectral.ExactCheckError, match=r"Mbar\(6\) D_6 != D_6 Mbar\(5\)"):
+            charpoly(n)
+    assert charpoly(n) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -455,17 +454,17 @@ def test_the_kept_kernel_rows_do_not_depend_on_the_sign_of_w(monkeypatch):
         starts = []
         for kept in ((factor, x, y), negated):
             monkeypatch.setattr(spectral, "_new_factor", lambda k: kept)
-            starts.append(spectral._rho_start(build_Mbar(n)))
+            starts.append(spectral._rho_start(n))
         assert starts[0] == starts[1], n
 
 
 def test_charpoly_mbar3():
-    assert charpoly(build_Mbar(3)) == poly_mul(poly_mul((-1, 1), (-1, 1)), (-2, 1))
+    assert charpoly(3) == poly_mul(poly_mul((-1, 1), (-1, 1)), (-2, 1))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_charpoly_against_reference_products(n):
-    assert charpoly(build_Mbar(n)) == reference_charpoly(n)
+    assert charpoly(n) == reference_charpoly(n)
 
 
 # --- strip equality of the three matrices ------------------------------------
@@ -473,9 +472,9 @@ def test_charpoly_against_reference_products(n):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_strip_equality_direct(n):
-    s_m = strip_x_power(charpoly(build_M(n)))
-    s_p = strip_x_power(charpoly(build_Mprime(n)))
-    s_b = strip_x_power(charpoly(build_Mbar(n)))
+    s_m = strip_x_power(full_charpoly(build_M(n).rows))
+    s_p = strip_x_power(full_charpoly(build_Mprime(n).rows))
+    s_b = strip_x_power(charpoly(n))
     assert s_m == s_p == s_b == m_charpoly_nonzero(n)
 
 
@@ -484,8 +483,8 @@ def test_strip_equality_compressed(n):
     # the full matrix is too large to run through the direct algorithm
     # here, so its nonzero spectrum comes from the rank-factorization
     # route, which the direct test above pins down at small sizes
-    s_p = strip_x_power(charpoly(build_Mprime(n)))
-    s_b = strip_x_power(charpoly(build_Mbar(n)))
+    s_p = strip_x_power(full_charpoly(build_Mprime(n).rows))
+    s_b = strip_x_power(charpoly(n))
     assert s_p == s_b == m_charpoly_nonzero(n)
 
 
@@ -524,7 +523,7 @@ def test_Mprime_factors_through_the_partitions(n):
 def test_divides_examples():
     assert divides((-1, 1), poly_mul((-1, 1), (-2, 1)))
     assert not divides((-3, 1), poly_mul((-1, 1), (-2, 1)))
-    assert divides(charpoly(build_Mbar(3)), charpoly(build_Mbar(4)))
+    assert divides(charpoly(3), charpoly(4))
     with pytest.raises(ValueError):
         divides((0,), (1, 1))
 
@@ -654,7 +653,7 @@ def test_zero_polynomial_results():
 # --- dominant eigenvalues ------------------------------------------------------
 
 
-def power_iteration_rho(m, tol=1e-12, max_iter=1_000_000):
+def power_iteration_rho(rows, tol=1e-12, max_iter=1_000_000):
     """
     The float power iteration rho_max once was, kept as an independent
     reference; its step tolerance is tighter than the old default 1e-9.
@@ -662,7 +661,7 @@ def power_iteration_rho(m, tol=1e-12, max_iter=1_000_000):
     two consecutive Rayleigh quotients can agree while v is still far
     from the eigenvector.
     """
-    rows = [[float(e) for e in row] for row in m.rows]
+    rows = [[float(e) for e in row] for row in rows]
     size = len(rows)
     v = [1.0] * size
     prev = None
@@ -692,11 +691,32 @@ def _midpoint(x, y):
     return a * d + c * b, 2 * b * d
 
 
+def _column_sum_start(rows):
+    """The largest column sum of a non-negative matrix, as a start (num, den) above rho."""
+    return max(map(sum, zip(*rows))), 1
+
+
+def _drawn_rho(rows):
+    """
+    The spectral radius of any non-negative integer matrix, the way rho_max
+    takes that of Mbar(n): spectral._newton_rho on the full-route
+    polynomial stripped of its power of x, here from the largest column
+    sum; 0 when that polynomial is 1, a nilpotent or empty matrix.
+    """
+    p = strip_x_power(full_charpoly(rows))
+    return 0.0 if len(p) == 1 else spectral._newton_rho(p, _column_sum_start(rows))
+
+
+@functools.cache
+def _bisected_Mbar(n):
+    return _rho_by_bisection(charpoly(n), build_Mbar(n).rows)
+
+
 def test_rho_max_values():
-    assert rho_max(build_Mbar(1)) == 1.0
-    assert rho_max(build_Mbar(2)) == 1.0  # a Jordan block: (x - 1)^2
-    assert rho_max(build_Mbar(3)) == 2.0
-    rho = rho_max(build_Mbar(4))
+    assert rho_max(1) == 1.0
+    assert rho_max(2) == 1.0  # a Jordan block: (x - 1)^2
+    assert rho_max(3) == 2.0
+    rho = rho_max(4)
     # the double nearest 3 + sqrt(6): the root lies between the midpoints to its neighbours
     assert _below_3_plus_sqrt6(*_midpoint(math.nextafter(rho, 0.0), rho))
     assert not _below_3_plus_sqrt6(*_midpoint(rho, math.nextafter(rho, math.inf)))
@@ -705,11 +725,7 @@ def test_rho_max_values():
 def test_rho_max_transpose_invariant():
     for n in range(1, 7):
         m = build_Mbar(n)
-        assert rho_max(m) == rho_max(m.transpose())
-
-
-def _matrix(rows):
-    return CountMatrix(kind="Mbar", n=len(rows), labels=tuple(range(len(rows))), rows=rows)
+        assert rho_max(n) == _drawn_rho(m.rows) == _drawn_rho(m.transpose().rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -721,17 +737,16 @@ def _matrix(rows):
 # the first two Rayleigh quotients from (1, 1, 1) are both exactly 50
 @example(rows=((17, 1, 42), (17, 1, 27), (17, 1, 27)))
 def test_rho_max_against_power_iteration(rows):
-    m = _matrix(rows)
-    assert rho_max(m) == pytest.approx(power_iteration_rho(m), rel=1e-9)
+    assert _drawn_rho(rows) == pytest.approx(power_iteration_rho(rows), rel=1e-9)
 
 
 def test_rho_max_special_spectra():
     # nilpotent: rho = 0; a permutation matrix: every eigenvalue on the unit circle
-    assert rho_max(_matrix(((0, 1), (0, 0)))) == 0.0
-    assert rho_max(_matrix(((0, 0), (0, 0)))) == 0.0
-    assert rho_max(_matrix(((0, 1, 0), (0, 0, 1), (1, 0, 0)))) == 1.0
-    assert rho_max(_matrix(((2, 0), (0, 7)))) == 7.0
-    assert rho_max(_matrix(())) == 0.0  # the empty matrix: charpoly is 1
+    assert _drawn_rho(((0, 1), (0, 0))) == 0.0
+    assert _drawn_rho(((0, 0), (0, 0))) == 0.0
+    assert _drawn_rho(((0, 1, 0), (0, 0, 1), (1, 0, 0))) == 1.0
+    assert _drawn_rho(((2, 0), (0, 7))) == 7.0
+    assert _drawn_rho(()) == 0.0  # the empty matrix: charpoly is 1
 
 
 _entry_or_zero = st.one_of(st.just(0), st.integers(0, 50))
@@ -751,31 +766,28 @@ _entry_or_zero = st.one_of(st.just(0), st.integers(0, 50))
 @example(rows=((0, 4, 1), (0, 2, 3), (0, 5, 1)))  # a zero column: the start is the largest column sum
 @example(rows=((3, 1), (1, 3)))  # rho = 4, a Newton iterate exactly
 def test_rho_max_equals_the_bisection(rows):
-    m = _matrix(rows)
-    expected = _rho_by_bisection(m)
-    assert rho_max(m) == expected
-    # the start of any matrix but the shared Mbar(n): its largest column sum
-    num, den = spectral._rho_start(m)
-    assert (num, den) == (max(map(sum, zip(*rows))), 1)
+    expected = _rho_by_bisection(full_charpoly(rows), rows)
+    assert _drawn_rho(rows) == expected
+    num, den = _column_sum_start(rows)
     assert num / den >= expected
 
 
 def test_rho_max_certifies_each_double_once(monkeypatch):
     # a double rho = 1 + sqrt(6): Newton nears it only linearly, so the double of its
     # iterate repeats over several steps before the certificate holds
-    m = _matrix(((1, 2, 0, 0), (3, 1, 0, 0), (0, 0, 1, 2), (0, 0, 3, 1)))
-    expected = _rho_by_bisection(m)
+    rows = ((1, 2, 0, 0), (3, 1, 0, 0), (0, 0, 1, 2), (0, 0, 3, 1))
+    expected = _rho_by_bisection(full_charpoly(rows), rows)
     shifts = []
     side = spectral._side_of_rho
     monkeypatch.setattr(spectral, "_side_of_rho", lambda p, a, s: shifts.append((a, s)) or side(p, a, s))
-    assert rho_max(m) == expected
+    assert _drawn_rho(rows) == expected
     assert len(shifts) == len(set(shifts)) == 2
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_rho_max_of_Mbar_closes_by_the_brackets(n):
     # the brackets are the Newton iterate above rho and the certified midpoint below it
-    assert rho_max(build_Mbar(n)) == _rho_by_bisection(build_Mbar(n))
+    assert rho_max(n) == _bisected_Mbar(n)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -786,8 +798,8 @@ def test_the_kept_kernel_rows_step_by_Mbar_and_bound_rho_from_above(n):
         assert y == vec_times_matrix(x, m)
         signed = x if sum(x) >= 0 else [-e for e in x]  # as _rho_start reads it
         assert (min(signed) < 0) == (n in (4, 5))  # the n whose start is shifted by c > 1
-    num, den = spectral._rho_start(m)
-    assert num / den >= _rho_by_bisection(m)  # both correctly rounded, so the order holds
+    num, den = spectral._rho_start(n)
+    assert num / den >= _bisected_Mbar(n)  # both correctly rounded, so the order holds
 
 
 def _count_products(monkeypatch):
@@ -800,46 +812,69 @@ def _count_products(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_rho_max_of_Mbar_starts_from_the_kernel_rows_without_a_product(n, monkeypatch, fresh_factor_caches):
     calls = _count_products(monkeypatch)
-    rho = rho_max(build_Mbar(n))
+    rho = rho_max(n)
     assert calls == []
-    assert rho == _rho_by_bisection(build_Mbar(n))
+    assert rho == _bisected_Mbar(n)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_an_equal_copy_of_the_shared_Mbar_starts_at_its_column_sums(n, monkeypatch):
-    m = build_Mbar(n)
-    expected = rho_max(m)
-    copy = dataclasses.replace(m)
-    assert spectral._rho_start(copy) == (max(map(sum, zip(*m.rows))), 1)
-    p = charpoly(copy)  # the full route, which steps the Krylov rows of (1, ..., 1)
-    monkeypatch.setattr(spectral, "charpoly", lambda _: p)
+    # the drawn-matrix route on an equal copy: Newton from its largest column sum, which
+    # caps _rho_start(n), reaches rho_max(n) with no vector product
+    expected = rho_max(n)
+    copy = dataclasses.replace(build_Mbar(n))
+    top = _column_sum_start(copy.rows)
+    assert _BY_RATIO(spectral._rho_start(n)) <= _BY_RATIO(top)
+    p = strip_x_power(full_charpoly(copy.rows))
     calls = _count_products(monkeypatch)
-    assert rho_max(copy) == expected
+    assert spectral._newton_rho(p, top) == expected
     assert calls == []
+
+
+def _plant(n, entries):
+    """
+    The kept (factor, x, y) of _new_factor(n) with x, signed as _rho_start
+    reads it, set to e at each (j, e) of entries and y = x Mbar(n) stepped
+    in full.
+    """
+    factor, x, _ = spectral._new_factor(n)
+    x = list(x if sum(x) >= 0 else [-e for e in x])
+    for j, e in entries:
+        x[j] = e
+    return factor, tuple(x), vec_times_matrix(x, build_Mbar(n))
 
 
 @pytest.mark.parametrize("n", (8, 12))
 def test_a_negative_entry_of_x_shifts_the_start(n, monkeypatch):
     # as at n = 4 and 5: x + c is positive for c = 1 - min x = 2.  Every vector of W_n
     # is 0 at the label (n); -1 there leaves x out of W_n, and y = x Mbar(n) is stepped in full
-    m = build_Mbar(n)
-    expected = rho_max(m)
-    factor, x, _ = spectral._new_factor(n)
+    expected = rho_max(n)
     j = partitions_in_order(n).index((n,))
-    assert x[j] == 0
-    x = x[:j] + (-1,) + x[j + 1:]
-    y = vec_times_matrix(x, m)
-    monkeypatch.setattr(spectral, "_new_factor", lambda k: (factor, x, y))
+    assert spectral._new_factor(n)[1][j] == 0
+    planted = _plant(n, [(j, -1)])
+    monkeypatch.setattr(spectral, "_new_factor", lambda k: planted)
     calls = _count_products(monkeypatch)
-    num, den = spectral._rho_start(m)
-    assert num / den >= _rho_by_bisection(m)
-    assert rho_max(m) == expected
+    num, den = spectral._rho_start(n)
+    assert num / den >= _bisected_Mbar(n)
+    assert rho_max(n) == expected
     assert calls == []
 
 
-@functools.cache
-def _bisected_Mbar(n):
-    return _rho_by_bisection(build_Mbar(n))
+def test_the_start_is_capped_at_the_largest_column_sum(monkeypatch):
+    # the largest entry of x planted at -1 leaves x_j + c = 1 where y_j is about 4e149:
+    # uncapped, Newton took 50 362 Horner evaluations from there, and about 700 capped
+    n = 12
+    expected = rho_max(n)
+    x = _plant(n, [])[1]
+    planted = _plant(n, [(max(range(len(x)), key=x.__getitem__), -1)])
+    top = _column_sum_start(build_Mbar(n).rows)
+    monkeypatch.setattr(spectral, "_new_factor", lambda k: planted)
+    assert _BY_RATIO(spectral._rho_start(n)) <= _BY_RATIO(top)
+    evaluations = []
+    scaled_value = spectral._scaled_value
+    monkeypatch.setattr(spectral, "_scaled_value", lambda p, a, s: evaluations.append(s) or scaled_value(p, a, s))
+    assert rho_max(n) == expected
+    assert len(evaluations) <= 2000
 
 
 @settings(max_examples=30, deadline=None)
@@ -856,90 +891,89 @@ def _bisected_Mbar(n):
     )
 )
 @example(case=(3, [(0, 1)]))  # the bound of x + c falls below rho unless s is scaled by c too
-@example(case=(10, [(0, 1000)]))  # the largest entry of x at -max|x| - 1: a start near 10**67
+@example(case=(10, [(0, 1000)]))  # the largest entry of x at -max|x| - 1: uncapped, a start near 10**67
 def test_the_shifted_start_is_sound_for_any_negative_entries(case):
     # entries of x set below 0, down to -max|x| - 1, y = x Mbar(n) stepped in full:
-    # the bound of x + c stays above rho, and rho_max does not change
+    # the bound of x + c stays above rho, the column sums cap it, and rho_max does not change
     n, lowered = case
-    m = build_Mbar(n)
     expected = _bisected_Mbar(n)
     factor, x, _ = spectral._new_factor(n)
     x = list(x)
     top = max(map(abs, x))
     for j, k in lowered:
         x[j] = -(k * top) // 1000 - 1
-    y = vec_times_matrix(x, m)
+    y = vec_times_matrix(x, build_Mbar(n))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "_new_factor", lambda k: (factor, tuple(x), y))
-        num, den = spectral._rho_start(m)
+        num, den = spectral._rho_start(n)
         assert num / den >= expected
-        assert rho_max(m) == expected
+        assert _BY_RATIO((num, den)) <= _BY_RATIO(_column_sum_start(build_Mbar(n).rows))
+        assert rho_max(n) == expected
 
 
 @pytest.mark.parametrize("n", (1, 7, 12))
 def test_charpoly_of_the_shared_Mbar_on_warm_caches_calls_no_build_Mbar(n, monkeypatch):
-    m = build_Mbar(n)
-    expected = charpoly(m)
+    expected = charpoly(n)
     build = mock.Mock(wraps=matrices.build_Mbar)
     monkeypatch.setattr(matrices, "build_Mbar", build)
-    assert charpoly(m) == expected
-    assert spectral._is_shared_Mbar(m)
+    assert charpoly(n) == expected
     build.assert_not_called()
 
 
 def test_charpoly_cache_holds_at_most_one_entry_per_Mbar():
-    # other matrices take the full route, so they add nothing to the cache of the shared Mbar(n)
-    shared = [build_Mbar(k) for k in range(1, 9)]
-    for m in shared:
-        charpoly(m)
+    shared = range(1, 9)
+    for n in shared:
+        charpoly(n)
     before = spectral._mbar_charpoly.cache_info()
-    rng = random.Random(7)
-    for _ in range(300):
-        k = rng.randint(1, 4)
-        rho_max(_matrix(tuple(tuple(rng.randint(0, 9) for _ in range(k)) for _ in range(k))))
-    assert spectral._mbar_charpoly.cache_info() == before
-    for m in shared:
-        charpoly(m)
+    for n in shared:
+        charpoly(n)
     after = spectral._mbar_charpoly.cache_info()
     assert (after.hits - before.hits, after.misses, after.currsize) == (len(shared), before.misses, before.currsize)
     assert after.currsize <= MBAR_CAP
 
 
-def test_rho_max_rejects_a_negative_entry():
-    for rows in (((1, -1), (1, 1)), ((0, 0, 0), (0, 0, 0), (0, 0, -1))):
-        with pytest.raises(ValueError, match="non-negative"):
-            rho_max(_matrix(rows))
+@pytest.mark.parametrize("n", (0, -1, MBAR_CAP + 1))
+def test_charpoly_and_rho_max_take_n_in_1_to_the_cap(n):
+    # before any factor: _mbar_charpoly(0) would recurse without end
+    cached = spectral._mbar_charpoly.cache_info().currsize
+    for f in (charpoly, rho_max):
+        with pytest.raises(ValueError, match="n must be at least 1|exceeds the Mbar size cap"):
+            f(n)
+    assert spectral._mbar_charpoly.cache_info().currsize == cached
 
 
 def test_reference_rho_digits_exact():
-    rows = spectral_radius_table(8)
-    for row in rows:
-        n = row["n"]
+    prev = None
+    for n in range(1, 9):
+        rho = rho_max(n)
         # RHO is truncated to three decimals, RHO_RATIO rounded
-        assert math.floor(1000 * row["rho"]) == round(1000 * reference.RHO[n])
+        assert math.floor(1000 * rho) == round(1000 * reference.RHO[n])
         if n >= 2:
-            assert round(row["ratio"], 3) == reference.RHO_RATIO[n]
+            assert round(rho / (n * prev), 3) == reference.RHO_RATIO[n]
+        prev = rho
 
 
 def test_spectral_radius_table_against_reference():
-    rows = spectral_radius_table(8)
-    for row in rows:
-        n = row["n"]
-        assert row["rho"] == pytest.approx(reference.RHO[n], abs=5e-3)
+    # Table 2: rho(n) and the ratio rho(n) / (n rho(n - 1))
+    prev = None
+    for n in range(1, 9):
+        rho = rho_max(n)
+        assert rho == pytest.approx(reference.RHO[n], abs=5e-3)
         if n >= 2:
-            assert row["ratio"] == pytest.approx(reference.RHO_RATIO[n], abs=5e-3)
+            assert rho / (n * prev) == pytest.approx(reference.RHO_RATIO[n], abs=5e-3)
+        prev = rho
 
 
 # --- recurrences ----------------------------------------------------------------
 
 
 def test_recurrence_check_examples():
-    p3 = charpoly(build_Mbar(3))
+    p3 = charpoly(3)
     seq = [b_total(3, d) for d in range(1, 21)]
     assert recurrence_check(seq, p3)
     assert recurrence_check([7] * 10, (-1, 1))
     seq4 = [b_delta(4, d, 1) for d in range(1, 21)]
-    assert recurrence_check(seq4, charpoly(build_Mbar(4)))
+    assert recurrence_check(seq4, charpoly(4))
     assert not recurrence_check([1, 2, 4, 9], (-2, 1))
     with pytest.raises(ValueError):
         recurrence_check([1, 2], (-1, -1, -1, 1))
