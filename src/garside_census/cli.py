@@ -18,12 +18,9 @@ conjecture and verify take --nmax <= MBAR_CAP.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import functools
 import io
 import itertools
-import json
 import sys
 from typing import Iterable, Iterator
 
@@ -63,6 +60,10 @@ def _json_pieces(obj, pad: str = "") -> Iterator[str]:
     at indent pad: a dict or list that holds a dict or list goes out item
     by item, anything else whole, so a matrix goes out one row at a time.
     """
+    # json here and csv in _emit_csv are imported by the format that writes
+    # them, so a plain command starts up without loading either
+    import json
+
     items = []
     if isinstance(obj, dict):
         items, brackets = [(json.dumps(k) + ": ", v) for k, v in obj.items()], "{}"
@@ -83,6 +84,8 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def _emit_csv(rows: list[list], out: str | None) -> None:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -344,7 +347,7 @@ def _cmd_verify(args) -> int:
                 # expected and computed as text, so the bool checks print "True" like the ints
                 "checks": [
                     {k: str(v) if k in ("expected", "computed") else v
-                     for k, v in dataclasses.asdict(c).items() if v is not None}
+                     for k, v in c._asdict().items() if v is not None}
                     for c in r.checks
                 ],
             }

@@ -14,18 +14,16 @@ the pipeline, and the report rows record the printed variant with a
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import matrices
 from .descents import PartitionN, _multinomial
 from .reference import PAPER_DISCREPANCY
 
 
-@dataclasses.dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     label: str
     expected: int | bool
     computed: int | bool
@@ -33,8 +31,7 @@ class Check:
     flag: str | None = None
 
 
-@dataclasses.dataclass(frozen=True)
-class FormulaReport:
+class FormulaReport(NamedTuple):
     formula: str
     checks: tuple[Check, ...]
 

@@ -40,11 +40,10 @@ build_Mbar builds each shared Mbar(n) once per process.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import math
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import descents, permutations
 from .descents import PartitionN
@@ -55,18 +54,22 @@ SUBSET_CAP = 12
 MBAR_CAP = 15
 
 
-@dataclasses.dataclass(frozen=True)
-class CountMatrix:
+class CountMatrix(NamedTuple("CountMatrix", [
+    ("kind", str),  # "M" | "Mprime" | "Mbar"
+    ("n", int),
+    ("labels", tuple),
+    ("rows", tuple[tuple[int, ...], ...]),
+])):
     """A square matrix of exact non-negative integers with typed labels."""
 
-    kind: str  # "M" | "Mprime" | "Mbar"
-    n: int
-    labels: tuple
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert len(self.rows) == len(self.labels)
-        assert all(len(row) == len(self.labels) for row in self.rows)
+    def __new__(cls, kind, n, labels, rows):
+        assert len(rows) == len(labels)
+        assert all(len(row) == len(labels) for row in rows)
+        return super().__new__(cls, kind, n, labels, rows)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
     @property
     def size(self) -> int:

@@ -34,11 +34,10 @@ recursion runs instead; both stay in exact integers.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import itertools
 import math
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import descents, matrices, spectral
 from .matrices import CountMatrix, build_M, descent_masks
@@ -349,8 +348,7 @@ def m_charpoly_nonzero(n: int) -> IntPoly:
     return strip_x_power(full_charpoly(prod))
 
 
-@dataclasses.dataclass(frozen=True)
-class MStructureReport:
+class MStructureReport(NamedTuple):
     """Pass/fail record for the three structural laws of M(n)."""
 
     n: int

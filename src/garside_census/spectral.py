@@ -46,13 +46,12 @@ only the correctly rounded images of exact dyadics.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import itertools
 import math
 import random
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import descents, matrices
 from .descents import PartitionN
@@ -531,8 +530,7 @@ def are_coprime(p: Sequence, q: Sequence) -> bool:
     return _gcd_degree(p, q) == 0
 
 
-@dataclasses.dataclass(frozen=True)
-class NewFactorReport:
+class NewFactorReport(NamedTuple):
     """
     Divisibility of consecutive partition-matrix characteristic
     polynomials.  coprime_with_previous is reported but not part of the

@@ -56,9 +56,8 @@ str.replace on one code point per letter.
 """
 from __future__ import annotations
 
-import dataclasses
 import re
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .permutations import (
     Perm,
@@ -73,38 +72,40 @@ from .permutations import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class PositiveWord:
+class PositiveWord(NamedTuple("PositiveWord", [("n", int), ("letters", tuple[int, ...])])):
     """
     A positive word on n strands: each letter is a generator index in
     {1, ..., n-1} or 0, which stands for the half twist Δ.  At n = 1 the
     half twist is trivial and 0 is out of range.
     """
 
-    n: int
-    letters: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n, letters):
+        if n < 1:
             raise ValueError("strand count must be at least 1")
-        low = 0 if self.n > 1 else 1
-        for i in self.letters:
-            if not low <= i <= self.n - 1:
-                raise ValueError(f"generator index {i} out of range for n={self.n}")
+        low = 0 if n > 1 else 1
+        for i in letters:
+            if not low <= i <= n - 1:
+                raise ValueError(f"generator index {i} out of range for n={n}")
+        return super().__new__(cls, n, letters)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
 
-@dataclasses.dataclass(frozen=True)
-class NormalSequence:
-    n: int
-    factors: tuple[Perm, ...]
+class NormalSequence(NamedTuple("NormalSequence", [("n", int), ("factors", tuple[Perm, ...])])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        one = identity(self.n)
-        if self.factors and self.factors[-1] == one:
+    def __new__(cls, n, factors):
+        one = identity(n)
+        if factors and factors[-1] == one:
             raise ValueError("normal sequence may not end with a trivial factor")
-        for k in range(len(self.factors) - 1):
-            if not is_normal_pair(self.factors[k], self.factors[k + 1]):
+        for k in range(len(factors) - 1):
+            if not is_normal_pair(factors[k], factors[k + 1]):
                 raise ValueError(f"factors {k + 1} and {k + 2} are not normal")
+        return super().__new__(cls, n, factors)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
 
 def delta_letters(n: int) -> tuple[int, ...]:

@@ -390,12 +390,31 @@ def test_out_file(tmp_path, capsys):
     assert obj["rows"] == [["1", "0"], ["1", "1"]]
 
 
-def _separate_process(argv):
+def _python(*args):
+    """The stdout of a fresh interpreter run with args, the package on its path."""
     src = os.path.dirname(os.path.dirname(garside_census.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "garside_census.cli", *argv],
-                          capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=True)
     return proc.stdout
+
+
+def _separate_process(argv):
+    return _python("-m", "garside_census.cli", *argv)
+
+
+def test_the_cli_imports_no_dataclasses_json_or_csv():
+    # what site preloads does not count; json and csv arrive with their formats
+    script = """
+import sys
+before = set(sys.modules)
+from garside_census.cli import main
+print(sorted({"dataclasses", "json", "csv"} & (set(sys.modules) - before)))
+for fmt in ("json", "csv"):
+    assert main(["count", "4", "3", "--format", fmt]) == 0
+"""
+    assert _python("-c", script) == (
+        '[]\n{\n  "n": "4",\n  "d": "3",\n  "value": "1380"\n}\nn,d,last,value\n4,3,,1380\n'
+    )
 
 
 def test_parser_built_once_and_no_state_carries_over(capsys):

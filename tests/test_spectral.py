@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -254,7 +253,7 @@ def test_charpoly_of_the_shared_Mbar_equals_that_of_its_rows(n):
 def test_an_equal_copy_of_the_shared_Mbar_takes_the_full_route(n, monkeypatch):
     # the library's charpoly takes n alone; an equal copy's rows go to the oracle's full route
     expected = charpoly(n)
-    copy = dataclasses.replace(build_Mbar(n))
+    copy = build_Mbar(n)._replace()
     assert copy == build_Mbar(n) and copy is not build_Mbar(n)
     lifted = []
     lift = spectral._lift_charpoly
@@ -822,7 +821,7 @@ def test_an_equal_copy_of_the_shared_Mbar_starts_at_its_column_sums(n, monkeypat
     # the drawn-matrix route on an equal copy: Newton from its largest column sum, which
     # caps _rho_start(n), reaches rho_max(n) with no vector product
     expected = rho_max(n)
-    copy = dataclasses.replace(build_Mbar(n))
+    copy = build_Mbar(n)._replace()
     top = _column_sum_start(copy.rows)
     assert _BY_RATIO(spectral._rho_start(n)) <= _BY_RATIO(top)
     p = strip_x_power(full_charpoly(copy.rows))

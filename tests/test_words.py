@@ -156,6 +156,13 @@ def test_parse_errors():
         PositiveWord(n=1, letters=(0,))
     with pytest.raises(ValueError, match="out of range"):
         PositiveWord(n=3, letters=(-1,))
+    # positional fields are checked the same way
+    with pytest.raises(ValueError, match="out of range for n=3"):
+        PositiveWord(3, (1, 5))
+    with pytest.raises(ValueError, match="strand count must be at least 1"):
+        PositiveWord(0, ())
+    with pytest.raises(ValueError, match="out of range for n=3"):
+        PositiveWord(3, (1,))._replace(letters=(9,))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -204,6 +211,13 @@ def test_normal_sequence_invariants_enforced():
     with pytest.raises(ValueError):
         NormalSequence(n=3, factors=((2, 1, 3), (1, 3, 2)))
     NormalSequence(n=3, factors=((1, 3, 2), (3, 1, 2)))
+    # positional fields are checked the same way
+    with pytest.raises(ValueError, match="may not end with a trivial factor"):
+        NormalSequence(3, ((1, 3, 2), identity(3)))
+    with pytest.raises(ValueError, match="factors 2 and 3 are not normal"):
+        NormalSequence(3, ((1, 3, 2), (3, 1, 2), (3, 2, 1)))
+    with pytest.raises(ValueError, match="may not end with a trivial factor"):
+        NormalSequence(3, ())._replace(factors=(identity(3),))
 
 
 @pytest.mark.parametrize(
