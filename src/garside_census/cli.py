@@ -306,7 +306,7 @@ def _cmd_conjecture(args) -> int:
             {
                 "n": rep.n,
                 "divides": rep.divides,
-                "quotient_constant_first": rep.quotient or (),
+                "quotient_constant_first": rep.quotient,
                 "expected_degree": rep.expected_degree,
                 "degree_ok": rep.degree_ok,
                 "constant_nonzero": rep.constant_nonzero,
@@ -321,10 +321,9 @@ def _cmd_conjecture(args) -> int:
         lines = []
         for rep, rho in rows:
             verdict = "ok" if rep.all_ok else "FAIL"
-            q = spectral.poly_str(rep.quotient) if rep.quotient else "-"
             lines.append(
                 f"n={rep.n}: {verdict} divides={rep.divides}"
-                f" quotient={q} degree={rep.expected_degree}"
+                f" quotient={spectral.poly_str(rep.quotient)} degree={rep.expected_degree}"
                 f" squarefree={rep.squarefree} coprime={rep.coprime_with_previous}"
                 f" rho={rho:.3f}"
             )

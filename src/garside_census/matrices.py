@@ -257,9 +257,7 @@ def b_of_simple(n: int, d: int, x: Perm) -> int:
     factor is exactly x; it depends only on the left-descent partition of
     x.  oracle.b_of_simple_via computes it through the larger matrices.
     """
-    if len(x) != n:
-        raise ValueError(f"permutation {x} does not live on {n} strands")
-    permutations.check_one_line(x)
+    permutations.check_on_strands(x, n)
     return b_of_partition(n, d, descents.partition_of(permutations.d_left(x), n))
 
 

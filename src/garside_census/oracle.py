@@ -23,13 +23,12 @@ full_charpoly takes any square integer matrix, where spectral.charpoly
 takes only Mbar(n).  It lifts the polynomial from the Krylov rows v A^k of
 v = (1, ..., 1), stepped by matrices.vec_times_matrix, through
 spectral._lift_charpoly, which the intertwiner factors of Mbar(n) share:
-the Krylov matrix is factored once mod spectral._P on rows packed one
-integer each, so a row update is one big-integer multiply-add (Kronecker
-substitution; Harvey, J. Symbolic Comput. 44, 2009), and the solution is
-lifted P-adically (Dixon, Numer. Math. 40, 1982) until it satisfies the
-Cayley-Hamilton identity for v exactly.  When v is not cyclic for A, or
-the Krylov matrix is singular mod _P, the division-free Berkowitz
-recursion runs instead; both stay in exact integers.
+the Krylov matrix is factored once mod spectral._P entry by entry, and
+the solution is lifted P-adically (Dixon, Numer. Math. 40, 1982) until
+it satisfies the Cayley-Hamilton identity for v exactly.  When v is not
+cyclic for A, or the Krylov matrix is singular mod _P, the
+division-free Berkowitz recursion runs instead; both stay in exact
+integers.
 """
 from __future__ import annotations
 
@@ -41,7 +40,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import descents, matrices, spectral
 from .matrices import CountMatrix, build_M, descent_masks
-from .permutations import Perm, check_one_line, d_left, enumeration_index, is_normal_pair
+from .permutations import Perm, check_on_strands, d_left, enumeration_index, is_normal_pair
 from .spectral import IntPoly, poly_mul, poly_trim, strip_x_power
 
 BRUTE_BUDGET = 10**8
@@ -62,9 +61,7 @@ def brute_count(n: int, d: int, last: Perm | None = None) -> int:
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
     if last is not None:
-        if len(last) != n:
-            raise ValueError(f"constraint permutation {last} does not live on {n} strands")
-        check_one_line(last)
+        check_on_strands(last, n)
     tail = () if last is None else (last,)
     free = d - len(tail)
     if free == 0:
@@ -156,9 +153,7 @@ def dp_count(n: int, d: int, last: Perm | None = None) -> int:
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
     if last is not None:
-        if len(last) != n:
-            raise ValueError(f"constraint permutation {last} does not live on {n} strands")
-        check_one_line(last)
+        check_on_strands(last, n)
     v = _through_M(n, d - 1, lambda size: [1] * size)
     return sum(v) if last is None else v[enumeration_index(last)]
 
@@ -233,9 +228,7 @@ def b_of_simple_via(n: int, d: int, x: Perm, via: str) -> int:
     is the corner vector e_Delta M(n)^d.  Both step through M(n) by
     _through_M, within matrices.FACTORIAL_CAP.  No path builds its matrix.
     """
-    if len(x) != n:
-        raise ValueError(f"permutation {x} does not live on {n} strands")
-    check_one_line(x)
+    check_on_strands(x, n)
     if d < 1:
         raise ValueError("d must be at least 1")
     if via == "Mprime":

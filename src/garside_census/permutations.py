@@ -193,6 +193,13 @@ def check_one_line(x: Sequence[int]) -> None:
         raise ValueError(f"{x} is not a permutation of 1..{len(x)}")
 
 
+def check_on_strands(x: Sequence[int], n: int) -> None:
+    """Raise ValueError unless x is a permutation of 1..n."""
+    if len(x) != n:
+        raise ValueError(f"permutation {x} does not live on {n} strands")
+    check_one_line(x)
+
+
 def enumeration_index(x: Perm) -> int:
     """
     0-based position of x in simple_enumeration(len(x)), by running its

@@ -11,12 +11,11 @@ the kernel of an explicit integer intertwiner D_k with Mbar(k) D_k =
 D_k Mbar(k-1) (see _new_factor), computed once per k.  A factor is
 lifted from q + 1 Krylov rows of length q = p(k) - p(k-1), each stepped
 in p(k) q products: the q x q Krylov matrix is factored once modulo the
-word-size prime _P, each row packed into one integer so that a row
-update is one big-integer multiply-add (Kronecker substitution; Harvey,
-J. Symbolic Comput. 44, 2009), and the solution is lifted P-adically
-(Dixon, Numer. Math. 40, 1982) until it satisfies the Cayley-Hamilton
-identity exactly.  A k whose identity check fails, or whose Krylov
-matrix is singular mod _P, raises ExactCheckError, an ArithmeticError.
+word-size prime _P, entry by entry, and the solution is lifted
+P-adically (Dixon, Numer. Math. 40, 1982) until it satisfies the
+Cayley-Hamilton identity exactly.  A k whose identity check fails, or
+whose Krylov matrix is singular mod _P, raises ExactCheckError, an
+ArithmeticError.
 
 Division, divisibility and gcd stay in integers too (Knuth, TAOCP vol.
 2, 4.6.1): exact division, pseudo-division, and the primitive remainder
@@ -127,40 +126,26 @@ def poly_str(p: Sequence) -> str:
 
 def _lu_mod_p(a: Sequence[Sequence[int]]):
     """
-    LU factorisation of a square integer matrix mod _P with row pivoting:
-    (perm, lu), row k of lu holding the multipliers of L left of the
-    diagonal and U from it on.  None when the matrix is singular mod _P.
-
-    Each row still to be reduced is one integer, its entries from the
-    current column on in byte-aligned slots (descents._pack), so a row
-    update is one big-integer multiply-add: (row + (_P - f) U) >> w drops
-    the slot of the current column, which the update makes a multiple of
-    _P, and adds (_P - f) u_j < _P**2 to every other slot.  A slot starts
-    below _P and takes at most m - 1 updates, so it stays below m _P**2,
-    and a width of 2 _P.bit_length() + m.bit_length() bits, rounded up to
-    bytes, never carries into the next.  Only the pivot row is unpacked,
-    reduced mod _P and repacked as U, once per step.
+    LU factorisation of a square integer matrix mod _P with row pivoting,
+    entry by entry: (perm, lu), row k of lu holding the multipliers of L
+    left of the diagonal and U from it on.  None when the matrix is
+    singular mod _P.
     """
-    m = len(a)
-    width = (2 * _P.bit_length() + m.bit_length() + 7) // 8
-    shift, mask = 8 * width, (1 << 8 * width) - 1
-    rows = [descents._pack([e % _P for e in row], width) for row in a]
-    lu: list[list[int]] = [[] for _ in range(m)]
-    perm = list(range(m))
-    for k in range(m):
-        piv = next((i for i in range(k, m) if (rows[i] & mask) % _P), None)
+    lu = [[e % _P for e in row] for row in a]
+    perm = list(range(len(lu)))
+    for k in range(len(lu)):
+        piv = next((i for i in range(k, len(lu)) if lu[i][k]), None)
         if piv is None:
             return None
-        for seq in (rows, lu, perm):
-            seq[k], seq[piv] = seq[piv], seq[k]
-        u = [e % _P for e in descents._unpack(rows[k], m - k, width)]
-        lu[k].extend(u)
-        packed_u = descents._pack(u, width)
-        inv = pow(u[0], -1, _P)
-        for i in range(k + 1, m):
-            f = (rows[i] & mask) * inv % _P
-            lu[i].append(f)
-            rows[i] = (rows[i] + (_P - f) * packed_u if f else rows[i]) >> shift
+        lu[k], lu[piv] = lu[piv], lu[k]
+        perm[k], perm[piv] = perm[piv], perm[k]
+        inv = pow(lu[k][k], -1, _P)
+        tail = lu[k][k + 1:]
+        for row in lu[k + 1:]:
+            f = row[k] * inv % _P
+            row[k] = f
+            if f:
+                row[k + 1:] = [(x - f * y) % _P for x, y in zip(row[k + 1:], tail)]
     return perm, lu
 
 
@@ -532,15 +517,17 @@ def are_coprime(p: Sequence, q: Sequence) -> bool:
 
 class NewFactorReport(NamedTuple):
     """
-    Divisibility of consecutive partition-matrix characteristic
-    polynomials.  coprime_with_previous is reported but not part of the
-    verdict: at n = 2 the new factor is (x - 1), repeating the eigenvalue
-    of the size-1 matrix, while from n = 3 on the new roots are new.
+    The new factor of the partition-matrix characteristic polynomial at n,
+    quotient = charpoly(n) / charpoly(n - 1), and its checks.  divides
+    holds by construction (see new_factor_simple_roots).
+    coprime_with_previous is reported but not part of the verdict: at
+    n = 2 the new factor is (x - 1), repeating the eigenvalue of the
+    size-1 matrix, while from n = 3 on the new roots are new.
     """
 
     n: int
     divides: bool
-    quotient: IntPoly | None
+    quotient: IntPoly
     expected_degree: int
     degree_ok: bool
     constant_nonzero: bool
@@ -559,29 +546,28 @@ class NewFactorReport(NamedTuple):
 
 def new_factor_simple_roots(n: int) -> NewFactorReport:
     """
-    Divide the partition-matrix characteristic polynomial at n by the one
-    at n-1 and examine the quotient: its degree should be p(n) - p(n-1),
-    its constant term nonzero, and its roots simple and new.  n runs up to
-    build_Mbar's cap, matrices.MBAR_CAP.  Both polynomials are charpoly's
-    products of intertwiner factors, so the exact division checks them
-    once more.
+    Examine the new factor at n, the cached _new_factor(n): its degree
+    should be p(n) - p(n-1), its constant term nonzero, and its roots
+    simple and new.  n runs up to build_Mbar's cap, matrices.MBAR_CAP.
+    Nothing is divided, and divides is true by construction: charpoly(n)
+    is charpoly(n - 1) times that factor, and the identity check raises
+    ExactCheckError before any factor exists.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    matrices._check_Mbar(n)
     prev = charpoly(n - 1)
-    cur = charpoly(n)
-    quotient = exact_quotient(prev, cur)
+    quotient = _new_factor(n)[0]
     expected = len(descents.partitions_in_order(n)) - len(descents.partitions_in_order(n - 1))
-    ok = quotient is not None
     return NewFactorReport(
         n=n,
-        divides=ok,
+        divides=True,
         quotient=quotient,
         expected_degree=expected,
-        degree_ok=ok and poly_degree(quotient) == expected,
-        constant_nonzero=ok and quotient[0] != 0,
-        squarefree=ok and is_squarefree(quotient),
-        coprime_with_previous=ok and are_coprime(quotient, prev),
+        degree_ok=poly_degree(quotient) == expected,
+        constant_nonzero=quotient[0] != 0,
+        squarefree=is_squarefree(quotient),
+        coprime_with_previous=are_coprime(quotient, prev),
     )
 
 

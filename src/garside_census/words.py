@@ -57,11 +57,12 @@ str.replace on one code point per letter.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Callable, NamedTuple
 
 from .permutations import (
     Perm,
-    check_one_line,
+    check_on_strands,
     descent_mask,
     flip,
     identity,
@@ -129,9 +130,12 @@ def parse_word(text: str, n: int) -> PositiveWord:
     for single generators and 'D' for the half twist, each optionally
     followed by '^<e>' with e >= 1.  D^e gives e letters 0, none at n = 1,
     where the half twist is trivial; the index 0 itself is out of range.
+    n and e stay at most sys.maxsize, as no list can be longer.
     """
     if n < 1:
         raise ValueError("strand count must be at least 1")
+    if n > sys.maxsize:
+        raise ValueError(f"strand count n={n} exceeds sys.maxsize")
     letters: list[int] = []
     for pos, token in enumerate(text.split(), start=1):
         m = _TOKEN.match(token)
@@ -141,6 +145,8 @@ def parse_word(text: str, n: int) -> PositiveWord:
         e = int(exponent) if exponent is not None else 1
         if e < 1:
             raise ValueError(f"non-positive exponent at token {pos}: {token!r}")
+        if e > sys.maxsize:
+            raise ValueError(f"exponent exceeds sys.maxsize at token {pos}: {token!r}")
         if is_delta:
             if n > 1:
                 letters.extend([0] * e)
@@ -174,9 +180,7 @@ def normalize_factors(
         raise ValueError("strand count must be at least 1")
     factors = tuple(factors)
     for x in factors:
-        if len(x) != n:
-            raise ValueError(f"permutation {x} does not live on {n} strands")
-        check_one_line(x)
+        check_on_strands(x, n)
     return _normal_form(n, factors, _seed_factor, on_step)
 
 

@@ -473,6 +473,10 @@ def test_usage_error_exit_code():
         (["count", "4", "3", "--last", "[1,2]", "[2,1]"], "--last takes one permutation or 'delta R'"),
         (["oracle", "1", "100000002", "--engine", "brute"], "budget exceeded"),
         (["normalize", "-n", "-2", "s1"], "strand count must be at least 1"),
+        # each used to exit 1 with an OverflowError traceback
+        (["normalize", "-n", "3", "s1^99999999999999999999999"], "exponent exceeds sys.maxsize at token 1"),
+        (["normalize", "-n", "3", "D^99999999999999999999999"], "exponent exceeds sys.maxsize at token 1"),
+        (["normalize", "-n", "99999999999999999999", "s1"], "strand count n=99999999999999999999 exceeds sys.maxsize"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from garside_census.matrices import (
 )
 from garside_census.oracle import b_of_simple_via, brute_count, dp_count
 from garside_census.permutations import flip, identity, partial_flip
+from garside_census.words import normalize_factors
 
 
 @pytest.mark.parametrize(
@@ -26,12 +28,17 @@ from garside_census.permutations import flip, identity, partial_flip
         lambda x: b_of_simple_via(3, 2, x, "Mprime"),
         lambda x: b_of_simple_via(3, 2, x, "M22"),
         lambda x: b_of_simple_via(3, 2, x, "M23"),
+        lambda x: normalize_factors(3, [(2, 1, 3), x]),
     ],
-    ids=["b_of_simple", "brute_count", "dp_count", "via-Mprime", "via-M22", "via-M23"],
+    ids=["b_of_simple", "brute_count", "dp_count", "via-Mprime", "via-M22", "via-M23", "normalize_factors"],
 )
 def test_a_last_factor_must_be_a_permutation(call):
     with pytest.raises(ValueError, match=r"^\(1, 1, 3\) is not a permutation of 1\.\.3$"):
         call((1, 1, 3))
+    # one check, one wording, wherever a permutation meets its strand count
+    for x in ((2, 1), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match=rf"^permutation {re.escape(str(x))} does not live on 3 strands$"):
+            call(x)
 
 
 def test_the_oracles_never_list_the_enumeration(monkeypatch):

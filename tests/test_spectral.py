@@ -1,7 +1,6 @@
 import functools
 import itertools
 import math
-import random
 from unittest import mock
 
 import pytest
@@ -103,26 +102,6 @@ def test_krylov_prime_is_prime():
     assert all(_P % d for d in range(2, math.isqrt(_P) + 1))
 
 
-def _reference_lu_mod_p(a):
-    """The LU mod _P entry by entry, the check on the packed rows of _lu_mod_p."""
-    a = [[e % _P for e in row] for row in a]
-    perm = list(range(len(a)))
-    for k in range(len(a)):
-        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        perm[k], perm[piv] = perm[piv], perm[k]
-        inv = pow(a[k][k], -1, _P)
-        tail = a[k][k + 1:]
-        for row in a[k + 1:]:
-            f = row[k] * inv % _P
-            row[k] = f
-            if f:
-                row[k + 1:] = [(x - f * y) % _P for x, y in zip(row[k + 1:], tail)]
-    return perm, a
-
-
 def _rho_by_bisection(p, rows):
     """
     The double nearest the spectral radius of the non-negative matrix rows,
@@ -167,15 +146,39 @@ _lu_entry = st.one_of(
 @example(rows=[[0, 1], [1, 0]])  # a zero pivot: rows swap
 @example(rows=[[_P, 1], [2 * _P, 3]])  # a zero column mod _P
 @example(rows=[[1, 2], [2, 4 + _P]])  # singular mod _P after one step
-def test_packed_lu_matches_the_reference(rows):
-    assert spectral._lu_mod_p(rows) == _reference_lu_mod_p(rows)
+def test_lu_mod_p_factors_the_permuted_rows(rows):
+    # against the definition: None exactly when det = 0 mod _P, and otherwise
+    # the rows in perm's order are L U mod _P, L unit lower and U upper triangular
+    factored = spectral._lu_mod_p(rows)
+    assert (factored is None) == (_bareiss_determinant(rows) % _P == 0)
+    if factored is None:
+        return
+    perm, lu = factored
+    m = len(rows)
+    assert sorted(perm) == list(range(m))
+    assert all(0 <= e < _P for row in lu for e in row)
+    lower = [[lu[i][j] if j < i else int(i == j) for j in range(m)] for i in range(m)]
+    upper = [[lu[i][j] if j >= i else 0 for j in range(m)] for i in range(m)]
+    assert all(upper[i][i] for i in range(m))
+    product = [[e % _P for e in vec_times_matrix(row, upper)] for row in lower]
+    assert product == [[e % _P for e in rows[p]] for p in perm]
 
 
-def test_packed_lu_near_the_slot_bound():
-    # residues P - 1 and P - 2 make every update add close to P**2 to a slot
-    rng = random.Random(130)
-    rows = [[rng.choice((_P - 1, _P - 2)) for _ in range(130)] for _ in range(130)]
-    assert spectral._lu_mod_p(rows) == _reference_lu_mod_p(rows)
+def _bareiss_determinant(rows):
+    """The determinant of a square integer matrix, by fraction-free elimination (Bareiss)."""
+    a = [list(row) for row in rows]
+    m, sign, prev = len(a), 1, 1
+    for k in range(m - 1):
+        piv = next((i for i in range(k, m) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv], sign = a[piv], a[k], -sign
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def _berkowitz_charpoly(rows):
@@ -552,6 +555,25 @@ def test_new_factor_n2_repeats_eigenvalue():
     rep = new_factor_simple_roots(2)
     assert rep.quotient == (-1, 1)
     assert not rep.coprime_with_previous
+
+
+def test_a_report_past_the_cap_computes_no_factor(fresh_factor_caches):
+    # the cap is checked before charpoly(n - 1) would factor every k up to it
+    with pytest.raises(ValueError, match=f"^n={MBAR_CAP + 1} exceeds the Mbar size cap {MBAR_CAP}$"):
+        new_factor_simple_roots(MBAR_CAP + 1)
+    assert spectral._new_factor.cache_info().currsize == 0
+
+
+def test_a_report_reads_its_cached_factor_and_divides_nothing(monkeypatch):
+    # charpoly(n) is charpoly(n - 1) times _new_factor(n)[0], so divides holds by construction
+    monkeypatch.setattr(spectral, "exact_quotient", lambda p, q: pytest.fail("a report divided polynomials"))
+    for n in range(2, 13):
+        rep = new_factor_simple_roots(n)
+        factor = spectral._new_factor(n)[0]
+        assert rep.quotient is factor
+        assert poly_mul(charpoly(n - 1), factor) == charpoly(n)
+        degree = len(partitions_in_order(n)) - len(partitions_in_order(n - 1))
+        assert rep == spectral.NewFactorReport(n, True, factor, degree, True, True, True, n >= 3)
 
 
 # --- integer division and gcd, against products built by poly_mul -----------

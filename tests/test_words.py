@@ -1,6 +1,8 @@
 import functools
 import itertools
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +152,13 @@ def test_parse_errors():
     # the strand count is checked before any token's index
     with pytest.raises(ValueError, match="strand count must be at least 1"):
         parse_word("s1", -2)
+    # no list is longer than sys.maxsize, so neither an exponent nor n may pass it
+    big = sys.maxsize + 1
+    for text, token in ((f"s1^{big}", f"1: 's1^{big}'"), (f"s2 D^{big}", f"2: 'D^{big}'")):
+        with pytest.raises(ValueError, match=re.escape(f"exponent exceeds sys.maxsize at token {token}")):
+            parse_word(text, 3)
+    with pytest.raises(ValueError, match=f"^strand count n={big} exceeds sys.maxsize$"):
+        parse_word("s1", big)
     with pytest.raises(ValueError):
         PositiveWord(n=3, letters=(1, 5))
     with pytest.raises(ValueError, match="out of range"):
