@@ -4,19 +4,22 @@ Positive braid words and their normal form.
 A word is a sequence of generator indices in {1, ..., n-1} and of the
 letter 0, which stands for the half twist Δ.  Its normal form is built in
 one left-to-right pass, the left-greedy update of Elrifai and Morton (see
-Epstein et al., Word Processing in Groups, ch. 9): the word is read as
-one square-free factor per letter, except that each occurrence of
-delta_letters(n) is one factor, Δ, like the letter 0, and each factor is
-multiplied on the right of the normal form of the factors before it.  A
-pair (x, y) that is not normal is fixed by local moves: the smallest
-generator that left-divides y but does not right-divide x is transferred
-from the front of y to the back of x, which keeps the braid and lowers
-the weighted crossing count by one.
-After a factor is appended, pairs are fixed leftwards and fixing stops at
-the first pair that needs no move; that is safe because every pair to its
-left is unchanged from a normal prefix, and fixing a pair leaves the pair
-to its right normal (the domino rule).  Trailing trivial factors are
-popped, and the result is the unique normal form.
+Epstein et al., Word Processing in Groups, ch. 9): each letter s_i is
+multiplied into the last factor x in place while the result stays
+square-free, which x s_i is exactly when i is not a right descent of x;
+only a letter that is such a descent starts a new factor.  Each
+occurrence of delta_letters(n) is one factor, Δ, like the letter 0, and
+each new factor is multiplied on the right of the normal form of the
+factors before it.  A pair (x, y) that is not normal is fixed by local
+moves: the smallest generator that left-divides y but does not
+right-divide x is transferred from the front of y to the back of x, which
+keeps the braid and lowers the weighted crossing count by one.  After a
+factor is appended or a letter multiplied in, pairs are fixed leftwards
+from its slot and fixing stops at the first pair that needs no move; that
+is safe because every pair to its left is unchanged from a normal prefix,
+and fixing a pair leaves the pair to its right normal (the domino rule).
+Trailing trivial factors are popped, and the result is the unique normal
+form.
 
 While it is rewritten, each factor of the prefix is carried as four
 things: its one-line list p and its inverse list q, both padded with the
@@ -50,9 +53,9 @@ restores instead of a move per generator it passes.  A half twist taken
 whole from the word stands at the last slot when it arrives, so it is
 carried at once and restores nothing; its letters, taken one by one,
 would be rewritten through the prefix move by move.  parse_word gives
-each D token as the letter 0, and the occurrences of delta_letters(n)
-spelled out in letters are found left to right, without overlap, by
-str.replace on one code point per letter.
+each D token as the letter 0, reading each distinct token once, and the
+occurrences of delta_letters(n) spelled out in letters are found left to
+right, without overlap, by str.replace on one code point per letter.
 """
 from __future__ import annotations
 
@@ -121,40 +124,45 @@ def delta_letters(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_TOKEN = re.compile(r"^(?:(D)|s?(\d+))(?:\^(\d+))?$")
+_TOKEN = re.compile(r"^(?:(D)|s?([0-9]+))(?:\^([0-9]+))?$")
 
 
 def parse_word(text: str, n: int) -> PositiveWord:
     """
     Parse a whitespace-separated word: tokens are 's<k>' or bare integers
     for single generators and 'D' for the half twist, each optionally
-    followed by '^<e>' with e >= 1.  D^e gives e letters 0, none at n = 1,
-    where the half twist is trivial; the index 0 itself is out of range.
-    n and e stay at most sys.maxsize, as no list can be longer.
+    followed by '^<e>' with e >= 1, all digits ASCII.  D^e gives e letters
+    0, none at n = 1, where the half twist is trivial; the index 0 itself
+    is out of range.  n and e stay at most sys.maxsize, as no list can be
+    longer.  Each distinct token is read once.
     """
     if n < 1:
         raise ValueError("strand count must be at least 1")
     if n > sys.maxsize:
         raise ValueError(f"strand count n={n} exceeds sys.maxsize")
     letters: list[int] = []
+    runs: dict[str, list[int]] = {}  # the letters of each good token read so far
     for pos, token in enumerate(text.split(), start=1):
-        m = _TOKEN.match(token)
-        if m is None:
-            raise ValueError(f"syntax error at token {pos}: {token!r}")
-        is_delta, digits, exponent = m.groups()
-        e = int(exponent) if exponent is not None else 1
-        if e < 1:
-            raise ValueError(f"non-positive exponent at token {pos}: {token!r}")
-        if e > sys.maxsize:
-            raise ValueError(f"exponent exceeds sys.maxsize at token {pos}: {token!r}")
-        if is_delta:
-            if n > 1:
-                letters.extend([0] * e)
-        else:
-            i = int(digits)
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"index out of range at token {pos}: {token!r}")
-            letters.extend([i] * e)
+        run = runs.get(token)
+        if run is None:
+            m = _TOKEN.match(token)
+            if m is None:
+                raise ValueError(f"syntax error at token {pos}: {token!r}")
+            is_delta, digits, exponent = m.groups()
+            e = int(exponent) if exponent is not None else 1
+            if e < 1:
+                raise ValueError(f"non-positive exponent at token {pos}: {token!r}")
+            if e > sys.maxsize:
+                raise ValueError(f"exponent exceeds sys.maxsize at token {pos}: {token!r}")
+            if is_delta:
+                run = [0] * e if n > 1 else []
+            else:
+                i = int(digits)
+                if not 1 <= i <= n - 1:
+                    raise ValueError(f"index out of range at token {pos}: {token!r}")
+                run = [i] * e
+            runs[token] = run
+        letters += run
     return PositiveWord(n=n, letters=tuple(letters))
 
 
@@ -196,7 +204,9 @@ def normalize(
     carried to the front at once where its letters would be rewritten one
     by one.  Letters and half twists are seeded directly, with no
     permutation built for them, and on_step reports the factors not yet
-    taken in the same terms.
+    taken in the same terms.  A letter multiplied into the last factor in
+    place leaves the reports as they were when it was a factor of its own:
+    they include that trivial factor until it would have been popped.
     """
     return _normal_form(word.n, _half_twist_items(word.n, word.letters), _seed_letter, on_step)
 
@@ -268,12 +278,35 @@ def _normal_form(n, items, seed, on_step) -> NormalSequence:
     ls: list[int] = []
     # the items as factors, for the reports of on_step only
     pending = tuple(tuple(seed(n, y, 0)[0][1:-1]) for y in items) if on_step is not None else ()
+    # the trivial factor a letter multiplied in place leaves, until the pop, in the reports
+    trivial = (identity(n),) if on_step is not None else ()
+    by_letter = seed is _seed_letter
     for pos, y in enumerate(items):
-        p, q, r, l = seed(n, y, t)
-        ps.append(p)
-        qs.append(q)
-        rs.append(r)
-        ls.append(l)
+        i = (n - y if t else y) if by_letter and y else 0
+        if i and rs and not rs[-1] >> (i - 1) & 1:
+            # x s_i is square-free: multiply it into the last factor x in
+            # place, as the x half of a pair move below does
+            px, qx, rx, lx = ps[-1], qs[-1], rs[-1], ls[-1]
+            bit = 1 << (i - 1)
+            a, c = px[i], px[i + 1]
+            px[i], px[i + 1] = c, a
+            qx[a], qx[c] = i + 1, i
+            rx |= bit
+            rx = rx | bit >> 1 if px[i - 1] > c else rx & ~(bit >> 1)
+            rx = rx | bit << 1 if a > px[i + 2] else rx & ~(bit << 1)
+            if c == a + 1:
+                lx |= 1 << (a - 1)
+            rs[-1], ls[-1] = rx, lx
+            tail = trivial
+            if on_step is not None:
+                on_step(_braid(n, deltas, t, ps) + tail + pending[pos + 1 :])
+        else:
+            p, q, r, l = seed(n, y, t)
+            ps.append(p)
+            qs.append(q)
+            rs.append(r)
+            ls.append(l)
+            tail = ()
         k = len(rs) - 1
         while True:
             if rs[k] == full:
@@ -289,7 +322,7 @@ def _normal_form(n, items, seed, on_step) -> NormalSequence:
                     rs[j] = _reverse_bits(rs[j], n - 1)
                     ls[j] = _reverse_bits(ls[j], n - 1)
                 if k and on_step is not None:
-                    on_step(_braid(n, deltas, t, ps) + pending[pos + 1 :])
+                    on_step(_braid(n, deltas, t, ps) + tail + pending[pos + 1 :])
                 break
             if not k or not (movable := ls[k] & ~rs[k - 1]):
                 break
@@ -317,7 +350,7 @@ def _normal_form(n, items, seed, on_step) -> NormalSequence:
                 if u == v + 1:
                     ry &= ~(1 << (v - 1))
                 if on_step is not None:
-                    on_step(_braid(n, deltas, t, ps) + pending[pos + 1 :])
+                    on_step(_braid(n, deltas, t, ps) + tail + pending[pos + 1 :])
                 movable = ly & ~rx
             rs[k - 1], ls[k - 1], rs[k], ls[k] = rx, lx, ry, ly
             k -= 1

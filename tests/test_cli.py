@@ -477,6 +477,9 @@ def test_usage_error_exit_code():
         (["normalize", "-n", "3", "s1^99999999999999999999999"], "exponent exceeds sys.maxsize at token 1"),
         (["normalize", "-n", "3", "D^99999999999999999999999"], "exponent exceeds sys.maxsize at token 1"),
         (["normalize", "-n", "99999999999999999999", "s1"], "strand count n=99999999999999999999 exceeds sys.maxsize"),
+        # digits are ASCII: each used to read ARABIC-INDIC DIGIT ONE as 1 and exit 0
+        (["normalize", "-n", "3", "s١"], "syntax error at token 1: 's١'"),
+        (["normalize", "-n", "3", "s1^١"], "syntax error at token 1: 's1^١'"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):

@@ -3,10 +3,12 @@ import itertools
 import random
 import re
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from garside_census import words
 from garside_census.matrices import b_total
 from garside_census.permutations import (
     Perm,
@@ -174,6 +176,84 @@ def test_parse_errors():
         PositiveWord(3, (1,))._replace(letters=(9,))
 
 
+def _reference_parse_word(text, n):
+    """The reference for parse_word: each token matched and expanded where it stands."""
+    if n < 1:
+        raise ValueError("strand count must be at least 1")
+    if n > sys.maxsize:
+        raise ValueError(f"strand count n={n} exceeds sys.maxsize")
+    letters: list[int] = []
+    for pos, token in enumerate(text.split(), start=1):
+        m = re.match(r"^(?:(D)|s?(\d+))(?:\^(\d+))?$", token)
+        if m is None:
+            raise ValueError(f"syntax error at token {pos}: {token!r}")
+        is_delta, digits, exponent = m.groups()
+        e = int(exponent) if exponent is not None else 1
+        if e < 1:
+            raise ValueError(f"non-positive exponent at token {pos}: {token!r}")
+        if e > sys.maxsize:
+            raise ValueError(f"exponent exceeds sys.maxsize at token {pos}: {token!r}")
+        if is_delta:
+            if n > 1:
+                letters.extend([0] * e)
+        else:
+            i = int(digits)
+            if not 1 <= i <= n - 1:
+                raise ValueError(f"index out of range at token {pos}: {token!r}")
+            letters.extend([i] * e)
+    return PositiveWord(n=n, letters=tuple(letters))
+
+
+@st.composite
+def repetitive_token_texts(draw):
+    """
+    A word on 1..9 strands of a few distinct good tokens, each repeated,
+    with at most one bad token among them; all digits are ASCII.
+    """
+    n = draw(st.integers(1, 9))
+    exponent = st.integers(1, 3)
+    good = [st.just("D"), exponent.map(lambda e: f"D^{e}")]
+    if n > 1:
+        index = st.integers(1, n - 1)
+        good += [
+            index.map(lambda i: f"s{i}"),
+            index.map(str),
+            st.tuples(index, exponent).map(lambda ie: f"s{ie[0]}^{ie[1]}"),
+        ]
+    pool = draw(st.lists(st.one_of(good), min_size=1, max_size=4, unique=True))
+    tokens = draw(st.lists(st.sampled_from(pool), max_size=30))
+    bad = draw(
+        st.none()
+        | st.sampled_from(["s0", "0", f"s{n}", f"{n}", "s1^0", "D^0", "x", "s", "D1", "s1^", "^2", "DD"])
+        | st.just(f"s1^{sys.maxsize + 1}")
+    )
+    if bad is not None:
+        tokens.insert(draw(st.integers(0, len(tokens))), bad)
+    return n, " ".join(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repetitive_token_texts())
+def test_parse_word_matches_the_per_token_reference(data):
+    n, text = data
+
+    def outcome(parse):
+        try:
+            return parse(text, n)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(parse_word) == outcome(_reference_parse_word)
+
+
+def test_parse_word_matches_each_distinct_token_once(monkeypatch):
+    matched, token = [], words._TOKEN
+    counting = types.SimpleNamespace(match=lambda s: matched.append(s) or token.match(s))
+    monkeypatch.setattr(words, "_TOKEN", counting)
+    assert parse_word("s1 s1 s2 s1^2 s1^2 D D", 3).letters == (1, 1, 2, 1, 1, 1, 1, 0, 0)
+    assert matched == ["s1", "s2", "s1^2", "D"]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_delta_word_is_half_twist(n):
     letters = delta_letters(n)
@@ -212,6 +292,17 @@ def test_half_twist_powers(n, d):
     seq = normalize(parse_word(f"D^{d}", n))
     assert degree(seq) == d
     assert seq.factors == (flip(n),) * d
+
+
+def test_a_letter_that_is_no_right_descent_is_multiplied_in_place(monkeypatch):
+    seeded, seed = [], words._seed_letter
+    monkeypatch.setattr(words, "_seed_letter", lambda n, i, t: seeded.append(i) or seed(n, i, t))
+    assert normalize(parse_word("s1 s2", 3)).factors == (perm_of_letters((1, 2), 3),)
+    assert seeded == [1]
+    seeded.clear()
+    # 1 is a right descent of s1, so the second s1 starts a factor of its own
+    assert normalize(parse_word("s1 s1", 3)).factors == (perm_of_letters((1,), 3),) * 2
+    assert seeded == [1, 1]
 
 
 def test_normal_sequence_invariants_enforced():
@@ -382,8 +473,8 @@ def test_normalize_long_word_reports_at_most_one_step_per_letter():
 
 @st.composite
 def delta_rich_words(draw, max_letters=200):
-    """A word on 2..5 strands of tokens s<i> and D^e, at most max_letters letters."""
-    n = draw(st.integers(2, 5))
+    """A word on 2..9 strands of tokens s<i> and D^e, at most max_letters letters."""
+    n = draw(st.integers(2, 9))
     budget = draw(st.integers(0, max_letters))
     dlen = n * (n - 1) // 2
     tokens, letters = [], 0
