@@ -8,9 +8,10 @@ verify; only count, matrix, table and verify offer --format csv.  JSON
 renders integers as decimal strings, counts print in full however many
 digits they have, and identical invocations produce byte-identical
 output.  Exit status is 0 on success, 1 on a verification mismatch or a
-failed exact check of spectral, 2 on usage errors.  count --via
-Mprime|M22|M23 uses the oracle paths and needs --last PERM; --last
-delta R needs R in 1..n;
+failed exact check of spectral, 2 on usage errors.  Integers are
+written in ASCII digits.  count --via Mprime|M22|M23 uses the oracle
+paths and needs --last PERM or --last delta R, which they count at the
+half twist on the first n-R strands, as oracle does; R is in 1..n;
 charpoly prints the factored form for --kind Mbar unless --raw is given,
 and --kind M|Mprime as Mbar(n)'s polynomial times a power of x; table,
 conjecture and verify take --nmax <= MBAR_CAP.
@@ -93,20 +94,20 @@ def _emit_csv(rows: list[list], out: str | None) -> None:
 
 
 def _parse_last(tokens: list[str] | None, n: int):
-    """--last is either a bracketed permutation or 'delta R' with R counting
-    the strands excluded from the sub-twist."""
+    """--last as (the last factor, R): a bracketed permutation and None, or
+    for 'delta R' the half twist on the first n-R strands and R."""
     if not tokens:
         return None, None
     if tokens[0] == "delta":
         if len(tokens) != 2:
             raise ValueError("--last delta takes exactly one integer argument")
         try:
-            r = int(tokens[1])
+            r = permutations.parse_int(tokens[1])
         except ValueError:
             raise ValueError(f"--last delta takes an integer, got {tokens[1]!r}") from None
         if not 1 <= r <= n:
             raise ValueError(f"r={r} out of range 1..{n}")
-        return None, r
+        return permutations.partial_flip(n, n - r), r
     if len(tokens) != 1:
         raise ValueError("--last takes one permutation or 'delta R'")
     return permutations.parse_permutation(tokens[0]), None
@@ -114,20 +115,18 @@ def _parse_last(tokens: list[str] | None, n: int):
 
 def _cmd_count(args) -> int:
     last_perm, r = _parse_last(args.last, args.n)
-    if args.via != "Mbar" and last_perm is None:
-        raise ValueError(f"--via {args.via} counts by a last permutation; give --last PERM")
-    if r is not None:
+    if args.via != "Mbar":
+        if last_perm is None:
+            raise ValueError(f"--via {args.via} counts by a last permutation; give --last PERM or delta R")
+        value = oracle.b_of_simple_via(args.n, args.d, last_perm, args.via)
+    elif r is not None:
         value = matrices.b_delta(args.n, args.d, r)
-        label = f"delta {r}"
     elif last_perm is not None:
-        if args.via == "Mbar":
-            value = matrices.b_of_simple(args.n, args.d, last_perm)
-        else:
-            value = oracle.b_of_simple_via(args.n, args.d, last_perm, args.via)
-        label = permutations.format_permutation(last_perm)
+        value = matrices.b_of_simple(args.n, args.d, last_perm)
     else:
         value = matrices.b_total(args.n, args.d)
-        label = None
+    label = (f"delta {r}" if r is not None
+             else None if last_perm is None else permutations.format_permutation(last_perm))
     if args.format == "json":
         obj = {"n": args.n, "d": args.d, "value": value}
         if label is not None:
@@ -233,9 +232,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    last_perm, r = _parse_last(args.last, args.n)
-    if r is not None:
-        last_perm = permutations.partial_flip(args.n, args.n - r)
+    last_perm, _ = _parse_last(args.last, args.n)
     if args.engine == "brute":
         value = oracle.brute_count(args.n, args.d, last=last_perm)
     else:
@@ -374,11 +371,14 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _int_in(low: int, high: int | None = None):
-    """argparse type: an integer no smaller than low and, if given, no larger than high."""
+def _int_in(low: int | None = None, high: int | None = None):
+    """argparse type: an integer (permutations.parse_int), no smaller than low and no larger than high where given."""
     def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
+        try:
+            value = permutations.parse_int(text)
+        except ValueError:  # CPython's digit limit too, which main lifts only after parsing
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
         if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
@@ -402,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count braids of degree at most d, optionally by last factor")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
+    p.add_argument("n", type=_int_in())
+    p.add_argument("d", type=_int_in())
     p.add_argument("--last", nargs="+", default=None, metavar="PERM|delta R",
                    help="pin the last factor: a permutation like [3,1,2], or 'delta R' for the half twist on the first n-R strands")
     p.add_argument("--via", choices=["Mbar", "Mprime", "M22", "M23"], default="Mbar")
@@ -412,26 +412,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="emit an incidence matrix")
     p.add_argument("kind", choices=["M", "Mprime", "Mbar"])
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_in())
     _add_common(p, with_csv=True)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of a counting matrix")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_in())
     p.add_argument("--kind", choices=["M", "Mprime", "Mbar"], default="Mbar")
     p.add_argument("--raw", action="store_true", help="coefficient list only")
     _add_common(p)
     p.set_defaults(func=_cmd_charpoly)
 
     p = sub.add_parser("normalize", help="normal form of a positive braid word")
-    p.add_argument("-n", dest="n", type=int, required=True)
+    p.add_argument("-n", dest="n", type=_int_in(), required=True)
     p.add_argument("word")
     _add_common(p)
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("oracle", help="brute-force or dp count of normal sequences")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
+    p.add_argument("n", type=_int_in())
+    p.add_argument("d", type=_int_in())
     p.add_argument("--last", nargs="+", default=None, metavar="PERM|delta R")
     p.add_argument("--engine", choices=["brute", "dp"], default="dp")
     _add_common(p)

@@ -16,27 +16,27 @@ The two counting numbers implemented here are, for subsets I and J:
 a_hat is the number of non-negative integer matrices with row margins the
 composition of I and column margins the composition of J.  That number
 depends only on the two partitions, and by RSK it is sum over shapes nu
-of K(nu, rows) * K(nu, cols).  _a_hat_table(n) holds it for every pair of
-partitions of n at once, as the Gram product K^T K of the Kostka columns
-read from _tableaux, which grows each table by one horizontal strip per
-part (the strips of each shape and size are cached).  Each row of K^T K
-is summed as one integer: the rows of K are packed into byte-aligned
-slots wide enough for n! (every entry counts square-free braids), of 1,
-2, 4 or 8 bytes so that _pack and _unpack convert a row in one step, and
-row kappa is the sum of K(nu, kappa) times packed row nu over the nonzero
-Kostka numbers of column kappa, one big-integer multiply-add each.  Every
-margin count is a lookup in the table.  contingency_count, a dynamic
-program over the columns, counts the same matrices directly and is kept
-as the independent check.
+of K(nu, rows) * K(nu, cols).  _packed_a_hat_rows(n), built once per n,
+holds it for every pair of partitions of n as the Gram product K^T K of
+the Kostka columns read from _tableaux, which grows each table by one
+horizontal strip per part (the strips of each shape and size are
+cached).  Each row of K^T K is one integer: the rows of K are packed
+into byte-aligned slots wide enough for n! (every entry counts
+square-free braids), of 1, 2, 4 or 8 bytes so that _pack and _unpack
+convert a row in one step, and row kappa is the sum of K(nu, kappa)
+times packed row nu over the nonzero Kostka numbers of column kappa, one
+big-integer multiply-add each.  A margin count is one slot, read by
+shift and mask.  contingency_count, a dynamic program over the columns,
+counts the same matrices directly and is kept as the independent check.
 
 Two levels read these margin counts.  At the subset level, a follows by
 inclusion-exclusion over supersets of I, in a_column, the one superset
-transform; partitions_by_mask is the one subset-to-partition table, and
-a and matrices.mprime_columns, the p(n) distinct columns of Mprime(n),
-read both.  At the partition level,
+transform, which unpacks one row of the table; partitions_by_mask is the
+one subset-to-partition table, and a and matrices.mprime_columns, the
+p(n) distinct columns of Mprime(n), read both.  At the partition level,
 _refinements holds the signed refinement counts that sum the same
 inclusion-exclusion over every subset with a given partition at once;
-matrices.build_Mbar reads it with the packed rows of _a_hat_table and
+matrices.build_Mbar reads it with the packed rows of the same table and
 never builds a subset table.  The brute-force oracles, oracle.count_functions
 and the census of all n! permutations (oracle.left_right_descent_census),
 live with the other oracles.
@@ -293,17 +293,18 @@ def _unpack(packed: int, count: int, width: int) -> tuple[int, ...]:
     return tuple(slots)
 
 
-def _packed_a_hat_rows(n: int) -> tuple[list[int], int]:
+@functools.lru_cache(maxsize=None)
+def _packed_a_hat_rows(n: int) -> tuple[tuple[int, ...], int]:
     """
-    The rows of _a_hat_table(n), each packed into one integer in slots of
-    the returned width in bytes, wide enough for n!: every entry counts
-    square-free n-braids, rounded up to 1, 2, 4 or 8 bytes, which holds
-    it through n = 20 (20! < 2**63), so that _pack and _unpack convert a
-    row in one step.  Row kappa of K^T K is the sum over shapes nu of
-    K(nu, kappa) times row nu of K, so each row is one big-integer
-    multiply-add per Kostka number K(nu, kappa) != 0.  Not cached:
-    _a_hat_table keeps the unpacked table, and matrices.build_Mbar needs
-    the packed rows once per n.
+    The margin counts of every pair of partitions of n, rows and columns
+    in the order of partitions_in_order(n): one packed integer per row,
+    and the slot width in bytes.  By RSK a matrix with margins kappa and
+    mu is a pair of semistandard tableaux of one shape nu with contents
+    kappa and mu, so the table is the Gram product K^T K of the Kostka
+    columns K(., kappa) from _tableaux, and it is symmetric.  The width
+    holds n!, rounded up to 1, 2, 4 or 8 bytes, which holds it through
+    n = 20 (20! < 2**63).  Built once per n: matrices.build_Mbar sums its
+    rows, a_column unpacks one, and _count_by_sorted_margins reads one slot.
     """
     labels = partitions_in_order(n)
     width = _slot_width(math.factorial(n))
@@ -313,29 +314,17 @@ def _packed_a_hat_rows(n: int) -> tuple[list[int], int]:
         for nu, count in table.items():
             kostka_rows[nu][j] = count
     packed = {nu: _pack(row, width) for nu, row in kostka_rows.items()}
-    return [sum(count * packed[nu] for nu, count in table.items()) for table in tables], width
-
-
-@functools.lru_cache(maxsize=None)
-def _a_hat_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """
-    The margin counts of every pair of partitions of n, rows and columns
-    in the order of partitions_in_order(n).  By RSK a matrix with margins
-    kappa and mu is a pair of semistandard tableaux of one shape nu with
-    contents kappa and mu, so the table is the Gram product K^T K of the
-    Kostka columns K(., kappa) from _tableaux, summed on packed rows by
-    _packed_a_hat_rows and unpacked here.
-    """
-    rows, width = _packed_a_hat_rows(n)
-    return tuple(_unpack(row, len(rows), width) for row in rows)
+    return tuple(sum(count * packed[nu] for nu, count in table.items()) for table in tables), width
 
 
 @functools.lru_cache(maxsize=None)
 def _count_by_sorted_margins(rows_desc: tuple[int, ...], cols_desc: tuple[int, ...]) -> int:
-    # One entry of _a_hat_table; benchmark/tracer.py reads this cache's hit ratio.
+    # One slot of _packed_a_hat_rows; benchmark/tracer.py reads this cache's hit ratio.
     n = sum(rows_desc)
     labels = partitions_in_order(n)
-    return _a_hat_table(n)[labels.index(rows_desc)][labels.index(cols_desc)]
+    rows, width = _packed_a_hat_rows(n)
+    bits = 8 * width
+    return rows[labels.index(rows_desc)] >> bits * labels.index(cols_desc) & (1 << bits) - 1
 
 
 def _multinomial(parts: Sequence[int]) -> int:
@@ -389,12 +378,14 @@ def a_column(n: int, mu: PartitionN) -> list[int]:
     """
     a(n, I, J) for every subset mask I at any column J whose partition is
     mu (the count depends on J only through it): the contained-descents
-    counts a_hat, read off column mu of _a_hat_table(n), then the signed
-    superset transform, one bit at a time.
+    counts a_hat, unpacked from row mu of _packed_a_hat_rows(n), which is
+    column mu as the table is symmetric, then the signed superset
+    transform, one bit at a time.
     """
-    index = {lam: k for k, lam in enumerate(partitions_in_order(n))}
-    table, col = _a_hat_table(n), index[mu]
-    arr = [table[index[lam]][col] for lam in partitions_by_mask(n)]
+    labels = partitions_in_order(n)
+    rows, width = _packed_a_hat_rows(n)
+    counts = dict(zip(labels, _unpack(rows[labels.index(mu)], len(labels), width)))
+    arr = [counts[lam] for lam in partitions_by_mask(n)]
     for b in range(n - 1):
         bit = 1 << b
         for i_mask in range(len(arr)):

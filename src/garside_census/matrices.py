@@ -23,8 +23,8 @@ distinct columns of Mprime, mprime_columns(n), come from
 descents.a_column, the subset level; build_Mprime and the Mprime path
 of oracle.b_of_simple_via read them, and that path never builds the
 matrix.  Mbar is built at the partition
-level from the packed rows of the Kostka Gram table
-(descents._packed_a_hat_rows, which descents._a_hat_table unpacks) and
+level from the packed rows of the Kostka Gram table, built once per n
+and read by descents.a_column too (descents._packed_a_hat_rows), and
 descents._refinements, with no subset table.
 
 b(n, d) counts the positive n-braids of degree at most d; b(n, d, x) those
@@ -65,8 +65,8 @@ class CountMatrix(NamedTuple("CountMatrix", [
     __slots__ = ()
 
     def __new__(cls, kind, n, labels, rows):
-        assert len(rows) == len(labels)
-        assert all(len(row) == len(labels) for row in rows)
+        if len(rows) != len(labels) or any(len(row) != len(labels) for row in rows):
+            raise ValueError(f"{kind} rows are not {len(labels)} x {len(labels)}, one per label")
         return super().__new__(cls, kind, n, labels, rows)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too

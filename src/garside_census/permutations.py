@@ -263,13 +263,20 @@ def format_permutation(x: Perm) -> str:
     return "[" + ",".join(str(v) for v in x) + "]"
 
 
+def parse_int(text: str) -> int:
+    """int(text) for an optional sign and ASCII digits 0-9 only, not the other digits, underscores or spaces int() reads."""
+    if not (text.isascii() and text.lstrip("+-").isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)  # which rejects more than one sign
+
+
 def parse_permutation(text: str) -> Perm:
     """Inverse of format_permutation; also accepts a bare comma list."""
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
     try:
-        values = tuple(int(tok) for tok in body.split(",") if tok.strip() != "")
+        values = tuple(parse_int(tok.strip()) for tok in body.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise ValueError(f"cannot parse permutation from {text!r}") from exc
     if not is_one_line(values):

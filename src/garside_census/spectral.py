@@ -48,12 +48,10 @@ import collections
 import functools
 import itertools
 import math
-import random
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from . import descents, matrices
-from .descents import PartitionN
 
 IntPoly = tuple[int, ...]
 
@@ -230,7 +228,7 @@ def _mbar_charpoly(n: int) -> IntPoly:
 # under v -> v Mbar(n), the quotient by it carries Mbar(n-1), and the
 # characteristic polynomial of Mbar(n) on W_n is the new factor:
 # charpoly(Mbar(n-1)) divides charpoly(Mbar(n)) by construction.  A vector
-# of W_n is fixed by its entries at the q free labels (_is_free): column mu
+# of W_n is fixed by its entries at the q free labels (_free_labels): column mu
 # gives the entry at sigma(mu) from entries with a smaller first part.  So
 # the factor's Krylov rows cost p(n) q products a step, not p(n)**2: only
 # the free entries of x Mbar(n) are multiplied out, and the triangular
@@ -239,8 +237,8 @@ def _mbar_charpoly(n: int) -> IntPoly:
 def _new_factor(n: int) -> tuple[IntPoly, tuple[int, ...], tuple[int, ...]]:
     """
     (factor, x, y): factor = charpoly(Mbar(n)) / charpoly(Mbar(n-1)) for
-    2 <= n <= MBAR_CAP, from the kernel vector of D_n of seed 0 and only
-    once Mbar(n) D_n == D_n Mbar(n-1) has been checked, and the last two
+    2 <= n <= MBAR_CAP, from _kernel_vector(n) and only once
+    Mbar(n) D_n == D_n Mbar(n-1) has been checked, and the last two
     Krylov rows it was lifted from (_factor_on_kernel), y = x Mbar(n)
     exactly, signed as the kernel vector gives them, which _rho_start
     reads.  ExactCheckError when the check fails or the Krylov matrix is
@@ -248,7 +246,7 @@ def _new_factor(n: int) -> tuple[IntPoly, tuple[int, ...], tuple[int, ...]]:
     """
     if not _intertwines(n):
         raise ExactCheckError(f"Mbar({n}) D_{n} != D_{n} Mbar({n - 1})")
-    return _factor_on_kernel(n, _kernel_vector(n, 0))
+    return _factor_on_kernel(n, _kernel_vector(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,15 +317,10 @@ def _is_intertwiner(big: Sequence[Sequence[int]], small: Sequence[Sequence[int]]
     return True
 
 
-def _is_free(lam: PartitionN) -> bool:
-    """Whether lam's first two parts are equal: the labels that fix a vector of W_n."""
-    return len(lam) > 1 and lam[0] == lam[1]
-
-
 @functools.lru_cache(maxsize=None)
 def _free_labels(n: int) -> tuple[int, ...]:
-    """The indices of the q = p(n) - p(n-1) free labels of partitions_in_order(n)."""
-    return tuple(i for i, lam in enumerate(descents.partitions_in_order(n)) if _is_free(lam))
+    """The indices of the q = p(n) - p(n-1) labels lam with lam_1 == lam_2, which fix a vector of W_n."""
+    return tuple(i for i, lam in enumerate(descents.partitions_in_order(n)) if len(lam) > 1 and lam[0] == lam[1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -360,15 +353,15 @@ def _solve_from_free(n: int, w: list[int], scale: bool) -> list[int]:
     return w
 
 
-def _kernel_vector(n: int, seed: int) -> tuple[int, ...]:
+def _kernel_vector(n: int) -> tuple[int, ...]:
     """
-    A primitive integer w with w D_n = 0: entries 1..9 drawn from seed at
-    the free labels, then _solve_from_free, scaling w whenever a quotient
-    is not integral.
+    A primitive integer w with w D_n = 0: ones at the free labels, then
+    _solve_from_free, which overwrites the other ones and scales w
+    whenever a quotient is not integral.  Each
+    new factor is irreducible over Q for n <= 20, so every nonzero w in
+    W_n is cyclic.
     """
-    rng = random.Random(seed)
-    w = [rng.randint(1, 9) if _is_free(lam) else 0 for lam in descents.partitions_in_order(n)]
-    w = _solve_from_free(n, w, scale=True)
+    w = _solve_from_free(n, [1] * len(descents.partitions_in_order(n)), scale=True)
     g = math.gcd(*w)
     return tuple(x // g for x in w)
 

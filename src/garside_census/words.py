@@ -127,6 +127,12 @@ def delta_letters(n: int) -> tuple[int, ...]:
 _TOKEN = re.compile(r"^(?:(D)|s?([0-9]+))(?:\^([0-9]+))?$")
 
 
+def _bounded_value(digits: str) -> int:
+    """ASCII digits' value, or sys.maxsize + 1 past 19 significant digits, where int() may meet its digit limit."""
+    significant = digits.lstrip("0")
+    return int(significant or "0") if len(significant) <= 19 else sys.maxsize + 1
+
+
 def parse_word(text: str, n: int) -> PositiveWord:
     """
     Parse a whitespace-separated word: tokens are 's<k>' or bare integers
@@ -134,7 +140,8 @@ def parse_word(text: str, n: int) -> PositiveWord:
     followed by '^<e>' with e >= 1, all digits ASCII.  D^e gives e letters
     0, none at n = 1, where the half twist is trivial; the index 0 itself
     is out of range.  n and e stay at most sys.maxsize, as no list can be
-    longer.  Each distinct token is read once.
+    longer; leading zeros are allowed, and a number of any length gets its
+    token's message.  Each distinct token is read once.
     """
     if n < 1:
         raise ValueError("strand count must be at least 1")
@@ -149,7 +156,7 @@ def parse_word(text: str, n: int) -> PositiveWord:
             if m is None:
                 raise ValueError(f"syntax error at token {pos}: {token!r}")
             is_delta, digits, exponent = m.groups()
-            e = int(exponent) if exponent is not None else 1
+            e = _bounded_value(exponent) if exponent is not None else 1
             if e < 1:
                 raise ValueError(f"non-positive exponent at token {pos}: {token!r}")
             if e > sys.maxsize:
@@ -157,7 +164,7 @@ def parse_word(text: str, n: int) -> PositiveWord:
             if is_delta:
                 run = [0] * e if n > 1 else []
             else:
-                i = int(digits)
+                i = _bounded_value(digits)
                 if not 1 <= i <= n - 1:
                     raise ValueError(f"index out of range at token {pos}: {token!r}")
                 run = [i] * e

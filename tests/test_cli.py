@@ -34,6 +34,18 @@ def test_count_explicit_permutation_and_paths(capsys):
         assert out.strip() == "1"
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_count_via_each_path_at_a_last_half_twist(capsys, n):
+    # --via counts --last delta R at the half twist on the first n - R strands, as oracle does
+    for r in range(1, n + 1):
+        for d in (1, 2, 4):
+            expected = run(capsys, "count", str(n), str(d), "--last", "delta", str(r), "--format", "csv")
+            assert expected[0] == 0 and f",delta {r}," in expected[1]
+            for via in ("Mprime", "M22", "M23"):
+                got = run(capsys, "count", str(n), str(d), "--last", "delta", str(r), "--via", via, "--format", "csv")
+                assert got == expected, (n, d, r, via)
+
+
 def test_count_via_Mprime_builds_no_matrix(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("Mprime(n) was built or multiplied")
@@ -451,7 +463,7 @@ def test_usage_error_exit_code():
         (["oracle", "3", "2", "--format", "csv"], "invalid choice: 'csv'"),
         (["conjecture", "--nmax", "3", "--format", "csv"], "invalid choice: 'csv'"),
         (["count", "3", "4", "--via", "M22"], "--via M22 counts by a last permutation"),
-        (["count", "3", "4", "--last", "delta", "1", "--via", "M23"], "--via M23 counts by a last permutation"),
+        (["count", "3", "4", "--via", "M23", "--format", "json"], "--via M23 counts by a last permutation"),
         (["charpoly", "13", "--kind", "Mprime"], "exceeds the subset-size cap 12"),
         (["charpoly", "4", "--factored"], "unrecognized arguments"),
         (["oracle", "4", "3", "--last", "delta", "0"], "r=0 out of range 1..4"),
@@ -480,6 +492,15 @@ def test_usage_error_exit_code():
         # digits are ASCII: each used to read ARABIC-INDIC DIGIT ONE as 1 and exit 0
         (["normalize", "-n", "3", "s١"], "syntax error at token 1: 's١'"),
         (["normalize", "-n", "3", "s1^١"], "syntax error at token 1: 's1^١'"),
+        # CLI integers are ASCII digits too: each used to read as 3, 10, 1 or [2,1,3] and exit 0
+        (["count", "٣", "2"], "argument n: invalid int value: '٣'"),
+        (["count", "3", "1_0"], "argument d: invalid int value: '1_0'"),
+        (["count", "3", "2", "--last", "delta", "١"], "--last delta takes an integer, got '١'"),
+        (["count", "3", "2", "--last", "[٢,١,3]"], "cannot parse permutation from '[٢,١,3]'"),
+        (["table", "--nmax", "٣"], "argument --nmax: invalid int value: '٣'"),
+        (["normalize", "-n", "٣", "s1"], "argument -n: invalid int value: '٣'"),
+        (["oracle", "3", "2", "--last", "delta", "1_0"], "--last delta takes an integer, got '1_0'"),
+        (["matrix", "Mbar", "+٣"], "argument n: invalid int value: '+٣'"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):

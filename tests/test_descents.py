@@ -214,16 +214,37 @@ def _reference_a_hat_table(n):
     )
 
 
+def _unpacked_a_hat_table(n):
+    rows, width = descents._packed_a_hat_rows(n)
+    return tuple(descents._unpack(row, len(rows), width) for row in rows)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_packed_a_hat_table_equals_the_dense_gram_product(n):
-    assert descents._a_hat_table(n) == _reference_a_hat_table(n)
+    assert _unpacked_a_hat_table(n) == _reference_a_hat_table(n)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_the_a_hat_table_is_built_once_for_every_reader(n):
+    # build_Mbar, a_hat, a and mprime_columns all read the one packed table of n
+    for cached in (descents._packed_a_hat_rows, descents._count_by_sorted_margins,
+                   matrices._cached_Mbar, matrices.mprime_columns):
+        cached.cache_clear()
+    matrices.build_Mbar(n)
+    assert descents._packed_a_hat_rows.cache_info().misses == 1
+    I, J = {1, 3}, {2, n - 1}
+    index = {lam: k for k, lam in enumerate(partitions_in_order(n))}
+    reference = _reference_a_hat_table(n)
+    assert a_hat(n, I, J) == reference[index[partition_of(I, n)]][index[partition_of(J, n)]]
+    assert a(n, I, J) == matrices.mprime_columns(n)[partition_of(J, n)][mask_of(I)]
+    assert descents._packed_a_hat_rows.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("n", range(1, matrices.MBAR_CAP + 1))
 def test_a_hat_entries_fit_the_slot_width(n):
     # _packed_a_hat_rows sizes its slots for n!, which bounds every entry, in the fewest of 1, 2, 4 or 8 bytes
     bound = math.factorial(n)
-    assert all(0 <= e <= bound for row in descents._a_hat_table(n) for e in row)
+    assert all(0 <= e <= bound for row in _unpacked_a_hat_table(n) for e in row)
     width = descents._packed_a_hat_rows(n)[1]
     assert width in (1, 2, 4, 8) and bound < 1 << 8 * width
     assert width == 1 or bound >= 1 << 4 * width
@@ -293,7 +314,7 @@ def test_library_counts_never_run_the_dp():
     for cached in (
         descents._fill_columns,
         descents._count_by_sorted_margins,
-        descents._a_hat_table,
+        descents._packed_a_hat_rows,
         descents._tableaux,
         matrices._cached_Mbar,
         matrices.mprime_columns,

@@ -19,6 +19,7 @@ from garside_census.permutations import (
     inverse,
     inversion_number,
     is_normal_pair,
+    parse_int,
     parse_permutation,
     partial_flip,
     perm_of_letters,
@@ -293,3 +294,21 @@ def test_serialization_round_trip():
         parse_permutation("[1,1,2]")
     with pytest.raises(ValueError):
         parse_permutation("[a]")
+    assert parse_permutation("[ 2, 1 ,3]") == (2, 1, 3)
+
+
+@pytest.mark.parametrize("text", ["[٢,١,3]", "[2,1_0,3]", "[2,1,３]", "[0x1]"])
+def test_parse_permutation_reads_ascii_digits_only(text):
+    # int() reads other scripts' digits and underscores; each used to parse
+    with pytest.raises(ValueError, match="cannot parse permutation"):
+        parse_permutation(text)
+
+
+def test_parse_int_reads_a_sign_and_ascii_digits_only():
+    assert [parse_int(t) for t in ("0", "007", "-2", "+3", "9" * 30)] == [0, 7, -2, 3, int("9" * 30)]
+    for text in ("", "+", "-", "٣", "1_0", " 1", "1 ", "1.0", "0x1", "３"):
+        with pytest.raises(ValueError, match="invalid int value"):
+            parse_int(text)
+    for text in ("+-1", "--1"):  # int() rejects these itself
+        with pytest.raises(ValueError):
+            parse_int(text)

@@ -31,5 +31,12 @@ def test_record_is_frozen_compares_by_fields_and_keeps_its_repr(name):
 
 
 def test_a_count_matrix_copy_is_checked_like_a_new_one():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match=r"Mbar rows are not 2 x 2, one per label"):
         matrices.build_Mbar(2)._replace(rows=((1,),))
+
+
+@pytest.mark.parametrize("rows", [((1, 2, 3),), ((1,), (2,)), ()])
+def test_a_count_matrix_of_the_wrong_shape_raises_value_error(rows):
+    # a ValueError, not an assert, so that python -O checks it too
+    with pytest.raises(ValueError, match="rows are not 1 x 1"):
+        matrices.CountMatrix(kind="Mbar", n=1, labels=((1,),), rows=rows)

@@ -1,6 +1,10 @@
 import functools
 import itertools
 import math
+import os
+import random
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -318,12 +322,42 @@ def test_the_intertwiner_entries_by_hand():
     assert _dense_intertwiner(3) == [[-1, 0], [4, 0], [0, 3]]
 
 
+def _kernel_vector_with(n, entries):
+    """The integer vector of W_n with these entries at the free labels, scaled where a quotient is not integral."""
+    w = [0] * len(partitions_in_order(n))
+    for i, e in zip(spectral._free_labels(n), entries, strict=True):
+        w[i] = e
+    return tuple(spectral._solve_from_free(n, w, scale=True))
+
+
+def _free_entries(n):
+    """Entries 1..9 at the free labels of n, one per label."""
+    q = len(spectral._free_labels(n))
+    return st.lists(st.integers(1, 9), min_size=q, max_size=q)
+
+
 @pytest.mark.parametrize("n", range(2, MBAR_CAP + 1))
 def test_the_kernel_vector_is_in_the_kernel(n):
+    w = spectral._kernel_vector(n)
+    assert any(w) and math.gcd(*w) == 1
+    # equal entries at the free labels: ones, scaled with the rest
+    assert len({w[i] for i in spectral._free_labels(n)}) == 1
     for seed in (0, 1, 12345):
-        w = spectral._kernel_vector(n, seed)
-        assert any(w) and math.gcd(*w) == 1
-        assert vec_times_matrix(w, _dense_intertwiner(n)) == (0,) * len(partitions_in_order(n - 1))
+        rng = random.Random(seed)
+        drawn = _kernel_vector_with(n, [rng.randint(1, 9) for _ in spectral._free_labels(n)])
+        for v in (w, drawn):
+            assert vec_times_matrix(v, _dense_intertwiner(n)) == (0,) * len(partitions_in_order(n - 1))
+
+
+def test_spectral_takes_no_seed_and_imports_no_random():
+    # site imports random on its own on some hosts, so the interpreter starts with -S
+    src = os.path.dirname(os.path.dirname(spectral.__file__))
+    code = (
+        f"import inspect, sys; sys.path.insert(0, {src!r}); from garside_census import spectral; "
+        "assert list(inspect.signature(spectral._kernel_vector).parameters) == ['n']; "
+        "sys.exit('random' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-S", "-c", code]).returncode == 0
 
 
 def test_the_solve_from_the_free_labels_by_hand():
@@ -336,11 +370,11 @@ def test_the_solve_from_the_free_labels_by_hand():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 12), st.integers(0, 2**32))
-def test_the_free_label_rows_are_the_full_products(n, seed):
+@given(st.integers(2, 12), st.data())
+def test_the_free_label_rows_are_the_full_products(n, data):
     # each step computes p(n) q products at the free labels and solves for the rest,
     # so the whole row, not only its free entries, equals the full product
-    w = spectral._kernel_vector(n, seed)
+    w = _kernel_vector_with(n, data.draw(_free_entries(n)))
     steps = len(spectral._free_labels(n)) + 1
     stepped = itertools.islice(spectral._kernel_krylov_rows(n, w), steps)
     full = itertools.islice(oracle._krylov_rows(build_Mbar(n).rows, w), steps)
@@ -348,10 +382,10 @@ def test_the_free_label_rows_are_the_full_products(n, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 12), st.integers(0, 2**32))
-def test_new_factor_equals_the_full_route_quotient(n, seed):
+@given(st.integers(2, 12), st.data())
+def test_new_factor_equals_the_full_route_quotient(n, data):
     full = exact_quotient(full_charpoly(build_Mbar(n - 1).rows), full_charpoly(build_Mbar(n).rows))
-    assert spectral._factor_on_kernel(n, spectral._kernel_vector(n, seed))[0] == full
+    assert spectral._factor_on_kernel(n, _kernel_vector_with(n, data.draw(_free_entries(n))))[0] == full
     assert spectral._new_factor(n)[0] == full
 
 
@@ -373,7 +407,7 @@ def test_a_kernel_vector_singular_mod_P_raises(n, fresh_factor_caches):
     charpoly(n - 1)  # the factors below n, cached
     kernel_vector = spectral._kernel_vector
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectral, "_kernel_vector", lambda n, seed: tuple(_P * x for x in kernel_vector(n, seed)))
+        patch.setattr(spectral, "_kernel_vector", lambda n: tuple(_P * x for x in kernel_vector(n)))
         with pytest.raises(spectral.ExactCheckError, match=f"W_{n} are singular mod _P"):
             charpoly(n)
     # lru_cache keeps no exception, so the unpatched call computes the factor
@@ -449,7 +483,7 @@ def test_the_packed_identity_check_at_a_carry_and_a_high_byte():
 def test_the_kept_kernel_rows_do_not_depend_on_the_sign_of_w(monkeypatch):
     # the factor keeps its rows as w gives them, and _rho_start signs them
     for n in (4, 5, 6, 12):
-        w = spectral._kernel_vector(n, 0)
+        w = spectral._kernel_vector(n)
         factor, x, y = spectral._factor_on_kernel(n, w)
         negated = spectral._factor_on_kernel(n, tuple(-e for e in w))
         assert negated == (factor, tuple(-e for e in x), tuple(-e for e in y))

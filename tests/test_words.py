@@ -176,6 +176,35 @@ def test_parse_errors():
         PositiveWord(3, (1,))._replace(letters=(9,))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("s" + "1" * 5000, "index out of range at token 1"),
+        ("s1^" + "1" * 5000, "exponent exceeds sys.maxsize at token 1"),
+        ("D^" + "1" * 5000, "exponent exceeds sys.maxsize at token 1"),
+        ("s2 " + "1" * 5000, "index out of range at token 2"),
+        ("s" + "0" * 18 + "1" + "0" * 19, "index out of range at token 1"),
+        # 19 significant digits after 5000 zeros reach int(), and exceed sys.maxsize
+        ("s1^" + "0" * 5000 + "9" * 19, "exponent exceeds sys.maxsize at token 1"),
+    ],
+    ids=["index", "exponent", "half twist exponent", "bare index", "inner zeros", "leading zeros"],
+)
+def test_a_number_past_the_int_digit_limit_gets_its_tokens_message(text, message):
+    # int() raises past CPython's limit on the digits it converts, 4300 by default;
+    # more than 19 significant digits exceed sys.maxsize and never reach it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_word(text, 3)
+        # leading zeros stay accepted, however many
+        assert parse_word("s" + "0" * 5000 + "2" + " D^" + "0" * 5000 + "3", 3).letters == (2, 0, 0, 0)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def _reference_parse_word(text, n):
     """The reference for parse_word: each token matched and expanded where it stands."""
     if n < 1:
