@@ -22,7 +22,7 @@ the Kostka columns read from _tableaux, which grows each table by one
 horizontal strip per part (the strips of each shape and size are
 cached).  Each row of K^T K is one integer: the rows of K are packed
 into byte-aligned slots wide enough for n! (every entry counts
-square-free braids), of 1, 2, 4 or 8 bytes so that _pack and _unpack
+square-free braids), of 1, 2, 4 or 8 bytes so that _pack and _slots
 convert a row in one step, and row kappa is the sum of K(nu, kappa)
 times packed row nu over the nonzero Kostka numbers of column kappa, one
 big-integer multiply-add each.  A margin count is one slot, read by
@@ -30,16 +30,18 @@ shift and mask.  contingency_count, a dynamic program over the columns,
 counts the same matrices directly and is kept as the independent check.
 
 Two levels read these margin counts.  At the subset level, a follows by
-inclusion-exclusion over supersets of I, in a_column, the one superset
-transform, which unpacks one row of the table; partitions_by_mask is the
-one subset-to-partition table, and a and matrices.mprime_columns, the
-p(n) distinct columns of Mprime(n), read both.  At the partition level,
-_refinements holds the signed refinement counts that sum the same
-inclusion-exclusion over every subset with a given partition at once;
-matrices.build_Mbar reads it with the packed rows of the same table and
-never builds a subset table.  The brute-force oracles, oracle.count_functions
-and the census of all n! permutations (oracle.left_right_descent_census),
-live with the other oracles.
+inclusion-exclusion over supersets of I in _superset_transform, the one
+superset transform.  It starts each subset mask at its partition's entry
+(partitions_by_mask, the one subset-to-partition table) and runs on one
+unpacked row of the table for a_column and a, or on all its packed rows
+at once for matrices.mprime_columns, the p(n) distinct columns of
+Mprime(n): every partial sum in a slot counts braids, so no slot borrows
+from the next.  At the partition level, _refinements holds the signed
+refinement counts that sum the same inclusion-exclusion over every
+subset with a given partition at once; matrices.build_Mbar reads it with
+the packed rows of the same table and never builds a subset table.  The
+brute-force oracles, oracle.count_functions and the census of all n!
+permutations (oracle.left_right_descent_census), live with the other oracles.
 """
 from __future__ import annotations
 
@@ -109,13 +111,20 @@ def subsets_in_binary_order(n: int) -> list[frozenset[int]]:
 def partitions_by_mask(n: int) -> tuple[PartitionN, ...]:
     """
     The partition of every subset of {1, ..., n-1}, indexed by its bitmask.
+    The compositions follow by induction on n: the top bit n-2 stands for
+    n-1, so a mask without it appends a part 1 to its composition for n-1,
+    and the same mask with it grows the last part by one.  Each
+    composition is sorted once.
 
     >>> partitions_by_mask(3)
     ((1, 1, 1), (2, 1), (2, 1), (3,))
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return tuple(partition_of(set_of_mask(mask), n) for mask in range(1 << (n - 1)))
+    compositions = [(1,)]
+    for _ in range(n - 1):
+        compositions = [c + (1,) for c in compositions] + [c[:-1] + (c[-1] + 1,) for c in compositions]
+    return tuple(tuple(sorted(c, reverse=True)) for c in compositions)
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,7 +248,7 @@ def _tableaux(content: tuple[int, ...]) -> dict[PartitionN, int]:
 
 
 # The array typecode of each slot width, in bytes, that a machine type has:
-# _pack and _unpack convert such rows in one step, other widths slot by slot.
+# _pack and _slots convert such rows in one step, other widths slot by slot.
 _SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
@@ -273,15 +282,14 @@ def _pack(values: Iterable[int], width: int) -> int:
     return int.from_bytes(slots, "little")
 
 
-def _unpack(packed: int, count: int, width: int) -> tuple[int, ...]:
+def _slots(packed: int, count: int, width: int) -> Sequence[int]:
     """
-    The count slots of width bytes of a packed row.  A sum of packed rows
-    with signed weights is exact, and unpacks to the weighted sums of
-    their slots as long as each lies in [0, 2**(8 width)); a negative or
-    too-wide total raises OverflowError instead of returning wrong slots.
-
-    >>> _unpack(513, 2, 1)
-    (1, 2)
+    The count slots of width bytes of a packed row, in an array (a tuple
+    for a width with no typecode), which makes no int object until a slot
+    is read.  A sum of packed rows with signed weights is exact, and
+    unpacks to the weighted sums of their slots as long as each lies in
+    [0, 2**(8 width)); a negative or too-wide total raises OverflowError
+    instead of returning wrong slots.
     """
     data = packed.to_bytes(count * width, "little")
     code = _SLOT_CODES.get(width)
@@ -290,7 +298,17 @@ def _unpack(packed: int, count: int, width: int) -> tuple[int, ...]:
     slots = array(code, data)
     if sys.byteorder == "big":
         slots.byteswap()
-    return tuple(slots)
+    return slots
+
+
+def _unpack(packed: int, count: int, width: int) -> tuple[int, ...]:
+    """
+    The count slots of width bytes of a packed row, as a tuple (see _slots).
+
+    >>> _unpack(513, 2, 1)
+    (1, 2)
+    """
+    return tuple(_slots(packed, count, width))
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,7 +322,8 @@ def _packed_a_hat_rows(n: int) -> tuple[tuple[int, ...], int]:
     columns K(., kappa) from _tableaux, and it is symmetric.  The width
     holds n!, rounded up to 1, 2, 4 or 8 bytes, which holds it through
     n = 20 (20! < 2**63).  Built once per n: matrices.build_Mbar sums its
-    rows, a_column unpacks one, and _count_by_sorted_margins reads one slot.
+    rows, matrices.mprime_columns runs the superset transform on all of
+    them, a_column unpacks one, and _count_by_sorted_margins reads one slot.
     """
     labels = partitions_in_order(n)
     width = _slot_width(math.factorial(n))
@@ -374,24 +393,44 @@ def a_hat(n: int, I: Iterable[int], J: Iterable[int]) -> int:
     return _count_by_sorted_margins(partition_of(I, n), partition_of(J, n))
 
 
+def _superset_transform(n: int, by_label: Sequence[int]) -> list[int]:
+    """
+    The signed superset transform of one entry per partition of n, in the
+    order of partitions_in_order(n): entry I, for every subset mask I,
+    starts at the entry of I's partition and ends as the sum over the
+    supersets I' of I of (-1)^|I' - I| times the start of I'.  The passes
+    run one bit at a time, in place.  The entries are plain counts (from
+    a_column) or packed rows of _packed_a_hat_rows(n) (from
+    matrices.mprime_columns), whose slots transform side by side.
+    """
+    start = dict(zip(partitions_in_order(n), by_label))
+    arr = [start[lam] for lam in partitions_by_mask(n)]
+    # Packed slots stay exact, with no borrow across a slot boundary: after
+    # the passes over bits 0..b-1, slot mu of entry I counts the braids x
+    # with D_R(x) >= J_mu, D_L(x) >= I and D_L(x) equal to I on those bits.
+    # That count lies in [0, n!], which the slot width of the table holds,
+    # so no slot goes negative or overflows after any pass.
+    bit = 1
+    while bit < len(arr):
+        for low in range(0, len(arr), 2 * bit):
+            for i_mask in range(low, low + bit):
+                arr[i_mask] -= arr[i_mask + bit]
+        bit *= 2
+    return arr
+
+
 def a_column(n: int, mu: PartitionN) -> list[int]:
     """
     a(n, I, J) for every subset mask I at any column J whose partition is
     mu (the count depends on J only through it): the contained-descents
     counts a_hat, unpacked from row mu of _packed_a_hat_rows(n), which is
-    column mu as the table is symmetric, then the signed superset
-    transform, one bit at a time.
+    column mu as the table is symmetric, through the one superset
+    transform, on plain counts.  matrices.mprime_columns runs the same
+    transform on the packed rows, every column at once.
     """
     labels = partitions_in_order(n)
     rows, width = _packed_a_hat_rows(n)
-    counts = dict(zip(labels, _unpack(rows[labels.index(mu)], len(labels), width)))
-    arr = [counts[lam] for lam in partitions_by_mask(n)]
-    for b in range(n - 1):
-        bit = 1 << b
-        for i_mask in range(len(arr)):
-            if not i_mask & bit:
-                arr[i_mask] -= arr[i_mask | bit]
-    return arr
+    return _superset_transform(n, _unpack(rows[labels.index(mu)], len(labels), width))
 
 
 def a(n: int, I: Iterable[int], J: Iterable[int]) -> int:

@@ -19,12 +19,12 @@ FACTORIAL_CAP also bounds the n!-sized state of oracle.dp_count and the
 M22 / M23 paths of oracle.b_of_simple_via, which step through M(n) on
 descent_masks(n) alone; that table follows the canonical enumeration's
 induction from descent_masks(n-1) and lists no permutation.  The p(n)
-distinct columns of Mprime, mprime_columns(n), come from
-descents.a_column, the subset level; build_Mprime and the Mprime path
-of oracle.b_of_simple_via read them, and that path never builds the
-matrix.  Mbar is built at the partition
-level from the packed rows of the Kostka Gram table, built once per n
-and read by descents.a_column too (descents._packed_a_hat_rows), and
+distinct columns of Mprime, mprime_columns(n), come from the subset
+level: one superset transform (descents._superset_transform) of the
+packed rows of the Kostka Gram table gives them all; build_Mprime and
+the Mprime path of oracle.b_of_simple_via read them, and that path
+never builds the matrix.  Mbar is built at the partition level from the
+same packed rows (descents._packed_a_hat_rows, built once per n) and
 descents._refinements, with no subset table.
 
 b(n, d) counts the positive n-braids of degree at most d; b(n, d, x) those
@@ -156,12 +156,22 @@ def mprime_columns(n: int) -> dict[PartitionN, tuple[int, ...]]:
     """
     The p(n) distinct columns of Mprime(n): partition mu maps to
     a(n, I, J) for every subset mask I, at any J with partition mu (the
-    count depends on J only through it).  The cap is checked before any
-    column is computed.  The dict is shared by every caller and must not
-    be changed.
+    count depends on J only through it).  Row kappa of the symmetric
+    table descents._packed_a_hat_rows(n) packs a_hat(kappa, mu) for every
+    column mu, so one superset transform of the packed rows gives every
+    column at once, each slot exact (see descents._superset_transform).
+    The transformed rows are packed end to end and unpacked in one step
+    into an array; column mu is every p(n)-th slot.  The cap is checked
+    before any column is computed.  The dict is shared by every caller
+    and must not be changed.
     """
     _checked_size("Mprime", n)
-    return {mu: tuple(descents.a_column(n, mu)) for mu in descents.partitions_in_order(n)}
+    labels = descents.partitions_in_order(n)
+    a_hat_rows, width = descents._packed_a_hat_rows(n)
+    p = len(labels)
+    entries = descents._pack(descents._superset_transform(n, a_hat_rows), p * width)
+    slots = descents._slots(entries, p << (n - 1), width)
+    return {mu: tuple(slots[j::p]) for j, mu in enumerate(labels)}
 
 
 def build_Mprime(n: int) -> CountMatrix:
@@ -198,7 +208,7 @@ def _cached_Mbar(n: int) -> CountMatrix:
     # Mbar = C·Â at the partition level (Stanley, EC2 §7.23): Â = KᵀK is the
     # Kostka Gram table, and C[lam][kappa] = r(kappa)·_refinements(kappa)[lam]
     # is the h-expansion of the summed ribbon Schur functions, the superset
-    # inclusion-exclusion of a_column summed over the subsets with partition lam.
+    # transform of the subset level summed over the subsets with partition lam.
     # Row lam is summed as one integer over the packed rows of Â: C is signed,
     # but the sum is exact, and its slots, entries of Mbar, count at most n!
     # braids each, so they fit the slot width of Â.

@@ -56,6 +56,7 @@ def test_count_via_Mprime_builds_no_matrix(capsys, monkeypatch):
     assert (code, out) == (0, "37932946510323320174309988516887119\n")
 
     monkeypatch.setattr(descents, "a_column", forbidden)
+    monkeypatch.setattr(descents, "_superset_transform", forbidden)
     code, out, err = run(capsys, "count", "13", "2", "--last", "[13,12,11,10,9,8,7,6,5,4,3,1,2]", "--via", "Mprime")
     assert (code, out) == (2, "")
     assert "exceeds the subset-size cap 12" in err
@@ -450,57 +451,62 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def _case(key, argv, message):
+    # an explicit id, key and message, so that adding or removing a case renames no other
+    return pytest.param(argv, message, id=f"{key}-{message}")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["table", "--nmax", "1"], "--nmax: must be at least 2"),
-        (["table", "--dmax", "0"], "--dmax: must be at least 1"),
-        (["conjecture", "--nmax", "1"], "--nmax: must be at least 2"),
-        (["count", "3", "1", "--out", "{missing_dir}/x"], "No such file or directory"),
-        (["matrix", "M", "8"], "exceeds the factorial-size cap 7"),
-        (["charpoly", "3", "--format", "csv"], "invalid choice: 'csv'"),
-        (["normalize", "-n", "3", "s1", "--format", "csv"], "invalid choice: 'csv'"),
-        (["oracle", "3", "2", "--format", "csv"], "invalid choice: 'csv'"),
-        (["conjecture", "--nmax", "3", "--format", "csv"], "invalid choice: 'csv'"),
-        (["count", "3", "4", "--via", "M22"], "--via M22 counts by a last permutation"),
-        (["count", "3", "4", "--via", "M23", "--format", "json"], "--via M23 counts by a last permutation"),
-        (["charpoly", "13", "--kind", "Mprime"], "exceeds the subset-size cap 12"),
-        (["charpoly", "4", "--factored"], "unrecognized arguments"),
-        (["oracle", "4", "3", "--last", "delta", "0"], "r=0 out of range 1..4"),
-        (["oracle", "4", "3", "--last", "delta", "5"], "r=5 out of range 1..4"),
-        (["count", "4", "3", "--last", "delta", "x"], "--last delta takes an integer"),
-        (["table", "--nmax", str(matrices.MBAR_CAP + 1)], f"--nmax: must be at most {matrices.MBAR_CAP}"),
-        (["conjecture", "--nmax", str(matrices.MBAR_CAP + 1)], f"--nmax: must be at most {matrices.MBAR_CAP}"),
-        (["verify", "--nmax", str(matrices.MBAR_CAP + 1)], f"--nmax: must be at most {matrices.MBAR_CAP}"),
-        (["verify", "--nmax", "1"], "--nmax: must be at least 2"),
-        (["verify", "--dmax", "1"], "--dmax: must be at least 2"),
-        (["oracle", "3", "2", "--budget", "5"], "unrecognized arguments"),
-        (["oracle", "5", "4", "--engine", "brute"], "budget exceeded"),
-        (["count", "8", "2", "--last", "[8,7,6,5,4,3,2,1]", "--via", "M22"], "exceeds the factorial-size cap 7"),
-        (["count", "8", "2", "--last", "[8,7,6,5,4,3,2,1]", "--via", "M23"], "exceeds the factorial-size cap 7"),
-        (["oracle", "8", "2"], "exceeds the factorial-size cap 7"),
-        (["charpoly", "8", "--kind", "M"], "exceeds the factorial-size cap 7"),
-        (["count", "0", "0"], "n must be at least 1"),
-        (["count", "4", "3", "--last", "delta", "1", "2"], "--last delta takes exactly one integer argument"),
-        (["count", "4", "3", "--last", "[1,2]", "[2,1]"], "--last takes one permutation or 'delta R'"),
-        (["oracle", "1", "100000002", "--engine", "brute"], "budget exceeded"),
-        (["normalize", "-n", "-2", "s1"], "strand count must be at least 1"),
+        _case("argv0", ["table", "--nmax", "1"], "--nmax: must be at least 2"),
+        _case("argv1", ["table", "--dmax", "0"], "--dmax: must be at least 1"),
+        _case("argv2", ["conjecture", "--nmax", "1"], "--nmax: must be at least 2"),
+        _case("argv3", ["count", "3", "1", "--out", "{missing_dir}/x"], "No such file or directory"),
+        _case("argv4", ["matrix", "M", "8"], "exceeds the factorial-size cap 7"),
+        _case("argv5", ["charpoly", "3", "--format", "csv"], "invalid choice: 'csv'"),
+        _case("argv6", ["normalize", "-n", "3", "s1", "--format", "csv"], "invalid choice: 'csv'"),
+        _case("argv7", ["oracle", "3", "2", "--format", "csv"], "invalid choice: 'csv'"),
+        _case("argv8", ["conjecture", "--nmax", "3", "--format", "csv"], "invalid choice: 'csv'"),
+        _case("argv9", ["count", "3", "4", "--via", "M22"], "--via M22 counts by a last permutation"),
+        _case("argv10", ["count", "3", "4", "--via", "M23", "--format", "json"], "--via M23 counts by a last permutation"),
+        _case("argv11", ["charpoly", "13", "--kind", "Mprime"], "exceeds the subset-size cap 12"),
+        _case("argv12", ["charpoly", "4", "--factored"], "unrecognized arguments"),
+        _case("argv13", ["oracle", "4", "3", "--last", "delta", "0"], "r=0 out of range 1..4"),
+        _case("argv14", ["oracle", "4", "3", "--last", "delta", "5"], "r=5 out of range 1..4"),
+        _case("argv15", ["count", "4", "3", "--last", "delta", "x"], "--last delta takes an integer"),
+        _case("argv16", ["table", "--nmax", str(matrices.MBAR_CAP + 1)], f"--nmax: must be at most {matrices.MBAR_CAP}"),
+        _case("argv17", ["conjecture", "--nmax", str(matrices.MBAR_CAP + 1)], f"--nmax: must be at most {matrices.MBAR_CAP}"),
+        _case("argv18", ["verify", "--nmax", str(matrices.MBAR_CAP + 1)], f"--nmax: must be at most {matrices.MBAR_CAP}"),
+        _case("argv19", ["verify", "--nmax", "1"], "--nmax: must be at least 2"),
+        _case("argv20", ["verify", "--dmax", "1"], "--dmax: must be at least 2"),
+        _case("argv21", ["oracle", "3", "2", "--budget", "5"], "unrecognized arguments"),
+        _case("argv22", ["oracle", "5", "4", "--engine", "brute"], "budget exceeded"),
+        _case("argv23", ["count", "8", "2", "--last", "[8,7,6,5,4,3,2,1]", "--via", "M22"], "exceeds the factorial-size cap 7"),
+        _case("argv24", ["count", "8", "2", "--last", "[8,7,6,5,4,3,2,1]", "--via", "M23"], "exceeds the factorial-size cap 7"),
+        _case("argv25", ["oracle", "8", "2"], "exceeds the factorial-size cap 7"),
+        _case("argv26", ["charpoly", "8", "--kind", "M"], "exceeds the factorial-size cap 7"),
+        _case("argv27", ["count", "0", "0"], "n must be at least 1"),
+        _case("argv28", ["count", "4", "3", "--last", "delta", "1", "2"], "--last delta takes exactly one integer argument"),
+        _case("argv29", ["count", "4", "3", "--last", "[1,2]", "[2,1]"], "--last takes one permutation or 'delta R'"),
+        _case("argv30", ["oracle", "1", "100000002", "--engine", "brute"], "budget exceeded"),
+        _case("argv31", ["normalize", "-n", "-2", "s1"], "strand count must be at least 1"),
         # each used to exit 1 with an OverflowError traceback
-        (["normalize", "-n", "3", "s1^99999999999999999999999"], "exponent exceeds sys.maxsize at token 1"),
-        (["normalize", "-n", "3", "D^99999999999999999999999"], "exponent exceeds sys.maxsize at token 1"),
-        (["normalize", "-n", "99999999999999999999", "s1"], "strand count n=99999999999999999999 exceeds sys.maxsize"),
+        _case("argv32", ["normalize", "-n", "3", "s1^99999999999999999999999"], "exponent exceeds sys.maxsize at token 1"),
+        _case("argv33", ["normalize", "-n", "3", "D^99999999999999999999999"], "exponent exceeds sys.maxsize at token 1"),
+        _case("argv34", ["normalize", "-n", "99999999999999999999", "s1"], "strand count n=99999999999999999999 exceeds sys.maxsize"),
         # digits are ASCII: each used to read ARABIC-INDIC DIGIT ONE as 1 and exit 0
-        (["normalize", "-n", "3", "s١"], "syntax error at token 1: 's١'"),
-        (["normalize", "-n", "3", "s1^١"], "syntax error at token 1: 's1^١'"),
+        _case("argv35", ["normalize", "-n", "3", "s١"], "syntax error at token 1: 's١'"),
+        _case("argv36", ["normalize", "-n", "3", "s1^١"], "syntax error at token 1: 's1^١'"),
         # CLI integers are ASCII digits too: each used to read as 3, 10, 1 or [2,1,3] and exit 0
-        (["count", "٣", "2"], "argument n: invalid int value: '٣'"),
-        (["count", "3", "1_0"], "argument d: invalid int value: '1_0'"),
-        (["count", "3", "2", "--last", "delta", "١"], "--last delta takes an integer, got '١'"),
-        (["count", "3", "2", "--last", "[٢,١,3]"], "cannot parse permutation from '[٢,١,3]'"),
-        (["table", "--nmax", "٣"], "argument --nmax: invalid int value: '٣'"),
-        (["normalize", "-n", "٣", "s1"], "argument -n: invalid int value: '٣'"),
-        (["oracle", "3", "2", "--last", "delta", "1_0"], "--last delta takes an integer, got '1_0'"),
-        (["matrix", "Mbar", "+٣"], "argument n: invalid int value: '+٣'"),
+        _case("argv37", ["count", "٣", "2"], "argument n: invalid int value: '٣'"),
+        _case("argv38", ["count", "3", "1_0"], "argument d: invalid int value: '1_0'"),
+        _case("argv39", ["count", "3", "2", "--last", "delta", "١"], "--last delta takes an integer, got '١'"),
+        _case("argv40", ["count", "3", "2", "--last", "[٢,١,3]"], "cannot parse permutation from '[٢,١,3]'"),
+        _case("argv41", ["table", "--nmax", "٣"], "argument --nmax: invalid int value: '٣'"),
+        _case("argv42", ["normalize", "-n", "٣", "s1"], "argument -n: invalid int value: '٣'"),
+        _case("argv43", ["oracle", "3", "2", "--last", "delta", "1_0"], "--last delta takes an integer, got '1_0'"),
+        _case("argv44", ["matrix", "Mbar", "+٣"], "argument n: invalid int value: '+٣'"),
     ],
 )
 def test_bad_inputs_exit_2(tmp_path, capsys, argv, message):

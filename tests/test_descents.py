@@ -458,6 +458,68 @@ def test_exact_left_counts_total(n):
     assert total == math.factorial(n)
 
 
+def _census_columns(n):
+    """Mprime(n)'s columns off the census: left mask exactly I, right mask containing mu's subset."""
+    columns = {}
+    for mu in partitions_in_order(n):
+        mu_mask = mask_of(set_of_composition(mu))
+        column = [0] * (1 << (n - 1))
+        for (left, right), count in _census_counts(n).items():
+            if mu_mask & ~right == 0:
+                column[left] += count
+        columns[mu] = tuple(column)
+    return columns
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_packed_columns_equal_the_census_tally(n):
+    assert matrices.mprime_columns(n) == _census_columns(n)
+
+
+def _reference_partitions_by_mask(n):
+    """The subset table with one partition_of per mask, kept as the reference."""
+    return tuple(partition_of(set_of_mask(mask), n) for mask in range(1 << (n - 1)))
+
+
+def _column_by_column(n):
+    """Mprime(n)'s columns one at a time, each by its own plain superset transform loop: the reference."""
+    labels = partitions_in_order(n)
+    rows, width = descents._packed_a_hat_rows(n)
+    by_mask = _reference_partitions_by_mask(n)
+    columns = {}
+    for mu in labels:
+        counts = dict(zip(labels, descents._unpack(rows[labels.index(mu)], len(labels), width)))
+        arr = [counts[lam] for lam in by_mask]
+        for b in range(n - 1):
+            bit = 1 << b
+            for i_mask in range(len(arr)):
+                if not i_mask & bit:
+                    arr[i_mask] -= arr[i_mask | bit]
+        columns[mu] = tuple(arr)
+    return columns
+
+
+@pytest.mark.parametrize("n", range(1, matrices.SUBSET_CAP + 1))
+def test_packed_columns_equal_the_column_by_column_transform(n):
+    # a borrow between the packed slots would show as a wrong entry here
+    expected = _column_by_column(n)
+    columns = matrices.mprime_columns(n)
+    assert list(columns) == list(expected)
+    for mu, column in expected.items():
+        assert columns[mu] == column, mu
+        assert descents.a_column(n, mu) == list(column), mu
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_partitions_by_mask_equals_the_partition_of_each_mask(n):
+    assert descents.partitions_by_mask(n) == _reference_partitions_by_mask(n)
+
+
+def test_partitions_by_mask_rejects_n_below_one():
+    with pytest.raises(ValueError):
+        descents.partitions_by_mask(0)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_count_functions_oracle(n):
     for I in subsets_in_binary_order(n):

@@ -126,11 +126,12 @@ def test_Mbar_entries_fit_the_slot_width(n):
 
 def test_Mbar_build_never_touches_the_subset_level(monkeypatch):
     def forbidden(n, mu):
-        raise AssertionError("a_column called on the Mbar path")
+        raise AssertionError("the superset transform ran on the Mbar path")
 
     for cached in (matrices._cached_Mbar, descents.partitions_in_order, descents.partitions_by_mask):
         cached.cache_clear()
     monkeypatch.setattr(descents, "a_column", forbidden)
+    monkeypatch.setattr(descents, "_superset_transform", forbidden)
     build_Mbar(11)
     assert descents.partitions_by_mask.cache_info().misses == 0
 
