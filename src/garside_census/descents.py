@@ -39,7 +39,11 @@ Mprime(n): every partial sum in a slot counts braids, so no slot borrows
 from the next.  At the partition level, _refinements holds the signed
 refinement counts that sum the same inclusion-exclusion over every
 subset with a given partition at once; matrices.build_Mbar reads it with
-the packed rows of the same table and never builds a subset table.  The
+the packed rows of the same table and never builds a subset table.  Each
+part of kappa refines on its own, so the table of kappa is the product
+of one table per part (_part_refinements).  It is keyed by an additive
+multiplicity code (_multiplicity_code), so a product joins two multisets
+of parts by adding their codes and sorts no tuple.  The
 brute-force oracles, oracle.count_functions and the census of all n!
 permutations (oracle.left_right_descent_census), live with the other oracles.
 """
@@ -140,7 +144,14 @@ def partitions_in_order(n: int) -> tuple[PartitionN, ...]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return tuple(sorted(_refinements((n,)), key=lambda lam: mask_of(set_of_composition(lam))))
+    return tuple(sorted(_partitions(n, n), key=lambda lam: mask_of(set_of_composition(lam))))
+
+
+def _partitions(n: int, top: int) -> list[PartitionN]:
+    """The partitions of n with every part at most top."""
+    if n == 0:
+        return [()]
+    return [(first, *rest) for first in range(min(n, top), 0, -1) for rest in _partitions(n - first, first)]
 
 
 def delta_partition(n: int, r: int) -> PartitionN:
@@ -204,23 +215,24 @@ def _fill_columns(rows_sorted: tuple[int, ...], cols: tuple[int, ...]) -> int:
 def _horizontal_strips(shape: PartitionN, k: int) -> tuple[PartitionN, ...]:
     """
     Every partition nu containing shape whose skew nu/shape is a horizontal
-    strip of k boxes: row i grows by at most shape[i-1] - shape[i].  The
-    same (shape, k) recurs for many contents, so the tuple is cached.
+    strip of k boxes: row i grows by at most shape[i-1] - shape[i], and by
+    at least what the rows below it cannot take, as together they grow by
+    at most shape[i]; a new last row takes the rest.  So no branch ends
+    with boxes left over.  The same (shape, k) recurs for many contents,
+    so the tuple is cached.
 
     >>> _horizontal_strips((2,), 1)
     ((2, 1), (3,))
     """
-    rows = shape + (0,)
     out = []
 
     def grow(i: int, left: int, grown: tuple[int, ...]) -> None:
-        if i == len(rows):
-            if left == 0:
-                out.append(grown if grown[-1] else grown[:-1])
+        if i == len(shape):
+            out.append(grown + (left,) if left else grown)
             return
-        room = left if i == 0 else min(left, rows[i - 1] - rows[i])
-        for add in range(room + 1):
-            grow(i + 1, left - add, grown + (rows[i] + add,))
+        room = left if i == 0 else min(left, shape[i - 1] - shape[i])
+        for add in range(max(0, left - shape[i]), room + 1):
+            grow(i + 1, left - add, grown + (shape[i] + add,))
 
     grow(0, k, ())
     return tuple(out)
@@ -354,15 +366,44 @@ def _multinomial(parts: Sequence[int]) -> int:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _refinements(kappa: tuple[int, ...]) -> dict[PartitionN, int]:
+def _multiplicity_code(parts: Iterable[int], cap: int) -> int:
     """
-    Signed refinement counts of kappa, read as a composition: entry lam is
-    the sum of (-1)^(len(alpha) - len(kappa)) over the compositions alpha
-    that split each part of kappa into a composition and sort to lam.  By
-    induction on the first piece j of the last part k, it is the table for
-    kappa[:-1] with k added, minus, for j = 1..k-1, the table for
-    (*kappa[:-1], k - j) with j added.
+    A multiset of at most cap parts as one integer: digit k - 1, of
+    cap.bit_length() bits, counts the parts equal to k, so joining two
+    multisets adds their codes.
+
+    >>> _multiplicity_code((2, 1, 1), 15)
+    18
+    """
+    bits = cap.bit_length()
+    return sum(1 << bits * (k - 1) for k in parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _part_refinements(k: int, cap: int) -> tuple[tuple[int, int], ...]:
+    """
+    The signed refinements of one part k: (code, (-1)^(len(nu) - 1) r(nu))
+    for every partition nu of k, r(nu) its number of orderings, which is
+    the number of compositions of k that sort to nu.
+    """
+    return tuple(
+        (_multiplicity_code(nu, cap), (-1) ** (len(nu) - 1) * _multinomial([nu.count(p) for p in set(nu)]))
+        for nu in _partitions(k, k)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _refinements(kappa: PartitionN, cap: int) -> dict[int, int]:
+    """
+    Signed refinement counts of kappa, read as a composition, keyed by
+    _multiplicity_code(lam, cap), for sum(kappa) <= cap: entry lam is the sum of
+    (-1)^(len(alpha) - len(kappa)) over the compositions alpha that split
+    each part of kappa into a composition and sort to lam.  The parts split
+    independently, so the table is the product of the tables of its parts
+    (_part_refinements), and that of kappa is the one of kappa[:-1] times
+    that of its last part: every pair of codes adds.  The caller passes
+    one cap for every n it reads (matrices.MBAR_CAP), so the tables of the
+    prefixes are shared across n.
 
     Shrinking a subset I' to I refines its composition this way, with sign
     (-1)^|I' - I|, so r(kappa) times entry lam, r(kappa) the number of
@@ -371,14 +412,11 @@ def _refinements(kappa: tuple[int, ...]) -> dict[PartitionN, int]:
     not be changed.
     """
     if not kappa:
-        return {(): 1}
-    head, k = kappa[:-1], kappa[-1]
-    out: dict[PartitionN, int] = {}
-    steps = [(head, k, 1)] + [(head + (k - j,), j, -1) for j in range(1, k)]
-    for coarser, piece, sign in steps:
-        for lam, count in _refinements(coarser).items():
-            finer = tuple(sorted(lam + (piece,), reverse=True))
-            out[finer] = out.get(finer, 0) + sign * count
+        return {0: 1}
+    out: dict[int, int] = {}
+    for code, count in _refinements(kappa[:-1], cap).items():
+        for piece, sign in _part_refinements(kappa[-1], cap):
+            out[code + piece] = out.get(code + piece, 0) + sign * count
     return out
 
 

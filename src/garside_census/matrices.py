@@ -25,7 +25,8 @@ packed rows of the Kostka Gram table gives them all; build_Mprime and
 the Mprime path of oracle.b_of_simple_via read them, and that path
 never builds the matrix.  Mbar is built at the partition level from the
 same packed rows (descents._packed_a_hat_rows, built once per n) and
-descents._refinements, with no subset table.
+descents._refinements, keyed by multiplicity codes, with no subset
+table.
 
 b(n, d) counts the positive n-braids of degree at most d; b(n, d, x) those
 whose d-th normal factor equals the square-free braid x, by exact integer
@@ -206,20 +207,22 @@ def _check_Mbar(n: int) -> None:
 @functools.lru_cache(maxsize=None)
 def _cached_Mbar(n: int) -> CountMatrix:
     # Mbar = C·Â at the partition level (Stanley, EC2 §7.23): Â = KᵀK is the
-    # Kostka Gram table, and C[lam][kappa] = r(kappa)·_refinements(kappa)[lam]
-    # is the h-expansion of the summed ribbon Schur functions, the superset
-    # transform of the subset level summed over the subsets with partition lam.
-    # Row lam is summed as one integer over the packed rows of Â: C is signed,
-    # but the sum is exact, and its slots, entries of Mbar, count at most n!
-    # braids each, so they fit the slot width of Â.
+    # Kostka Gram table, and C[lam][kappa] = r(kappa)·_refinements(kappa)[code
+    # of lam] is the h-expansion of the summed ribbon Schur functions, the
+    # superset transform of the subset level summed over the subsets with
+    # partition lam.  Row lam is summed as one integer over the packed rows of
+    # Â: C is signed, but the sum is exact, and its slots, entries of Mbar,
+    # count at most n! braids each, so they fit the slot width of Â.  The code
+    # digits hold MBAR_CAP parts, so one refinement table of each prefix of
+    # kappa serves every n.
     labels = descents.partitions_in_order(n)
-    index = {lam: i for i, lam in enumerate(labels)}
+    index = {descents._multiplicity_code(lam, MBAR_CAP): i for i, lam in enumerate(labels)}
     a_hat_rows, width = descents._packed_a_hat_rows(n)
     packed = [0] * len(labels)
     for kappa, a_hat_row in zip(labels, a_hat_rows):
         orderings = descents._multinomial(collections.Counter(kappa).values())
-        for lam, count in descents._refinements(kappa).items():
-            packed[index[lam]] += orderings * count * a_hat_row
+        for code, count in descents._refinements(kappa, MBAR_CAP).items():
+            packed[index[code]] += orderings * count * a_hat_row
     rows = tuple(descents._unpack(row, len(labels), width) for row in packed)
     return CountMatrix(kind="Mbar", n=n, labels=labels, rows=rows)
 

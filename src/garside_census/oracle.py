@@ -252,6 +252,27 @@ def _krylov_rows(rows: Sequence[Sequence[int]], x: Sequence[int]) -> Iterator[Se
         x = matrices.vec_times_matrix(x, rows)
 
 
+def _kernel_krylov_rows(n: int, w: Sequence[int]) -> Iterator[list[int]]:
+    """
+    The rows w Mbar(n)^k, k = 0, 1, ..., for an integer w in W_n (see
+    spectral._new_factor), once spectral._intertwines(n) has held: the
+    reference for spectral._free_krylov_rows.  A step computes the free
+    entries of x Mbar(n), p(n) q products, and spectral._solve_from_free
+    the others: W_n is invariant, so x Mbar(n) is the integer vector of
+    W_n with those free entries, and every division is exact.
+    """
+    rows = matrices.build_Mbar(n).rows
+    free = spectral._free_labels(n)
+    columns = [tuple(row[j] for row in rows) for j in free]
+    x = list(w)
+    while True:
+        yield x
+        y = [0] * len(x)
+        for j, column in zip(free, columns):
+            y[j] = sum(map(mul, x, column))
+        x = spectral._solve_from_free(n, y, scale=False)
+
+
 def _berkowitz(rows: Sequence[Sequence[int]]) -> list[int]:
     """Leading-coefficient-first char poly of det(xI - A), division-free."""
     n = len(rows)

@@ -9,13 +9,14 @@ read the shared build_Mbar(n).  charpoly(n) is (x - 1) times one new
 factor per k = 2..n, each the characteristic polynomial of Mbar(k) on
 the kernel of an explicit integer intertwiner D_k with Mbar(k) D_k =
 D_k Mbar(k-1) (see _new_factor), computed once per k.  A factor is
-lifted from q + 1 Krylov rows of length q = p(k) - p(k-1), each stepped
-in p(k) q products: the q x q Krylov matrix is factored once modulo the
-word-size prime _P, entry by entry, and the solution is lifted
-P-adically (Dixon, Numer. Math. 40, 1982) until it satisfies the
-Cayley-Hamilton identity exactly.  A k whose identity check fails, or
-whose Krylov matrix is singular mod _P, raises ExactCheckError, an
-ArithmeticError.
+lifted from q + 1 Krylov rows of length q = p(k) - p(k-1), the entries
+at the q free labels, each stepped in q**2 products through one q x q
+integer operator (_step_operator): the q x q Krylov matrix is factored
+once modulo the word-size prime _P, entry by entry, and the solution is
+lifted P-adically (Dixon, Numer. Math. 40, 1982) until it satisfies the
+Cayley-Hamilton identity exactly.  A k whose identity check fails,
+whose step leaves a remainder, or whose Krylov matrix is singular mod
+_P raises ExactCheckError, an ArithmeticError.
 
 Division, divisibility and gcd stay in integers too (Knuth, TAOCP vol.
 2, 4.6.1): exact division, pseudo-division, and the primitive remainder
@@ -229,10 +230,12 @@ def _mbar_charpoly(n: int) -> IntPoly:
 # characteristic polynomial of Mbar(n) on W_n is the new factor:
 # charpoly(Mbar(n-1)) divides charpoly(Mbar(n)) by construction.  A vector
 # of W_n is fixed by its entries at the q free labels (_free_labels): column mu
-# gives the entry at sigma(mu) from entries with a smaller first part.  So
-# the factor's Krylov rows cost p(n) q products a step, not p(n)**2: only
-# the free entries of x Mbar(n) are multiplied out, and the triangular
-# solve over D_n's columns fills in the rest (_kernel_krylov_rows).
+# gives the entry at sigma(mu) from entries with a smaller first part, by
+# the triangular solve over D_n's columns (_solve_from_free).  So
+# v -> v Mbar(n) on W_n is a q x q operator on the free entries, and the
+# factor's Krylov rows cost q**2 products a step, not p(n)**2: the operator
+# is read off the q vectors of W_n solved from unit free entries
+# (_step_operator), and only the last two rows are solved out in full.
 @functools.lru_cache(maxsize=None)
 def _new_factor(n: int) -> tuple[IntPoly, tuple[int, ...], tuple[int, ...]]:
     """
@@ -343,7 +346,9 @@ def _solve_from_free(n: int, w: list[int], scale: bool) -> list[int]:
     overwritten, never read.
     """
     for top, diag, rest in _solve_order(n):
-        s = sum(w[i] * e for i, e in rest)
+        s = 0
+        for i, e in rest:
+            s += w[i] * e
         if s % diag:
             if not scale:
                 raise ExactCheckError(f"no integer vector of W_{n} has these free entries")
@@ -366,43 +371,82 @@ def _kernel_vector(n: int) -> tuple[int, ...]:
     return tuple(x // g for x in w)
 
 
-def _kernel_krylov_rows(n: int, w: Sequence[int]) -> Iterator[list[int]]:
+def _step_operator(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """
-    The rows w Mbar(n)^k, k = 0, 1, ..., for an integer w in W_n, once
-    _intertwines(n) has held.  A step computes only the free entries,
-    x Mbar(n)[:, F], p(n) q products, and _solve_from_free the others:
-    W_n is invariant, so x Mbar(n) is the integer vector of W_n with
-    those free entries, and every division is exact.
+    (B, D): a q x q integer matrix B and an integer D with
+    (x Mbar(n))[F] = x[F] B / D for every x in W_n, F the free labels.
+    Row f of B is (D / d_f) (s_f Mbar(n))[F], s_f the vector of W_n that
+    _solve_from_free scales from the unit vector at f, d_f = s_f[f] and
+    D = lcm(d_f): a vector x of W_n is fixed by its free entries, so
+    x = sum_f (x_f / d_f) s_f.  The free columns of each row of Mbar(n)
+    are packed into one integer (descents._pack), so s_f Mbar(n) costs one
+    multiply-add per nonzero entry of s_f.  Each slot of that signed sum
+    lies in [-bound, bound], bound = h max_f |s_f|_1 for h the largest
+    entry of Mbar(n), so with bound added to every slot it unpacks
+    exactly (descents._slots).
     """
     rows = matrices.build_Mbar(n).rows
     free = _free_labels(n)
-    columns = [tuple(row[j] for row in rows) for j in free]
-    x = list(w)
+    solved = []
+    for f in free:
+        unit = [0] * len(rows)
+        unit[f] = 1
+        solved.append(_solve_from_free(n, unit, scale=True))
+    scales = [s[f] for s, f in zip(solved, free)]
+    lcm = math.lcm(*scales)
+    bound = max(map(max, rows)) * max(sum(map(abs, s)) for s in solved)
+    width = descents._slot_width(2 * bound)
+    packed = [descents._pack([row[j] for j in free], width) for row in rows]
+    step = []
+    for s, d in zip(solved, scales):
+        acc = descents._pack([bound] * len(free), width)
+        for e, row in zip(s, packed):
+            if e:
+                acc += e * row
+        step.append(tuple(lcm // d * (a - bound) for a in descents._slots(acc, len(free), width)))
+    return tuple(step), lcm
+
+
+def _free_krylov_rows(n: int, w: Sequence[int]) -> Iterator[list[int]]:
+    """
+    The free entries of the rows w Mbar(n)^k, k = 0, 1, ..., for an
+    integer w in W_n, once _intertwines(n) has held: each step is
+    x[F] B / D by _step_operator(n), q**2 products.  W_n is invariant, so
+    x Mbar(n) is an integer vector and every division is exact; a
+    remainder raises ExactCheckError.
+    """
+    step, lcm = _step_operator(n)
+    columns = list(zip(*step))
+    x = [w[i] for i in _free_labels(n)]
     while True:
         yield x
-        y = [0] * len(x)
-        for j, column in zip(free, columns):
-            y[j] = sum(map(mul, x, column))
-        x = _solve_from_free(n, y, scale=False)
+        x = [sum(map(mul, x, column)) for column in columns]
+        if any(e % lcm for e in x):
+            raise ExactCheckError(f"a step on the free labels of W_{n} is not integral")
+        x = [e // lcm for e in x]
 
 
 def _factor_on_kernel(n: int, w: Sequence[int]) -> tuple[IntPoly, tuple[int, ...], tuple[int, ...]]:
     """
-    The characteristic polynomial of v -> v Mbar(n) on W_n, from the rows
-    w Mbar(n)^k, k = 0..q, restricted to the q free labels, for w in W_n,
-    with the whole rows x = w Mbar(n)^(q-1) and y = w Mbar(n)^q, signed
-    as w gives them; ExactCheckError when the rows are singular mod _P (w
-    not cyclic, say).
+    The characteristic polynomial of v -> v Mbar(n) on W_n, from the free
+    entries of the rows w Mbar(n)^k, k = 0..q (_free_krylov_rows), for w
+    in W_n, with the whole rows x = w Mbar(n)^(q-1) and y = w Mbar(n)^q,
+    signed as w gives them, solved from their free entries at the end;
+    ExactCheckError when a step leaves a remainder or the rows are
+    singular mod _P (w not cyclic, say).
     """
     free = _free_labels(n)
-    krylov, last = [], collections.deque(maxlen=2)
-    for x in itertools.islice(_kernel_krylov_rows(n, w), len(free) + 1):
-        krylov.append([x[i] for i in free])
-        last.append(x)
+    krylov = list(itertools.islice(_free_krylov_rows(n, w), len(free) + 1))
     factor = _lift_charpoly(krylov, matrices.build_Mbar(n).rows)
     if factor is None:
         raise ExactCheckError(f"the Krylov rows of W_{n} are singular mod _P")
-    return (factor, *map(tuple, last))
+    kept = []
+    for part in krylov[-2:]:
+        v = [0] * len(w)
+        for i, e in zip(free, part):
+            v[i] = e
+        kept.append(tuple(_solve_from_free(n, v, scale=False)))
+    return (factor, *kept)
 
 
 def strip_x_power(p: Sequence) -> tuple:

@@ -567,11 +567,13 @@ def test_each_Mbar_and_charpoly_built_once(capsys, monkeypatch):
     product = matrices.vec_times_matrix
     monkeypatch.setattr(oracle, "full_charpoly", lambda rows: full_runs.append(len(rows)) or full_charpoly(rows))
     monkeypatch.setattr(matrices, "vec_times_matrix", lambda v, m: products.append(len(v)) or product(v, m))
+    monkeypatch.setattr(oracle, "_kernel_krylov_rows", lambda n, w: pytest.fail("the reference stepper ran"))
     spectral._mbar_charpoly.cache_clear()
     spectral._new_factor.cache_clear()
     assert run(capsys, "conjecture", "--nmax", "12")[0] == 0
     # each polynomial is the one before times one intertwiner factor, each computed
-    # once, the full route runs for no n, and rho_max starts every n with no vector product
+    # once, neither the full route nor the reference stepper of oracle runs for any n,
+    # and rho_max starts every n with no vector product
     assert full_runs == []
     assert products == []
     assert spectral._mbar_charpoly.cache_info().misses == 12

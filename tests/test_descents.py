@@ -196,6 +196,22 @@ def test_tableaux_against_brute(n):
         assert descents._tableaux(content) == {s: k for s, k in brute.items() if k}, content
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda m: st.sampled_from(partitions_in_order(m)) if m else st.just(())),
+       st.integers(0, 7))
+def test_horizontal_strips_are_the_interlacing_partitions(shape, k):
+    # nu/shape is a horizontal strip exactly when nu_1 >= shape_1 >= nu_2 >= shape_2 >= ...;
+    # the strips come in increasing lexicographic order
+    rows = shape + (0,)
+    brute = [
+        nu for nu in (partitions_in_order(sum(shape) + k) if sum(shape) + k else [()])
+        if len(nu) <= len(rows)
+        and all(upper >= lower for upper, lower in zip(nu + (0,) * (len(rows) - len(nu)), rows))
+        and all(rows[i] >= nu[i + 1] for i in range(len(nu) - 1))
+    ]
+    assert descents._horizontal_strips(shape, k) == tuple(sorted(brute))
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_kostka_columns_are_unitriangular_in_lex_order(n):
     # K is unitriangular in decreasing lexicographic order
@@ -346,13 +362,30 @@ def _signed_subset_pairs(n):
     return out
 
 
+def _refinement_table(kappa):
+    """
+    descents._refinements(kappa, matrices.MBAR_CAP), as build_Mbar reads it, keyed
+    by partition: digit k - 1 of a code, of MBAR_CAP.bit_length() bits, counts the
+    parts equal to k.
+    """
+    bits = matrices.MBAR_CAP.bit_length()
+    out = {}
+    for code, count in descents._refinements(kappa, matrices.MBAR_CAP).items():
+        lam = ()
+        for k in range(sum(kappa), 0, -1):
+            lam += (k,) * (code >> bits * (k - 1) & (1 << bits) - 1)
+        assert descents._multiplicity_code(lam, matrices.MBAR_CAP) == code, kappa
+        out[lam] = count
+    return out
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.sampled_from(partitions_in_order(n)))))
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.sampled_from(partitions_in_order(n)))))
 def test_refinements_times_orderings_sum_the_signed_subset_pairs(case):
     n, kappa = case
     pairs = _signed_subset_pairs(n)
     orderings = descents._multinomial([kappa.count(p) for p in set(kappa)])
-    table = descents._refinements(kappa)
+    table = _refinement_table(kappa)
     for lam in partitions_in_order(n):
         assert orderings * table.get(lam, 0) == pairs.get((lam, kappa), 0), (lam, kappa)
 
@@ -374,7 +407,7 @@ def _refinements_by_pieces(kappa):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_refinements_match_the_pieces_of_each_part(n):
     for kappa in partitions_in_order(n):
-        table = descents._refinements(kappa)
+        table = _refinement_table(kappa)
         expected = _refinements_by_pieces(kappa)
         assert {lam: c for lam, c in table.items() if c} == {lam: c for lam, c in expected.items() if c}, kappa
 

@@ -372,13 +372,27 @@ def test_the_solve_from_the_free_labels_by_hand():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 12), st.data())
 def test_the_free_label_rows_are_the_full_products(n, data):
-    # each step computes p(n) q products at the free labels and solves for the rest,
-    # so the whole row, not only its free entries, equals the full product
+    # each step of the reference stepper computes p(n) q products at the free labels and
+    # solves for the rest, so the whole row, not only its free entries, equals the full product
     w = _kernel_vector_with(n, data.draw(_free_entries(n)))
     steps = len(spectral._free_labels(n)) + 1
-    stepped = itertools.islice(spectral._kernel_krylov_rows(n, w), steps)
+    stepped = itertools.islice(oracle._kernel_krylov_rows(n, w), steps)
     full = itertools.islice(oracle._krylov_rows(build_Mbar(n).rows, w), steps)
     assert [tuple(x) for x in stepped] == list(full)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.data())
+def test_the_q_by_q_steps_equal_the_reference_rows(n, data):
+    # each step is x[F] B / D on the free entries alone; the kept x and y are solved
+    # from their free entries at the end, and equal the reference's last two rows
+    w = _kernel_vector_with(n, data.draw(_free_entries(n)))
+    free = spectral._free_labels(n)
+    reference = list(itertools.islice(oracle._kernel_krylov_rows(n, w), len(free) + 1))
+    stepped = list(itertools.islice(spectral._free_krylov_rows(n, w), len(free) + 1))
+    assert stepped == [[x[i] for i in free] for x in reference]
+    _, x, y = spectral._factor_on_kernel(n, w)
+    assert (x, y) == (tuple(reference[-2]), tuple(reference[-1]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -411,6 +425,21 @@ def test_a_kernel_vector_singular_mod_P_raises(n, fresh_factor_caches):
         with pytest.raises(spectral.ExactCheckError, match=f"W_{n} are singular mod _P"):
             charpoly(n)
     # lru_cache keeps no exception, so the unpatched call computes the factor
+    assert charpoly(n) == expected
+
+
+@pytest.mark.parametrize("n", (6, 7, 12))
+def test_a_step_with_a_remainder_raises(n, fresh_factor_caches):
+    # one more in an entry of B adds the kernel vector's free entry, which D does not
+    # divide at these n, to a step: the division by D leaves a remainder
+    expected = full_charpoly(build_Mbar(n).rows)
+    charpoly(n - 1)  # the factors below n, cached
+    step, lcm = spectral._step_operator(n)
+    shifted = ((step[0][0] + 1, *step[0][1:]), *step[1:])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_step_operator", lambda k: (shifted, lcm))
+        with pytest.raises(spectral.ExactCheckError, match=f"free labels of W_{n} is not integral"):
+            charpoly(n)
     assert charpoly(n) == expected
 
 
